@@ -6,12 +6,14 @@ diagonal entries equal to each area's retained-border count and off-diagonal
 entries -w_kj. Q is positive definite for rho in [0, 1); boundary-model fits
 pin rho at 0.99.
 
-log |Q| is needed for every alpha proposal in the sampler, so it is computed
-through a banded Cholesky factorization under a reverse-Cuthill-McKee
-ordering. The ordering, bandwidth, and banded index layout depend only on
-the contiguity pattern, never on which borders are currently severed, so the
-symbolic work is done once per graph and each evaluation is a vectorized
-assembly plus one LAPACK pbtrf call.
+log |Q| enters the sampler's ratio for every alpha proposal that changes the
+border assignment, so it is computed through a banded Cholesky factorization
+under a reverse-Cuthill-McKee ordering. The ordering, bandwidth, and banded
+index layout depend only on the contiguity pattern, never on which borders
+are currently severed, so the symbolic work is done once per graph and each
+evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
+is a deterministic function of the assignment, which lets the sampler
+memoize it per chain (see :mod:`womble.mcmc`).
 """
 
 from dataclasses import dataclass, field
@@ -83,30 +85,12 @@ def _band_plan(graph: AreaGraph) -> _BandPlan:
 
 @dataclass(frozen=True)
 class PrecisionStructure:
-    """Q = rho W* + (1 - rho) I for one adjacency assignment, with its cached
-    log-determinant and banded Cholesky factor."""
+    """Q = rho W* + (1 - rho) I for one adjacency assignment, represented by
+    its log-determinant."""
 
     adj: AdjacencyState
     rho: float
     log_det: float
-    factor: np.ndarray = field(repr=False)       # banded lower Cholesky of P Q P^T
-    perm_pos: np.ndarray = field(repr=False)     # area index -> ordered position
-
-    @property
-    def n(self) -> int:
-        return self.adj.graph.n
-
-    @property
-    def Q(self) -> csr_matrix:
-        """Sparse Q, built on demand (the sampler never needs it)."""
-        graph, adj, rho = self.adj.graph, self.adj, self.rho
-        k, j = graph.borders[:, 0], graph.borders[:, 1]
-        wf = adj.w.astype(float)
-        diag = rho * adj.row_sums + (1.0 - rho)
-        rows = np.concatenate([np.arange(graph.n), k, j])
-        cols = np.concatenate([np.arange(graph.n), j, k])
-        vals = np.concatenate([diag, -rho * wf, -rho * wf])
-        return csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
 
 
 def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
@@ -119,17 +103,18 @@ def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
         raise ValidationError("rho must lie in [0, 1)")
     graph = adj.graph
     plan = _band_plan(graph)
-    ab = np.zeros((plan.bandwidth + 1, graph.n))
+    # Fortran order lets LAPACK factorize the fresh buffer in place
+    ab = np.zeros((plan.bandwidth + 1, graph.n), order="F")
     ab[0, plan.pos] = rho * adj.row_sums + (1.0 - rho)
     if plan.offsets.size:
         ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
     try:
-        factor = cholesky_banded(ab, lower=True, check_finite=False)
+        factor = cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                 check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
         raise NumericError(f"precision factorization failed: {exc}") from exc
     log_det = 2.0 * float(np.log(factor[0]).sum())
-    return PrecisionStructure(adj=adj, rho=rho, log_det=log_det,
-                              factor=factor, perm_pos=plan.pos)
+    return PrecisionStructure(adj=adj, rho=rho, log_det=log_det)
 
 
 def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:
@@ -154,7 +139,7 @@ def log_density_phi(phi: np.ndarray, params: CarParams,
     adjacency assignment.
     """
     phi = np.asarray(phi, dtype=float)
-    n = prec.n
+    n = prec.adj.graph.n
     if phi.shape != (n,):
         raise ValidationError(f"phi must have length {n}")
     d = phi - params.mu

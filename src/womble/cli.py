@@ -196,6 +196,12 @@ def cmd_fit(args) -> int:
         cov = np.column_stack([metrics[c] for c in metrics])
         dis = compute_border_metrics(graph, cov, metric_names=list(metrics))
     config = _chain_config(args)
+    config.validate()
+    if dis is not None and config.n_chains * (config.keep // config.thin) < 2:
+        # checked before sampling: the effect verdicts need two pooled draws
+        raise ValidationError("metric effect verdicts need at least 2 retained "
+                              "draws in total (chains x keep // thin): raise "
+                              "--keep or --chains")
     if args.verbose:
         print(f"fit: {config.n_chains} chains x ({config.burn_in} burn-in "
               f"+ {config.keep} keep), seed={config.seed}, "

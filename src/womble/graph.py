@@ -313,10 +313,11 @@ def evaluate_w(graph: AreaGraph, dis: DissimilarityData,
     # few-ulp slack so the tie (and alpha = ln2 / z_max exactly) lands on the
     # keep side regardless of rounding in z * (ln2 / z)
     w = (s <= LN2 * (1.0 + 1e-15)).astype(np.uint8)
-    return _adjacency_from_w(graph, w)
+    return adjacency_from_w(graph, w)
 
 
-def _adjacency_from_w(graph: AreaGraph, w: np.ndarray) -> AdjacencyState:
+def adjacency_from_w(graph: AreaGraph, w) -> AdjacencyState:
+    """AdjacencyState for an explicit 0/1 border assignment."""
     w = np.asarray(w, dtype=np.uint8).copy()
     if w.shape != (graph.n_borders,):
         raise ValidationError("w must have one entry per border")
@@ -325,11 +326,6 @@ def _adjacency_from_w(graph: AreaGraph, w: np.ndarray) -> AdjacencyState:
           + np.bincount(graph.borders[:, 1], weights=wf, minlength=graph.n))
     return AdjacencyState(graph=graph, w=w, row_sums=rs.astype(np.int64),
                           boundary_count=int(np.sum(w == 0)))
-
-
-def adjacency_from_w(graph: AreaGraph, w) -> AdjacencyState:
-    """AdjacencyState for an explicit 0/1 border assignment (fixed-W fits)."""
-    return _adjacency_from_w(graph, np.asarray(w))
 
 
 def alpha_min(dis: DissimilarityData, i: int) -> float:

@@ -17,7 +17,10 @@ Update scheme, one iteration:
 * alpha: component-wise truncated random-walk Metropolis. A proposal that
   leaves the border assignment unchanged is accepted outright (uniform prior,
   symmetric proposal, identical CAR density); otherwise the ratio uses the
-  full CAR density including the refactorized (1/2) log|Q(alpha)|.
+  full CAR density including (1/2) log|Q(alpha)|. Each chain memoizes log|Q|
+  by border assignment (at most LOGDET_MEMO_CAP entries, oldest evicted
+  first), so Q is factorized only for assignments the chain has not seen or
+  has evicted; a hit returns the float a refactorization would.
 
 Step sizes adapt toward 0.44 acceptance during burn-in only (Robbins-Monro
 style batch updates) and are frozen afterward.
@@ -36,13 +39,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from .car import (CarParams, PrecisionStructure, build_precision,
-                  precision_quadform)
+                  log_density_phi, precision_quadform)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
 from .rng import CHAIN, derive_rng
 
 PHI_GUARD = 50.0  # proposals beyond +-50 on the log-risk scale are rejected
+# border assignments whose log|Q| one chain remembers; about B/8 bytes each
+LOGDET_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,8 @@ class ModelState:
     prec: PrecisionStructure
     wf: np.ndarray = field(repr=False, default=None)  # float view of adj.w
     last_accept: dict = field(default_factory=dict)
+    # packed border assignment -> log|Q| at params.rho, in insertion order
+    logdet_memo: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.wf is None:
@@ -129,10 +136,16 @@ class ModelState:
         self.prec = prec
         self.wf = adj.w.astype(np.float64)
 
+    def remember_log_det(self, key: bytes, log_det: float):
+        memo = self.logdet_memo
+        memo[key] = log_det
+        while len(memo) > LOGDET_MEMO_CAP:
+            del memo[next(iter(memo))]
+
     def log_post(self, data: Optional[ObservedData],
                  prior_mu_var: float = 10.0) -> float:
         """Joint log-posterior up to prior normalizing constants."""
-        lp = car_log_density(self)
+        lp = log_density_phi(self.phi, self.params, self.prec)
         lp += -0.5 * self.params.mu ** 2 / prior_mu_var
         lp += -0.5 * math.log(self.params.tau2)
         if data is not None:
@@ -141,13 +154,8 @@ class ModelState:
         return lp
 
 
-def car_log_density(state: ModelState) -> float:
-    p = state.params
-    d = state.phi - p.mu
-    quad = precision_quadform(state.adj, p.rho, d)
-    n = state.adj.graph.n
-    return (-0.5 * n * math.log(2.0 * math.pi * p.tau2)
-            + 0.5 * state.prec.log_det - quad / (2.0 * p.tau2))
+def _memo_key(w: np.ndarray) -> bytes:
+    return np.packbits(w).tobytes()
 
 
 class _SweepTables:
@@ -255,14 +263,16 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
                  M: np.ndarray, rng: np.random.Generator) -> ModelState:
     """Component-wise truncated random-walk Metropolis on alpha.
 
-    Every accepted change of the border assignment triggers evaluate_w,
-    refactorization of Q, and a full CAR-density comparison; proposals whose
-    assignment is unchanged are accepted without refactorizing.
+    Every proposal inside the prior's support goes through evaluate_w.
+    Proposals whose assignment is unchanged are accepted outright; every
+    other one is judged by a full CAR-density comparison, taking log|Q| from
+    the state's memo and factorizing Q only for an assignment not in it.
     """
     p = state.params
     graph = state.adj.graph
     accept = np.zeros(len(M), dtype=bool)
     d = state.phi - p.mu
+    quad_cur = None  # d^T Q d at the current assignment, computed when needed
     for i in range(len(M)):
         alpha = state.params.alpha
         prop_i = alpha[i] + steps[i] * rng.standard_normal()
@@ -275,14 +285,21 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             state.params = replace(state.params, alpha=alpha_prop)
             accept[i] = True
             continue
-        prec_prop = build_precision(adj_prop, p.rho)
-        quad_cur = precision_quadform(state.adj, p.rho, d)
+        key = _memo_key(adj_prop.w)
+        log_det = state.logdet_memo.get(key)
+        if log_det is None:
+            log_det = build_precision(adj_prop, p.rho).log_det
+            state.remember_log_det(key, log_det)
+        if quad_cur is None:
+            quad_cur = precision_quadform(state.adj, p.rho, d)
         quad_prop = precision_quadform(adj_prop, p.rho, d)
-        delta = (0.5 * (prec_prop.log_det - state.prec.log_det)
+        delta = (0.5 * (log_det - state.prec.log_det)
                  - (quad_prop - quad_cur) / (2.0 * p.tau2))
         if math.log(rng.random()) < delta:
             state.params = replace(state.params, alpha=alpha_prop)
-            state.set_adjacency(adj_prop, prec_prop)
+            state.set_adjacency(adj_prop,
+                                PrecisionStructure(adj_prop, p.rho, log_det))
+            quad_cur = quad_prop
             accept[i] = True
     state.last_accept["alpha"] = accept
     return state
@@ -362,6 +379,7 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
         params = CarParams(mu=mu, tau2=tau2, rho=config.rho, alpha=alpha)
         state = ModelState(phi=phi, params=params, adj=adj,
                            prec=build_precision(adj, config.rho))
+        state.remember_log_det(_memo_key(adj.w), state.prec.log_det)
         # overflow here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(state.log_post(data, config.prior_mu_var))

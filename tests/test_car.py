@@ -15,24 +15,25 @@ def _graph(n, borders):
 
 class TestBuildPrecision:
     def test_two_area_pattern(self):
+        # Q = [[1, -0.5], [-0.5, 1]]
         g = _graph(2, [(0, 1)])
         prec = build_precision(all_ones_adj(g), 0.5)
-        np.testing.assert_allclose(prec.Q.toarray(),
-                                   [[1.0, -0.5], [-0.5, 1.0]])
+        assert prec.log_det == pytest.approx(np.log(0.75), abs=1e-14)
 
     def test_isolated_area_diagonal(self):
+        # no borders: Q = 0.01 I
         g = _graph(2, [])
         prec = build_precision(all_ones_adj(g), 0.99)
-        q = prec.Q.toarray()
-        np.testing.assert_allclose(np.diag(q), [0.01, 0.01])
-        assert np.count_nonzero(q - np.diag(np.diag(q))) == 0
+        assert prec.log_det == pytest.approx(2.0 * np.log(0.01), abs=1e-12)
 
     def test_diagonal_formula(self):
+        # diagonal 0.7 * retained-border count + 0.3, off-diagonal -0.7 w
         g = _graph(3, [(0, 1), (1, 2)])
-        adj = all_ones_adj(g)
-        prec = build_precision(adj, 0.7)
-        expected_diag = 0.7 * adj.row_sums + 0.3
-        np.testing.assert_allclose(prec.Q.toarray().diagonal(), expected_diag)
+        for w, q in [([1, 1], [[1.0, -0.7, 0.0], [-0.7, 1.7, -0.7], [0.0, -0.7, 1.0]]),
+                     ([1, 0], [[1.0, -0.7, 0.0], [-0.7, 1.0, 0.0], [0.0, 0.0, 0.3]])]:
+            prec = build_precision(adjacency_from_w(g, w), 0.7)
+            assert prec.log_det == pytest.approx(np.linalg.slogdet(q)[1],
+                                                 abs=1e-12)
 
     def test_logdet_vs_dense_random_graphs(self):
         rng = np.random.default_rng(42)

@@ -136,6 +136,19 @@ class TestFit:
         assert rc == 2
         assert "VALIDATION:" in capsys.readouterr().err
 
+    def test_too_few_draws_for_verdicts_fails_before_sampling(self, tmp_path,
+                                                             capsys):
+        _, paths = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--chains", "1", "--burnin", "10", "--keep", "1",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "VALIDATION:" in err and "--keep" in err and "--chains" in err
+        assert not (out / "posterior_summary.csv").exists()
+
     def test_missing_file_io_exit(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)
         rc = main(["fit", "--areas", str(tmp_path / "nope.csv"),

@@ -1,13 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import dense_precision, poisson_deviance
 from womble import (AreaGraph, CarParams, ChainConfig, DissimilarityData,
                     ModelState, ObservedData, ValidationError,
-                    adjacency_from_w, build_precision, dic,
-                    effective_sample_size, evaluate_w, gelman_rubin,
-                    run_chains, update_alpha, update_mu, update_phi,
-                    update_tau2)
+                    adjacency_from_w, build_precision, compute_border_metrics,
+                    dic, effective_sample_size, evaluate_w, gelman_rubin,
+                    precision_quadform, run_chains, update_alpha, update_mu,
+                    update_phi, update_tau2)
+from womble import mcmc
 from womble.mcmc import deviance_at
 from womble.rng import derive_rng
 from womble.simulate import (SimConfig, five_block_partition, gen_counts,
@@ -25,6 +29,32 @@ def make_state(graph, w=None, mu=0.0, tau2=1.0, rho=0.99, alpha=None, phi=None):
     return ModelState(phi=np.zeros(graph.n) if phi is None else phi,
                       params=params, adj=adj,
                       prec=build_precision(adj, rho))
+
+
+def reference_update_alpha(state, dis, steps, M, rng):
+    """update_alpha as a plain loop: every proposal that changes w
+    refactorizes Q and recomputes both quadratic forms."""
+    p = state.params
+    d = state.phi - p.mu
+    for i in range(len(M)):
+        alpha = state.params.alpha
+        prop_i = alpha[i] + steps[i] * rng.standard_normal()
+        if prop_i < 0.0 or prop_i > M[i]:
+            continue
+        alpha_prop = alpha.copy()
+        alpha_prop[i] = prop_i
+        adj_prop = evaluate_w(state.adj.graph, dis, alpha_prop)
+        if np.array_equal(adj_prop.w, state.adj.w):
+            state.params = replace(state.params, alpha=alpha_prop)
+            continue
+        prec_prop = build_precision(adj_prop, p.rho)
+        quad_cur = precision_quadform(state.adj, p.rho, d)
+        quad_prop = precision_quadform(adj_prop, p.rho, d)
+        delta = (0.5 * (prec_prop.log_det - state.prec.log_det)
+                 - (quad_prop - quad_cur) / (2.0 * p.tau2))
+        if math.log(rng.random()) < delta:
+            state.params = replace(state.params, alpha=alpha_prop)
+            state.set_adjacency(adj_prop, prec_prop)
 
 
 def path_graph(n):
@@ -201,22 +231,66 @@ class TestUpdateAlpha:
             update_alpha(state, dis, np.array([5.0]), np.array([0.2]), rng)
             assert 0.0 <= state.params.alpha[0] <= 0.2
 
-    def test_pattern_change_uses_refreshed_logdet(self):
-        # force a pattern change and check the state's cached log_det tracks it
+    def _pattern_change_run(self, seed, check):
+        # a path whose six possible assignments the chain keeps revisiting
         g = path_graph(6)
         z = np.linspace(0.5, 3.0, g.n_borders)[:, None]
         dis = DissimilarityData(q=1, metric_names=("m",), border_metrics=z,
                                 scales=np.ones(1))
         state = make_state(g, alpha=np.array([0.0]),
                            phi=np.random.default_rng(1).normal(size=6))
-        rng = derive_rng(12, 0)
+        rng = derive_rng(seed, 0)
         for _ in range(500):
             update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng)
+            check(g, dis, state)
+        return state
+
+    def test_pattern_change_uses_refreshed_logdet(self):
+        # the state's log_det tracks every pattern change, and a memo hit
+        # returns exactly the float a fresh factorization gives
+        def check(g, dis, state):
             adj_expected = evaluate_w(g, dis, state.params.alpha)
             np.testing.assert_array_equal(state.adj.w, adj_expected.w)
+            assert state.prec.log_det == build_precision(state.adj, 0.99).log_det
             dense = dense_precision(6, g.borders, state.adj.w, 0.99)
             assert state.prec.log_det == pytest.approx(
                 np.linalg.slogdet(dense)[1], abs=1e-10)
+
+        state = self._pattern_change_run(12, check)
+        # increasing z: each assignment is a threshold, six in all
+        assert 1 < len(state.logdet_memo) <= 6
+
+    def test_matches_unmemoized_reference(self):
+        # q = 2 on a lattice: identical accept decisions, alpha and log|Q|
+        # to the loop that refactorizes and recomputes both quadratic forms
+        g = lattice_graph(4, 4)
+        cov = np.random.default_rng(6).normal(size=(16, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        phi = np.random.default_rng(7).normal(size=16)
+        alpha = np.array([0.1, 0.1])
+        w = evaluate_w(g, dis, alpha).w
+        states = [make_state(g, w=w, tau2=0.5, alpha=alpha, phi=phi.copy())
+                  for _ in range(2)]
+        rngs = [derive_rng(14, 0), derive_rng(14, 0)]
+        steps, M = np.array([0.4, 0.4]), np.array([1.5, 1.5])
+        for _ in range(300):
+            update_alpha(states[0], dis, steps, M, rngs[0])
+            reference_update_alpha(states[1], dis, steps, M, rngs[1])
+            np.testing.assert_array_equal(states[0].params.alpha,
+                                          states[1].params.alpha)
+            np.testing.assert_array_equal(states[0].adj.w, states[1].adj.w)
+            assert states[0].prec.log_det == states[1].prec.log_det
+
+    def test_logdet_memo_respects_cap(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 2)
+        sizes = []
+
+        def check(g, dis, state):
+            sizes.append(len(state.logdet_memo))
+            assert state.prec.log_det == build_precision(state.adj, 0.99).log_det
+
+        self._pattern_change_run(12, check)
+        assert max(sizes) == 2
 
 
 class TestRunChains:
@@ -257,6 +331,29 @@ class TestRunChains:
         s2 = run_chains(data, g, dis, cfg2)
         for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
             np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+
+    def test_logdet_memo_leaves_draws_unchanged(self, monkeypatch):
+        # q = 2; with the cap at 0 every lookup misses and Q is refactorized
+        g = lattice_graph(4, 4)
+        cov = np.random.default_rng(2).normal(size=(16, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(3).poisson(100.0, 16),
+                            E=np.full(16, 100.0))
+        cfg = ChainConfig(n_chains=2, burn_in=150, keep=100, seed=4)
+        calls = []
+
+        def counting(adj, rho):
+            calls.append(1)
+            return build_precision(adj, rho)
+
+        monkeypatch.setattr(mcmc, "build_precision", counting)
+        memo = run_chains(data, g, dis, cfg)
+        with_memo = len(calls)
+        monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
+        fresh = run_chains(data, g, dis, cfg)
+        assert with_memo < len(calls) - with_memo
+        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
+            np.testing.assert_array_equal(getattr(memo, name), getattr(fresh, name))
 
     def test_w_trace_consistency(self):
         g, data, dis = self._tiny_inputs()
