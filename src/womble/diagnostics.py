@@ -8,6 +8,11 @@ from .errors import ValidationError
 from .graph import AdjacencyState, AreaGraph
 from .rng import PERMUTATION, derive_rng
 
+# Working-array budget for one chunk of permutations. A permutation row takes
+# about 8 * (3n + 2B) bytes, so the chunk height follows from n and B and peak
+# memory stays near this figure whatever n_perm is.
+PERM_CHUNK_BYTES = 8 * 2**20
+
 
 @dataclass(frozen=True)
 class MoranResult:
@@ -64,20 +69,36 @@ def moran_permutation_test(residuals: np.ndarray, graph: AreaGraph,
     if n_perm == 0:
         return MoranResult(I=observed, p_value=1.0, n_permutations=0,
                            residual_type=residual_type)
+    n_ge = sum(int(np.sum(i_perm >= observed))
+               for i_perm in _permuted_moran(v, graph, adj, n_perm, seed))
+    return MoranResult(I=observed, p_value=(1 + n_ge) / (1 + n_perm),
+                       n_permutations=n_perm, residual_type=residual_type)
+
+
+def _permuted_moran(v, graph: AreaGraph, adj, n_perm: int, seed: int):
+    """Moran's I of n_perm random relabellings of v, yielded a chunk at a time.
+
+    Each chunk draws its rows from one stream in order, so the statistics are
+    the same whatever the chunk height. A 1-row remainder is folded into the
+    chunk before it: numpy's row sum of a 1-row array can round differently
+    from the same row inside a taller one.
+    """
     k, j, w = _weights(graph, adj)
     d = v - v.mean()
     denom = float(np.sum(d * d))
     s0 = 2.0 * float(w.sum())
     rng = derive_rng(seed, PERMUTATION)
-    # vectorized random relabelling: argsort of uniform keys per permutation
-    keys = rng.random((n_perm, graph.n))
-    order = np.argsort(keys, axis=1)
-    dp = d[order]
-    nums = 2.0 * np.sum(w * dp[:, k] * dp[:, j], axis=1)
-    i_perm = graph.n / s0 * nums / denom
-    n_ge = int(np.sum(i_perm >= observed))
-    return MoranResult(I=observed, p_value=(1 + n_ge) / (1 + n_perm),
-                       n_permutations=n_perm, residual_type=residual_type)
+    height = max(2, PERM_CHUNK_BYTES // (8 * (3 * graph.n + 2 * graph.n_borders)))
+    left = n_perm
+    while left:
+        rows = left if left <= height + 1 else height
+        # random relabelling: argsort of uniform keys per permutation
+        keys = rng.random((rows, graph.n))
+        order = np.argsort(keys, axis=1)
+        dp = d[order]
+        nums = 2.0 * np.sum(w * dp[:, k] * dp[:, j], axis=1)
+        yield graph.n / s0 * nums / denom
+        left -= rows
 
 
 def pearson_residuals(y: np.ndarray, E: np.ndarray,

@@ -16,6 +16,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConstantMetricError, ValidationError
 
@@ -73,32 +75,22 @@ class AreaGraph:
     @cached_property
     def n_components(self) -> int:
         """Connected-component count. Disconnection is legal, just reported."""
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for k, j in self.borders:
-            rk, rj = find(int(k)), find(int(j))
-            if rk != rj:
-                parent[rk] = rj
-        return len({find(i) for i in range(self.n)})
+        k, j = self.borders[:, 0], self.borders[:, 1]
+        adj = csr_matrix((np.ones(self.n_borders), (k, j)), shape=(self.n, self.n))
+        return int(connected_components(adj, directed=False)[0])
 
     @cached_property
     def incidence(self):
-        """Per-area arrays of (neighbour index, border index)."""
-        nbrs = [[] for _ in range(self.n)]
-        bids = [[] for _ in range(self.n)]
-        for b, (k, j) in enumerate(self.borders):
-            nbrs[k].append(j)
-            bids[k].append(b)
-            nbrs[j].append(k)
-            bids[j].append(b)
-        return ([np.array(a, dtype=np.int64) for a in nbrs],
-                [np.array(a, dtype=np.int64) for a in bids])
+        """Per-area arrays of (neighbour index, border index), in border order."""
+        ends = self.borders.ravel()
+        # a stable sort of the interleaved endpoints keeps each area's
+        # entries in border order
+        order = np.argsort(ends, kind="stable")
+        nbrs = self.borders[:, ::-1].ravel()[order]
+        bids = np.repeat(np.arange(self.n_borders, dtype=np.int64), 2)[order]
+        stops = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
+        spans = list(zip([0] + stops[:-1], stops))
+        return [nbrs[a:b] for a, b in spans], [bids[a:b] for a, b in spans]
 
     @cached_property
     def coloring(self) -> list:
@@ -201,11 +193,6 @@ class DissimilarityData:
             raise ValidationError("border metrics must be finite and non-negative")
         object.__setattr__(self, "border_metrics", bm)
         bm.setflags(write=False)
-
-    @staticmethod
-    def from_covariates(graph: AreaGraph, covariates: np.ndarray,
-                        metric_names=None) -> "DissimilarityData":
-        return compute_border_metrics(graph, covariates, metric_names)
 
     @staticmethod
     def from_border_values(graph: AreaGraph, values: np.ndarray,

@@ -12,7 +12,6 @@ import numpy as np
 CHAIN = 0
 REPLICATE = 1
 PERMUTATION = 2
-SURFACE = 3
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -31,6 +31,9 @@ from .mcmc import ChainConfig, ObservedData, run_chains
 from .rng import REPLICATE
 
 RANGE_CAP_FACTOR = 1e9
+# The surface is a dense n x n Matern Cholesky: at this many areas (a 64x64
+# lattice) setting it up peaks near 0.7 GB of memory.
+MAX_SURFACE_AREAS = 4096
 
 
 def lattice_graph(nrows: int, ncols: int, with_polygons: bool = False) -> AreaGraph:
@@ -223,6 +226,10 @@ def _prepare(config: SimConfig) -> dict:
     graph = config.graph
     if graph.centroids is None:
         raise ValidationError("graph needs centroids for surface generation")
+    if graph.n > MAX_SURFACE_AREAS:
+        raise ValidationError(
+            f"{graph.n} areas exceed the {MAX_SURFACE_AREAS} a dense simulation "
+            "surface allows: use a smaller lattice (--nrows/--ncols)")
     if config.median_pairs == "all":
         rng_val = calibrate_range(graph.centroids,
                                   config.target_median_correlation, config.kappa)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from womble import io, lattice_graph
+from womble import io, lattice_graph, simulate
 from womble.cli import main
 
 
@@ -335,6 +335,18 @@ class TestSimulateCommand:
                    "--seed", "1", "--expected-csv", str(ecsv),
                    "--out", str(tmp_path / "sim")])
         assert rc == 2
+
+    def test_oversized_lattice_rejected_before_surface(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_dense_surface(*args, **kwargs):
+            raise AssertionError("dense surface built past the size cap")
+
+        monkeypatch.setattr(simulate, "pdist", no_dense_surface)
+        rc = main(["simulate", "--nrows", "65", "--ncols", "64",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert "--nrows/--ncols" in capsys.readouterr().err
 
     def test_verbose_echoes_settings(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)

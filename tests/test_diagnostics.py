@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from womble import (AreaGraph, ValidationError, lattice_graph,
+from womble import (AreaGraph, ValidationError, diagnostics, lattice_graph,
                     moran_permutation_test, morans_i, pearson_residuals)
+from womble.rng import PERMUTATION, derive_rng
 
 
 def dense_moran_oracle(values, graph):
@@ -19,6 +20,33 @@ def dense_moran_oracle(values, graph):
             num += w[a, b] * d[a] * d[b]
             s0 += w[a, b]
     return n / s0 * num / float(np.sum(d * d))
+
+
+def all_at_once_permutations(values, graph, n_perm, seed):
+    """Reference: every permutation drawn and scored in one array.
+
+    Returns the observed I, the p-value and the permuted I's.
+    """
+    k, j = graph.borders[:, 0], graph.borders[:, 1]
+    w = np.ones(graph.n_borders)
+    d = values - values.mean()
+    denom = float(np.sum(d * d))
+    s0 = 2.0 * float(w.sum())
+    rng = derive_rng(seed, PERMUTATION)
+    keys = rng.random((n_perm, graph.n))
+    order = np.argsort(keys, axis=1)
+    dp = d[order]
+    nums = 2.0 * np.sum(w * dp[:, k] * dp[:, j], axis=1)
+    i_perm = graph.n / s0 * nums / denom
+    observed = morans_i(values, graph)
+    n_ge = int(np.sum(i_perm >= observed))
+    return observed, (1 + n_ge) / (1 + n_perm), i_perm
+
+
+def set_chunk_rows(monkeypatch, graph, rows):
+    """Shrink the chunk budget so chunks hold `rows` permutations."""
+    per_row = 8 * (3 * graph.n + 2 * graph.n_borders)
+    monkeypatch.setattr(diagnostics, "PERM_CHUNK_BYTES", rows * per_row)
 
 
 class TestMoransI:
@@ -98,6 +126,51 @@ class TestPermutationTest:
                                      seed=s).p_value for s in range(40)]
         assert np.mean(np.array(ps) <= 0.05) < 0.25
         assert np.mean(np.array(ps) >= 0.5) > 0.2
+
+
+class TestChunkedPermutations:
+    """Chunked scoring must reproduce the all-at-once reference bit for bit."""
+
+    def check(self, graph, n_perm, seed=7):
+        vals = np.random.default_rng(seed).normal(size=graph.n)
+        ref_i, ref_p, ref_perm = all_at_once_permutations(vals, graph, n_perm,
+                                                          seed)
+        chunks = list(diagnostics._permuted_moran(vals, graph, None, n_perm,
+                                                  seed))
+        assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()
+        res = moran_permutation_test(vals, graph, n_perm=n_perm, seed=seed)
+        assert res.I == ref_i and res.p_value == ref_p
+        return [len(c) for c in chunks]
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 64])
+    def test_chunk_heights_match_reference(self, monkeypatch, rows):
+        g = lattice_graph(16, 16)
+        set_chunk_rows(monkeypatch, g, rows)
+        heights = self.check(g, 500)
+        assert sum(heights) == 500 and min(heights) >= 2
+
+    @pytest.mark.parametrize("n_perm, heights", [
+        (10, [3, 3, 4]),    # a lone last row joins the chunk before it
+        (1, [1]),
+        (2, [2]),
+    ])
+    def test_no_single_row_chunk(self, monkeypatch, n_perm, heights):
+        g = lattice_graph(16, 16)
+        set_chunk_rows(monkeypatch, g, 3)
+        assert self.check(g, n_perm) == heights
+
+    def test_default_budget_many_chunks(self):
+        g = lattice_graph(16, 16)
+        heights = self.check(g, 2000)
+        assert len(heights) > 1
+
+    def test_more_borders_than_sum_buffer(self, monkeypatch):
+        # 65x65 has 8320 borders, more than numpy's 8192-element buffer
+        g = lattice_graph(65, 65)
+        assert g.n_borders > 8192
+        self.check(g, 200)
+        set_chunk_rows(monkeypatch, g, 7)
+        assert self.check(g, 200)[-1] == 4
 
 
 class TestPearsonResiduals:

@@ -61,9 +61,32 @@ class TestBuildGraph:
 
     def test_isolated_areas_fine_via_matrix(self):
         mat = np.zeros((3, 3), dtype=int)
+        g = build_graph(mat)
+        assert g.n == 3 and g.n_borders == 0 and g.n_components == 3
+        assert [a.tolist() for a in g.incidence[0]] == [[], [], []]
         mat[0, 1] = mat[1, 0] = 1
         g = build_graph(mat)
         assert g.n == 3 and g.n_borders == 1 and g.n_components == 2
+        assert [a.tolist() for a in g.incidence[0]] == [[1], [0], []]
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+        [(4, 0), (2, 4), (1, 3), (0, 2)],
+        [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (0, 1)],
+    ])
+    def test_incidence_matches_loop_reference(self, pairs):
+        g = build_graph(pairs)
+        nbrs = [[] for _ in range(g.n)]
+        bids = [[] for _ in range(g.n)]
+        for b, (k, j) in enumerate(g.borders):
+            nbrs[k].append(j)
+            bids[k].append(b)
+            nbrs[j].append(k)
+            bids[j].append(b)
+        got_nbrs, got_bids = g.incidence
+        assert [a.tolist() for a in got_nbrs] == nbrs
+        assert [a.tolist() for a in got_bids] == bids
+        assert all(a.dtype == np.int64 for a in got_nbrs + got_bids)
 
     def test_coloring_is_proper(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
