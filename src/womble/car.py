@@ -125,7 +125,7 @@ def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:
     """
     k, j = adj.graph.borders[:, 0], adj.graph.borders[:, 1]
     diff = d[k] - d[j]
-    return float(rho * np.sum(adj.w * diff * diff) + (1.0 - rho) * np.sum(d * d))
+    return float(rho * (adj.w * diff * diff).sum() + (1.0 - rho) * (d * d).sum())
 
 
 def log_density_phi(phi: np.ndarray, params: CarParams,

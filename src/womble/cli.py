@@ -158,9 +158,8 @@ def _load_graph(args, area_ids):
 
 def _fit_outputs(out, samples, data, graph, dis):
     io.write_posterior_summary(samples, out / "posterior_summary.csv")
-    io.write_risk_csv(samples, out / "risk.csv")
-    risks = samples.risk_draws()
-    r_med = np.median(risks, axis=0)
+    r_med, r_lo, r_hi = samples.risk_summary()
+    io.write_risk_csv(graph.area_ids, r_med, r_lo, r_hi, out / "risk.csv")
     bset = classify_boundaries(samples)
     io.write_boundary_csv(bset, blv(r_med, graph).values, out / "boundary.csv")
     if dis is not None:
@@ -241,8 +240,7 @@ def _run_blv_baseline(out, data, graph, args, rules):
     # baseline smoother: adjacency frozen all-1 (alpha identically zero)
     config = _chain_config(args, fixed_w=np.ones(graph.n_borders, dtype=np.uint8))
     samples = run_chains(data, graph, None, config)
-    r_med = np.median(samples.risk_draws(), axis=0)
-    res = blv(r_med, graph)
+    res = blv(samples.risk_median(), graph)
     fa = blv_rule_a(res, rules["c1"]) if "c1" in rules else None
     fb = blv_rule_b(res, rules["c2"]) if "c2" in rules else None
     io.write_blv_csv(res, out / "blv.csv", rule_a_flags=fa, rule_b_flags=fb)

@@ -55,9 +55,7 @@ class AreaGraph:
         borders = np.column_stack([lo, hi])[order]
         if borders.shape[0] and np.any(np.all(np.diff(borders, axis=0) == 0, axis=1)):
             raise ValidationError("duplicate border pair")
-        if area_ids is None:
-            area_ids = [str(i) for i in range(n)]
-        area_ids = [str(a) for a in area_ids]
+        area_ids = [str(a) for a in (range(n) if area_ids is None else area_ids)]
         if len(area_ids) != n or len(set(area_ids)) != n:
             raise ValidationError("area_ids must be unique and match the area count")
         self.n = n
@@ -109,16 +107,6 @@ class AreaGraph:
                 c += 1
             colors[k] = c
         return [np.where(colors == c)[0] for c in range(int(colors.max()) + 1)]
-
-    def index_of(self, area_id: str) -> int:
-        try:
-            return self._id_index[area_id]
-        except KeyError:
-            raise ValidationError(f"unknown area_id {area_id!r}") from None
-
-    @cached_property
-    def _id_index(self) -> dict:
-        return {a: i for i, a in enumerate(self.area_ids)}
 
     def __repr__(self):
         return (f"AreaGraph(n={self.n}, borders={self.n_borders}, "
@@ -267,21 +255,33 @@ def compute_border_metrics(graph: AreaGraph, covariates: np.ndarray,
 
 @dataclass(frozen=True)
 class AdjacencyState:
-    """Binary neighbour-relation assignment over the borders of a graph."""
+    """Binary neighbour-relation assignment over the borders of a graph;
+    what is derived from `w` is computed on first access."""
 
     graph: AreaGraph
     w: np.ndarray              # (B,) uint8, 1 = neighbours, 0 = boundary
-    row_sums: np.ndarray       # (n,) number of retained borders incident to each area
-    boundary_count: int
 
     def __post_init__(self):
         self.w.setflags(write=False)
-        self.row_sums.setflags(write=False)
 
-    @property
-    def boundary_fraction(self) -> float:
-        b = self.graph.n_borders
-        return self.boundary_count / b if b else 0.0
+    @cached_property
+    def key(self) -> bytes:
+        """The packed assignment: equal keys iff equal w on one graph."""
+        return np.packbits(self.w).tobytes()
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """(n,) number of retained borders incident to each area."""
+        wf = self.w.astype(np.float64)
+        b, n = self.graph.borders, self.graph.n
+        rs = (np.bincount(b[:, 0], weights=wf, minlength=n)
+              + np.bincount(b[:, 1], weights=wf, minlength=n)).astype(np.int64)
+        rs.setflags(write=False)
+        return rs
+
+    @cached_property
+    def boundary_count(self) -> int:
+        return int(np.sum(self.w == 0))
 
 
 def evaluate_w(graph: AreaGraph, dis: DissimilarityData,
@@ -299,8 +299,7 @@ def evaluate_w(graph: AreaGraph, dis: DissimilarityData,
     s = dis.border_metrics @ alpha
     # few-ulp slack so the tie (and alpha = ln2 / z_max exactly) lands on the
     # keep side regardless of rounding in z * (ln2 / z)
-    w = (s <= LN2 * (1.0 + 1e-15)).astype(np.uint8)
-    return adjacency_from_w(graph, w)
+    return AdjacencyState(graph, (s <= LN2 * (1.0 + 1e-15)).astype(np.uint8))
 
 
 def adjacency_from_w(graph: AreaGraph, w) -> AdjacencyState:
@@ -308,11 +307,7 @@ def adjacency_from_w(graph: AreaGraph, w) -> AdjacencyState:
     w = np.asarray(w, dtype=np.uint8).copy()
     if w.shape != (graph.n_borders,):
         raise ValidationError("w must have one entry per border")
-    wf = w.astype(np.float64)
-    rs = (np.bincount(graph.borders[:, 0], weights=wf, minlength=graph.n)
-          + np.bincount(graph.borders[:, 1], weights=wf, minlength=graph.n))
-    return AdjacencyState(graph=graph, w=w, row_sums=rs.astype(np.int64),
-                          boundary_count=int(np.sum(w == 0)))
+    return AdjacencyState(graph=graph, w=w)
 
 
 def alpha_min(dis: DissimilarityData, i: int) -> float:

@@ -178,13 +178,8 @@ def write_posterior_summary(samples: PosteriorSamples, path):
                 rows)
 
 
-def write_risk_csv(samples: PosteriorSamples, path):
-    r = samples.risk_draws()
-    med = np.median(r, axis=0)
-    lo = np.percentile(r, 2.5, axis=0)
-    hi = np.percentile(r, 97.5, axis=0)
-    rows = [[aid, med[k], lo[k], hi[k]]
-            for k, aid in enumerate(samples.graph.area_ids)]
+def write_risk_csv(area_ids, med, lo, hi, path):
+    rows = [[aid, med[k], lo[k], hi[k]] for k, aid in enumerate(area_ids)]
     _write_rows(path, ["area_id", "R_median", "R_ci2.5", "R_ci97.5"], rows)
 
 

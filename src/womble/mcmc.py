@@ -25,6 +25,11 @@ Update scheme, one iteration:
 Step sizes adapt toward 0.44 acceptance during burn-in only (Robbins-Monro
 style batch updates) and are frozen afterward.
 
+Each chain runs on a plain mutable ModelState, validated once when built.
+An iteration computes d^T Q d (d = phi - mu) once for the tau2 and alpha
+blocks; the phi sweep keeps its border weights and denominators until the
+assignment changes.
+
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state, so results are identical
 whether chains run sequentially or in a process pool.
@@ -32,7 +37,7 @@ whether chains run sequentially or in a process pool.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -113,28 +118,29 @@ class ChainConfig:
             raise ValidationError("rho must lie in [0, 1)")
 
 
-@dataclass
 class ModelState:
-    """Current sampler state; `adj` always equals evaluate_w at params.alpha
-    (or the frozen assignment for fixed-W fits)."""
+    """One chain's state as plain attributes, changed in place: phi, mu, tau2,
+    rho, alpha, `adj` (evaluate_w at alpha, or a fixed-W fit's frozen w) and
+    `log_det` (log|Q| for `adj`). `params` gets and sets a validated CarParams."""
 
-    phi: np.ndarray
-    params: CarParams
-    adj: AdjacencyState
-    prec: PrecisionStructure
-    wf: np.ndarray = field(repr=False, default=None)  # float view of adj.w
-    last_accept: dict = field(default_factory=dict)
-    # packed border assignment -> log|Q| at params.rho, in insertion order
-    logdet_memo: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if self.wf is None:
-            self.wf = self.adj.w.astype(np.float64)
-
-    def set_adjacency(self, adj: AdjacencyState, prec: PrecisionStructure):
+    def __init__(self, phi: np.ndarray, params: CarParams, adj: AdjacencyState,
+                 prec: PrecisionStructure):
+        self.phi = phi
+        self.params = params
         self.adj = adj
-        self.prec = prec
-        self.wf = adj.w.astype(np.float64)
+        self.log_det = prec.log_det
+        self.last_accept = {}
+        # packed border assignment -> log|Q| at rho, in insertion order
+        self.logdet_memo = {}
+        self.sweep = None  # update_phi's cached inputs, a _Sweep
+
+    @property
+    def params(self) -> CarParams:
+        return CarParams(mu=self.mu, tau2=self.tau2, rho=self.rho, alpha=self.alpha)
+
+    @params.setter
+    def params(self, p: CarParams):
+        self.mu, self.tau2, self.rho, self.alpha = p.mu, p.tau2, p.rho, p.alpha
 
     def remember_log_det(self, key: bytes, log_det: float):
         memo = self.logdet_memo
@@ -145,43 +151,49 @@ class ModelState:
     def log_post(self, data: Optional[ObservedData],
                  prior_mu_var: float = 10.0) -> float:
         """Joint log-posterior up to prior normalizing constants."""
-        lp = log_density_phi(self.phi, self.params, self.prec)
-        lp += -0.5 * self.params.mu ** 2 / prior_mu_var
-        lp += -0.5 * math.log(self.params.tau2)
+        lp = log_density_phi(self.phi, self.params,
+                             PrecisionStructure(self.adj, self.rho, self.log_det))
+        lp += -0.5 * self.mu ** 2 / prior_mu_var
+        lp += -0.5 * math.log(self.tau2)
         if data is not None:
             lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
                                - data.E * np.exp(self.phi)))
         return lp
 
 
-def _memo_key(w: np.ndarray) -> bytes:
-    return np.packbits(w).tobytes()
-
-
-class _SweepTables:
-    """Per-color edge incidence used by the vectorized phi sweep."""
-
-    def __init__(self, graph: AreaGraph):
-        nbrs, bids = graph.incidence
-        self.classes = []
-        for members in graph.coloring:
-            rows, nbr, bidx = [], [], []
-            for local, k in enumerate(members):
-                rows.extend([local] * len(nbrs[k]))
-                nbr.extend(nbrs[k].tolist())
-                bidx.extend(bids[k].tolist())
-            self.classes.append((members,
-                                 np.array(rows, dtype=np.int64),
-                                 np.array(nbr, dtype=np.int64),
-                                 np.array(bidx, dtype=np.int64)))
-
-
-def _sweep_tables(graph: AreaGraph) -> _SweepTables:
+def _sweep_tables(graph: AreaGraph) -> list:
+    """Per-colour edge incidence (members, rows, nbr, bidx), once per graph."""
     tables = graph._cache.get("sweep_tables")
     if tables is None:
-        tables = _SweepTables(graph)
+        nbrs, bids = graph.incidence
+        tables = [(members,
+                   np.repeat(np.arange(members.shape[0]), [len(nbrs[k]) for k in members]),
+                   np.concatenate([nbrs[k] for k in members]),
+                   np.concatenate([bids[k] for k in members]))
+                  for members in graph.coloring]
         graph._cache["sweep_tables"] = tables
     return tables
+
+
+class _Sweep:
+    """One chain's per-colour phi-sweep inputs: y and E gathers, and border
+    weights and denominators rho * row_sums + (1 - rho) per assignment."""
+
+    def __init__(self, graph: AreaGraph, data: Optional[ObservedData]):
+        self.tables = _sweep_tables(graph)
+        self.data = data
+        self.obs = [(None, None) if data is None else (data.y[t[0]], data.E[t[0]])
+                    for t in self.tables]
+        self.adj = self.rho = None
+
+    def weights(self, adj: AdjacencyState, rho: float) -> list:
+        if adj is not self.adj or rho != self.rho:
+            wf = adj.w.astype(np.float64)
+            rs = adj.row_sums.astype(np.float64)
+            self._weights = [(wf[bidx], rho * rs[members] + (1.0 - rho))
+                             for members, _, _, bidx in self.tables]
+            self.adj, self.rho = adj, rho
+        return self._weights
 
 
 def update_phi(state: ModelState, data: Optional[ObservedData],
@@ -191,24 +203,23 @@ def update_phi(state: ModelState, data: Optional[ObservedData],
     With data=None the likelihood term is dropped and the sweep targets the
     CAR prior alone (used by sampler-validation tests).
     """
-    p = state.params
-    rho = p.rho
-    phi = state.phi
+    sweep = state.sweep
+    if sweep is None or sweep.data is not data:
+        sweep = state.sweep = _Sweep(state.adj.graph, data)
+    rho, tau2, phi = state.rho, state.tau2, state.phi
+    mu_term = (1.0 - rho) * state.mu
     accept = np.zeros(phi.shape[0], dtype=bool)
-    for members, rows, nbr, bidx in _sweep_tables(state.adj.graph).classes:
+    for (members, rows, nbr, _), (wsel, denom), (y, E) in zip(
+            sweep.tables, sweep.weights(state.adj, rho), sweep.obs):
         m = members.shape[0]
-        wsel = state.wf[bidx]
         s = np.bincount(rows, weights=wsel * phi[nbr], minlength=m)
-        rs = np.bincount(rows, weights=wsel, minlength=m)
-        denom = rho * rs + (1.0 - rho)
-        pmean = (rho * s + (1.0 - rho) * p.mu) / denom
-        pvar = p.tau2 / denom
+        pmean = (rho * s + mu_term) / denom
+        pvar = tau2 / denom
         cur = phi[members]
         prop = cur + steps[members] * rng.standard_normal(m)
         delta = ((cur - pmean) ** 2 - (prop - pmean) ** 2) / (2.0 * pvar)
-        if data is not None:
-            delta = delta + (data.y[members] * (prop - cur)
-                             - data.E[members] * (np.exp(prop) - np.exp(cur)))
+        if y is not None:
+            delta = delta + (y * (prop - cur) - E * (np.exp(prop) - np.exp(cur)))
         ok = (np.log(rng.random(m)) < delta) & (np.abs(prop) <= PHI_GUARD)
         phi[members] = np.where(ok, prop, cur)
         accept[members] = ok
@@ -224,82 +235,77 @@ def update_mu(state: ModelState, rng: np.random.Generator,
     (1'Q phi / tau2) / precision; with W* having zero row sums these reduce
     to (1-rho) n / tau2 + 1/prior_var and (1-rho) sum(phi) / tau2.
     """
-    p = state.params
-    n = state.adj.graph.n
-    one_q_one = (1.0 - p.rho) * n
-    one_q_phi = (1.0 - p.rho) * float(np.sum(state.phi))
-    prec = one_q_one / p.tau2 + 1.0 / prior_var
-    mean = (one_q_phi / p.tau2) / prec
-    state.params = replace(p, mu=mean + rng.standard_normal() / math.sqrt(prec))
+    one_q_one = (1.0 - state.rho) * state.phi.shape[0]
+    one_q_phi = (1.0 - state.rho) * float(state.phi.sum())
+    prec = one_q_one / state.tau2 + 1.0 / prior_var
+    mean = (one_q_phi / state.tau2) / prec
+    state.mu = mean + rng.standard_normal() / math.sqrt(prec)
     return state
 
 
 def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
-                tau_max: float = 10.0) -> ModelState:
+                tau_max: float = 10.0, quad: Optional[float] = None) -> ModelState:
     """Random-walk Metropolis on ln(tau2) with Jacobian correction.
 
     The Uniform(0, tau_max) prior on the standard deviation scale contributes
     a (tau2)^(-1/2) factor on the variance scale; proposals with
-    sqrt(tau2) > tau_max are rejected outright.
+    sqrt(tau2) > tau_max are rejected outright. `quad` is d^T Q d at the
+    current state, d = phi - mu; it is computed here when not given.
     """
-    p = state.params
-    d = state.phi - p.mu
-    quad = precision_quadform(state.adj, p.rho, d)
-    n = state.adj.graph.n
-    u = math.log(p.tau2)
+    if quad is None:
+        quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
+    n = state.phi.shape[0]
+    u = math.log(state.tau2)
     u_prop = u + step * rng.standard_normal()
     accepted = False
     if u_prop <= 2.0 * math.log(tau_max):
         def target(x):
             return -0.5 * n * x - 0.5 * quad * math.exp(-x) + 0.5 * x
         if math.log(rng.random()) < target(u_prop) - target(u):
-            state.params = replace(p, tau2=math.exp(u_prop))
+            state.tau2 = math.exp(u_prop)
             accepted = True
     state.last_accept["tau2"] = accepted
     return state
 
 
 def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
-                 M: np.ndarray, rng: np.random.Generator) -> ModelState:
+                 M: np.ndarray, rng: np.random.Generator,
+                 quad: Optional[float] = None) -> ModelState:
     """Component-wise truncated random-walk Metropolis on alpha.
 
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, taking log|Q| from
     the state's memo and factorizing Q only for an assignment not in it.
+    `quad` is d^T Q d at the current state, computed when first needed if
+    not given.
     """
-    p = state.params
-    graph = state.adj.graph
+    graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
     accept = np.zeros(len(M), dtype=bool)
-    d = state.phi - p.mu
-    quad_cur = None  # d^T Q d at the current assignment, computed when needed
+    d = state.phi - state.mu
     for i in range(len(M)):
-        alpha = state.params.alpha
-        prop_i = alpha[i] + steps[i] * rng.standard_normal()
+        prop_i = state.alpha[i] + steps[i] * rng.standard_normal()
         if prop_i < 0.0 or prop_i > M[i]:
             continue
-        alpha_prop = alpha.copy()
+        alpha_prop = state.alpha.copy()
         alpha_prop[i] = prop_i
         adj_prop = evaluate_w(graph, dis, alpha_prop)
-        if np.array_equal(adj_prop.w, state.adj.w):
-            state.params = replace(state.params, alpha=alpha_prop)
+        if adj_prop.key == state.adj.key:
+            state.alpha = alpha_prop
             accept[i] = True
             continue
-        key = _memo_key(adj_prop.w)
-        log_det = state.logdet_memo.get(key)
+        log_det = state.logdet_memo.get(adj_prop.key)
         if log_det is None:
-            log_det = build_precision(adj_prop, p.rho).log_det
-            state.remember_log_det(key, log_det)
-        if quad_cur is None:
-            quad_cur = precision_quadform(state.adj, p.rho, d)
-        quad_prop = precision_quadform(adj_prop, p.rho, d)
-        delta = (0.5 * (log_det - state.prec.log_det)
-                 - (quad_prop - quad_cur) / (2.0 * p.tau2))
+            log_det = build_precision(adj_prop, rho).log_det
+            state.remember_log_det(adj_prop.key, log_det)
+        if quad is None:
+            quad = precision_quadform(state.adj, rho, d)
+        quad_prop = precision_quadform(adj_prop, rho, d)
+        delta = (0.5 * (log_det - state.log_det)
+                 - (quad_prop - quad) / (2.0 * tau2))
         if math.log(rng.random()) < delta:
-            state.params = replace(state.params, alpha=alpha_prop)
-            state.set_adjacency(adj_prop,
-                                PrecisionStructure(adj_prop, p.rho, log_det))
-            quad_cur = quad_prop
+            state.alpha, state.adj, state.log_det = alpha_prop, adj_prop, log_det
+            quad = quad_prop
             accept[i] = True
     state.last_accept["alpha"] = accept
     return state
@@ -331,14 +337,6 @@ class PosteriorSamples:
     config: ChainConfig
     alpha_upper: np.ndarray
 
-    @property
-    def n_chains(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def n_retained(self) -> int:
-        return self.phi.shape[1]
-
     def pooled_phi(self) -> np.ndarray:
         return self.phi.reshape(-1, self.phi.shape[2])
 
@@ -351,8 +349,20 @@ class PosteriorSamples:
     def pooled(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(-1)
 
-    def risk_draws(self) -> np.ndarray:
-        return np.exp(self.pooled_phi())
+    def _risk_by_area(self) -> np.ndarray:
+        # (n, draws): numpy reduces along rows several times faster, same values
+        r = self.pooled_phi().T.copy()
+        return np.exp(r, out=r)
+
+    def risk_median(self) -> np.ndarray:
+        """Posterior median of each area's risk R_k."""
+        return np.median(self._risk_by_area(), axis=1)
+
+    def risk_summary(self):
+        """Posterior median, 2.5% and 97.5% points of each area's risk."""
+        r = self._risk_by_area()
+        return (np.median(r, axis=1), np.percentile(r, 2.5, axis=1),
+                np.percentile(r, 97.5, axis=1))
 
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
@@ -379,7 +389,7 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
         params = CarParams(mu=mu, tau2=tau2, rho=config.rho, alpha=alpha)
         state = ModelState(phi=phi, params=params, adj=adj,
                            prec=build_precision(adj, config.rho))
-        state.remember_log_det(_memo_key(adj.w), state.prec.log_det)
+        state.remember_log_det(adj.key, state.log_det)
         # overflow here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(state.log_post(data, config.prior_mu_var))
@@ -398,11 +408,10 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
 
     log_phi_steps = np.full(n, math.log(config.phi_step))
     log_tau_step = math.log(config.tau2_step)
-    if sample_alpha:
-        base = config.alpha_step if config.alpha_step is not None else None
-        log_alpha_steps = np.log(np.full(q, base) if base is not None else 0.1 * M)
-    else:
-        log_alpha_steps = np.zeros(0)
+    log_alpha_steps = np.log(0.1 * M if config.alpha_step is None
+                             else np.full(q, config.alpha_step))
+    phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
+    alpha_steps = np.exp(log_alpha_steps)
 
     n_retained = config.keep // config.thin
     out_phi = np.empty((n_retained, n))
@@ -414,65 +423,52 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     lgamma_y = gammaln(data.y + 1.0)
     log_E = np.log(data.E)
 
-    win_phi = np.zeros(n)
-    win_tau = 0
-    win_alpha = np.zeros(q)
+    # acceptance counts: per adaptation window in burn-in, then over the kept run
+    hits_phi, hits_tau, hits_alpha = np.zeros(n), 0, np.zeros(q)
     batch = 0
-    post_phi = np.zeros(n)
-    post_tau = 0
-    post_alpha = np.zeros(q)
     idx = 0
-    total = config.burn_in + config.keep
-    for it in range(total):
-        update_phi(state, data, np.exp(log_phi_steps), rng)
+    burn_in, window, target = config.burn_in, config.adapt_window, config.adapt_target
+    for it in range(burn_in + config.keep):
+        if it == burn_in:
+            hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
+        update_phi(state, data, phi_steps, rng)
         update_mu(state, rng, config.prior_mu_var)
-        update_tau2(state, math.exp(log_tau_step), rng, config.tau_max)
+        # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
+        quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
+        update_tau2(state, tau_step, rng, config.tau_max, quad)
+        hits_phi += state.last_accept["phi"]
+        hits_tau += state.last_accept["tau2"]
         if sample_alpha:
-            update_alpha(state, dis, np.exp(log_alpha_steps), M, rng)
-        burn = it < config.burn_in
-        if burn:
-            win_phi += state.last_accept["phi"]
-            win_tau += state.last_accept["tau2"]
-            if sample_alpha:
-                win_alpha += state.last_accept["alpha"]
-            if (it + 1) % config.adapt_window == 0:
+            update_alpha(state, dis, alpha_steps, M, rng, quad)
+            hits_alpha += state.last_accept["alpha"]
+        if it < burn_in:
+            if (it + 1) % window == 0:
                 batch += 1
                 delta = min(0.25, 1.0 / math.sqrt(batch))
-                target = config.adapt_target
-                rate = win_phi / config.adapt_window
-                log_phi_steps += np.where(rate > target, delta, -delta)
+                log_phi_steps += np.where(hits_phi / window > target, delta, -delta)
                 np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
-                log_tau_step += delta if win_tau / config.adapt_window > target else -delta
+                log_tau_step += delta if hits_tau / window > target else -delta
                 log_tau_step = min(max(log_tau_step, -15.0), 5.0)
-                if sample_alpha:
-                    arate = win_alpha / config.adapt_window
-                    log_alpha_steps += np.where(arate > target, delta, -delta)
-                    np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
-                win_phi[:] = 0.0
-                win_tau = 0
-                win_alpha[:] = 0.0
-        else:
-            post_phi += state.last_accept["phi"]
-            post_tau += state.last_accept["tau2"]
-            if sample_alpha:
-                post_alpha += state.last_accept["alpha"]
-            if (it - config.burn_in + 1) % config.thin == 0 and idx < n_retained:
-                out_phi[idx] = state.phi
-                out_mu[idx] = state.params.mu
-                out_tau2[idx] = state.params.tau2
-                if q:
-                    out_alpha[idx] = state.params.alpha
-                out_w[idx] = state.adj.w
-                out_dev[idx] = -2.0 * float(np.sum(
-                    data.y * (log_E + state.phi) - data.E * np.exp(state.phi)
-                    - lgamma_y))
-                idx += 1
+                log_alpha_steps += np.where(hits_alpha / window > target, delta, -delta)
+                np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
+                phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
+                alpha_steps = np.exp(log_alpha_steps)
+                hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
+        elif (it - burn_in + 1) % config.thin == 0 and idx < n_retained:
+            out_phi[idx] = state.phi
+            out_mu[idx] = state.mu
+            out_tau2[idx] = state.tau2
+            out_alpha[idx] = state.alpha
+            out_w[idx] = state.adj.w
+            out_dev[idx] = _deviance(data.y, log_E + state.phi,
+                                     data.E * np.exp(state.phi), lgamma_y)
+            idx += 1
     return {
         "phi": out_phi, "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
         "w": out_w, "deviance": out_dev,
-        "accept_phi": post_phi / config.keep,
-        "accept_tau2": post_tau / config.keep,
-        "accept_alpha": post_alpha / config.keep,
+        "accept_phi": hits_phi / config.keep,
+        "accept_tau2": hits_tau / config.keep,
+        "accept_alpha": hits_alpha / config.keep,
     }
 
 
@@ -499,15 +495,9 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     else:
         M = np.zeros(0)
 
-    if config.workers > 1 and config.n_chains > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_chain, c, data, graph, dis, config, M)
-                       for c in range(config.n_chains)]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_chain(c, data, graph, dis, config, M)
-                   for c in range(config.n_chains)]
-
+    results = run_tasks(_run_chain, [(c, data, graph, dis, config, M)
+                                     for c in range(config.n_chains)],
+                        config.workers)
     stack = lambda key: np.stack([r[key] for r in results])
     return PosteriorSamples(
         phi=stack("phi"), mu=stack("mu"), tau2=stack("tau2"),
@@ -520,12 +510,25 @@ def run_chains(data: ObservedData, graph: AreaGraph,
         graph=graph, dis=dis, config=config, alpha_upper=M)
 
 
+def run_tasks(fn, tasks: list, workers: int) -> list:
+    """[fn(*t) for t in tasks], in a pool of `workers` processes when both
+    the worker and the task count exceed one; the results are the same."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fn, *t) for t in tasks]
+            return [f.result() for f in futures]
+    return [fn(*t) for t in tasks]
+
+
+def _deviance(y, log_mean, mean, lgamma_y) -> float:
+    return -2.0 * float((y * log_mean - mean - lgamma_y).sum())
+
+
 def deviance_at(r_hat: np.ndarray, data: ObservedData) -> float:
     """Poisson deviance -2 sum[y ln(E R) - E R - ln(y!)] at a fixed risk
     vector, constants retained."""
     mean = data.E * r_hat
-    return -2.0 * float(np.sum(data.y * np.log(mean) - mean
-                               - gammaln(data.y + 1.0)))
+    return _deviance(data.y, np.log(mean), mean, gammaln(data.y + 1.0))
 
 
 def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:
@@ -535,7 +538,7 @@ def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:
     if dev.size == 0:
         raise ValidationError("empty samples")
     mean_dev = float(dev.mean())
-    r_bar = samples.risk_draws().mean(axis=0)
+    r_bar = np.exp(samples.pooled_phi()).mean(axis=0)
     d_hat = deviance_at(r_bar, data)
     p_d = mean_dev - d_hat
     return DicResult(dic=mean_dev + p_d, p_d=p_d, mean_deviance=mean_dev)

@@ -15,7 +15,6 @@ variation), and it is exposed as configuration.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -27,12 +26,12 @@ from scipy.special import kv
 from .boundary import classify_boundaries
 from .errors import NumericError, ValidationError
 from .graph import AreaGraph, DissimilarityData
-from .mcmc import ChainConfig, ObservedData, run_chains
+from .mcmc import ChainConfig, ObservedData, run_chains, run_tasks
 from .rng import REPLICATE
 
 RANGE_CAP_FACTOR = 1e9
 # The surface is a dense n x n Matern Cholesky: at this many areas (a 64x64
-# lattice) setting it up peaks near 0.7 GB of memory.
+# lattice) setting it up peaks near 0.5 GB of memory.
 MAX_SURFACE_AREAS = 4096
 
 
@@ -121,12 +120,27 @@ def matern_correlation(d, range_: float, kappa: float = 2.5):
         raise ValidationError("range must be positive")
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
-    d = np.asarray(d, dtype=float)
+    d = np.array(d, dtype=float)   # a copy: _matern writes over it
     if (d < 0).any():
         raise ValidationError("distances must be non-negative")
+    out = _matern(d, range_, kappa)
+    return float(out) if out.ndim == 0 else out
+
+
+def _matern(d: np.ndarray, range_: float, kappa: float) -> np.ndarray:
+    """Matern correlation at the float distances d; for kappa = 2.5 it is
+    written over d, with at most two more arrays of d's size alive at once."""
     if kappa == 2.5:
-        a = math.sqrt(5.0) * d / range_
-        out = (1.0 + a + a * a / 3.0) * np.exp(-a)
+        d *= math.sqrt(5.0)
+        d /= range_                                     # a
+        e = np.negative(d, out=np.empty_like(d))
+        np.exp(e, out=e)                                # exp(-a)
+        t = d * d
+        t /= 3.0                                        # a^2 / 3
+        d += 1.0
+        d += t                                          # 1 + a + a^2 / 3
+        d *= e
+        out = d
     else:
         a = math.sqrt(2.0 * kappa) * d / range_
         with np.errstate(invalid="ignore"):
@@ -134,8 +148,7 @@ def matern_correlation(d, range_: float, kappa: float = 2.5):
                 a > 0.0,
                 (2.0 ** (1.0 - kappa) / gamma_fn(kappa)) * a ** kappa * kv(kappa, a),
                 1.0)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _calibrate_from_distances(dists: np.ndarray, target_median: float,
@@ -238,8 +251,8 @@ def _prepare(config: SimConfig) -> dict:
         d = np.linalg.norm(graph.centroids[k] - graph.centroids[j], axis=1)
         rng_val = _calibrate_from_distances(
             d, config.target_median_correlation, config.kappa)
-    dmat = squareform(pdist(graph.centroids))
-    corr = matern_correlation(dmat, rng_val, config.kappa)
+    # no other n x n array is alive while the correlation is evaluated
+    corr = _matern(squareform(pdist(graph.centroids)), rng_val, config.kappa)
     try:
         chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
@@ -332,7 +345,7 @@ def _replicate_result(config: SimConfig, chain_config: ChainConfig,
         raise ValidationError("partition must yield both boundaries and non-boundaries")
     ba = 100.0 * float(np.mean(bset.is_boundary[tb]))
     nba = 100.0 * float(np.mean(~bset.is_boundary[~tb]))
-    r_hat = np.median(samples.risk_draws(), axis=0)
+    r_hat = samples.risk_median()
     rel = (r_hat - r_true) / r_true
     return {
         "replicate": rep,
@@ -351,14 +364,9 @@ def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     in a process pool; results are identical either way.
     """
     _prepare(config)
-    reps = range(config.replicates)
-    if config.workers > 1 and config.replicates > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_replicate_result, config, chain_config, r)
-                       for r in reps]
-            results = [f.result() for f in futures]
-    else:
-        results = [_replicate_result(config, chain_config, r) for r in reps]
+    results = run_tasks(_replicate_result,
+                        [(config, chain_config, r) for r in range(config.replicates)],
+                        config.workers)
 
     def col(name):
         return np.array([r[name] for r in results], dtype=float)

@@ -1,19 +1,21 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from oracles import dense_precision, poisson_deviance
 from womble import (AreaGraph, CarParams, ChainConfig, DissimilarityData,
-                    ModelState, ObservedData, ValidationError,
-                    adjacency_from_w, build_precision, compute_border_metrics,
-                    dic, effective_sample_size, evaluate_w, gelman_rubin,
+                    ModelState, ObservedData, PrecisionStructure,
+                    ValidationError, adjacency_from_w, build_precision,
+                    compute_border_metrics, dic, effective_sample_size,
+                    evaluate_w, gelman_rubin, log_density_phi,
                     precision_quadform, run_chains, update_alpha, update_mu,
                     update_phi, update_tau2)
 from womble import mcmc
 from womble.mcmc import deviance_at
-from womble.rng import derive_rng
+from womble.rng import CHAIN, derive_rng
 from womble.simulate import (SimConfig, five_block_partition, gen_counts,
                              gen_dissimilarity, gen_surface, lattice_graph)
 
@@ -45,20 +47,252 @@ def reference_update_alpha(state, dis, steps, M, rng):
         alpha_prop[i] = prop_i
         adj_prop = evaluate_w(state.adj.graph, dis, alpha_prop)
         if np.array_equal(adj_prop.w, state.adj.w):
-            state.params = replace(state.params, alpha=alpha_prop)
+            state.alpha = alpha_prop
             continue
         prec_prop = build_precision(adj_prop, p.rho)
         quad_cur = precision_quadform(state.adj, p.rho, d)
         quad_prop = precision_quadform(adj_prop, p.rho, d)
-        delta = (0.5 * (prec_prop.log_det - state.prec.log_det)
+        delta = (0.5 * (prec_prop.log_det - state.log_det)
                  - (quad_prop - quad_cur) / (2.0 * p.tau2))
         if math.log(rng.random()) < delta:
-            state.params = replace(state.params, alpha=alpha_prop)
-            state.set_adjacency(adj_prop, prec_prop)
+            state.alpha = alpha_prop
+            state.adj, state.log_det = adj_prop, prec_prop.log_det
 
 
 def path_graph(n):
     return AreaGraph(n, np.array([(k, k + 1) for k in range(n - 1)]))
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler: the chain loop as it was written on a frozen CarParams
+# (a dataclasses.replace per parameter change, every w-dependent input of
+# the phi sweep rebuilt each sweep, d^T Q d computed inside each block and
+# step sizes exponentiated every iteration). run_chains must reproduce its
+# draws bit for bit.
+
+@dataclass
+class RefState:
+    phi: np.ndarray
+    params: CarParams
+    adj: object
+    prec: object
+    last_accept: dict = field(default_factory=dict)
+    logdet_memo: dict = field(default_factory=dict)
+
+    def remember_log_det(self, key, log_det):
+        self.logdet_memo[key] = log_det
+        while len(self.logdet_memo) > mcmc.LOGDET_MEMO_CAP:
+            del self.logdet_memo[next(iter(self.logdet_memo))]
+
+
+def ref_sweep_classes(graph):
+    nbrs, bids = graph.incidence
+    classes = []
+    for members in graph.coloring:
+        rows, nbr, bidx = [], [], []
+        for local, k in enumerate(members):
+            rows.extend([local] * len(nbrs[k]))
+            nbr.extend(nbrs[k].tolist())
+            bidx.extend(bids[k].tolist())
+        classes.append((members, np.array(rows, dtype=np.int64),
+                        np.array(nbr, dtype=np.int64), np.array(bidx, dtype=np.int64)))
+    return classes
+
+
+def ref_update_phi(state, data, steps, rng):
+    p = state.params
+    rho = p.rho
+    phi = state.phi
+    wf = state.adj.w.astype(np.float64)
+    accept = np.zeros(phi.shape[0], dtype=bool)
+    for members, rows, nbr, bidx in ref_sweep_classes(state.adj.graph):
+        m = members.shape[0]
+        wsel = wf[bidx]
+        s = np.bincount(rows, weights=wsel * phi[nbr], minlength=m)
+        rs = np.bincount(rows, weights=wsel, minlength=m)
+        denom = rho * rs + (1.0 - rho)
+        pmean = (rho * s + (1.0 - rho) * p.mu) / denom
+        pvar = p.tau2 / denom
+        cur = phi[members]
+        prop = cur + steps[members] * rng.standard_normal(m)
+        delta = ((cur - pmean) ** 2 - (prop - pmean) ** 2) / (2.0 * pvar)
+        if data is not None:
+            delta = delta + (data.y[members] * (prop - cur)
+                             - data.E[members] * (np.exp(prop) - np.exp(cur)))
+        ok = (np.log(rng.random(m)) < delta) & (np.abs(prop) <= mcmc.PHI_GUARD)
+        phi[members] = np.where(ok, prop, cur)
+        accept[members] = ok
+    state.last_accept["phi"] = accept
+
+
+def ref_update_mu(state, rng, prior_var):
+    p = state.params
+    one_q_one = (1.0 - p.rho) * state.adj.graph.n
+    one_q_phi = (1.0 - p.rho) * float(np.sum(state.phi))
+    prec = one_q_one / p.tau2 + 1.0 / prior_var
+    mean = (one_q_phi / p.tau2) / prec
+    state.params = replace(p, mu=mean + rng.standard_normal() / math.sqrt(prec))
+
+
+def ref_update_tau2(state, step, rng, tau_max):
+    p = state.params
+    quad = precision_quadform(state.adj, p.rho, state.phi - p.mu)
+    n = state.adj.graph.n
+    u = math.log(p.tau2)
+    u_prop = u + step * rng.standard_normal()
+    accepted = False
+    if u_prop <= 2.0 * math.log(tau_max):
+        def target(x):
+            return -0.5 * n * x - 0.5 * quad * math.exp(-x) + 0.5 * x
+        if math.log(rng.random()) < target(u_prop) - target(u):
+            state.params = replace(p, tau2=math.exp(u_prop))
+            accepted = True
+    state.last_accept["tau2"] = accepted
+
+
+def ref_update_alpha(state, dis, steps, M, rng):
+    p = state.params
+    accept = np.zeros(len(M), dtype=bool)
+    d = state.phi - p.mu
+    quad_cur = None
+    for i in range(len(M)):
+        alpha = state.params.alpha
+        prop_i = alpha[i] + steps[i] * rng.standard_normal()
+        if prop_i < 0.0 or prop_i > M[i]:
+            continue
+        alpha_prop = alpha.copy()
+        alpha_prop[i] = prop_i
+        adj_prop = evaluate_w(state.adj.graph, dis, alpha_prop)
+        if np.array_equal(adj_prop.w, state.adj.w):
+            state.params = replace(state.params, alpha=alpha_prop)
+            accept[i] = True
+            continue
+        key = np.packbits(adj_prop.w).tobytes()
+        log_det = state.logdet_memo.get(key)
+        if log_det is None:
+            log_det = build_precision(adj_prop, p.rho).log_det
+            state.remember_log_det(key, log_det)
+        if quad_cur is None:
+            quad_cur = precision_quadform(state.adj, p.rho, d)
+        quad_prop = precision_quadform(adj_prop, p.rho, d)
+        delta = (0.5 * (log_det - state.prec.log_det)
+                 - (quad_prop - quad_cur) / (2.0 * p.tau2))
+        if math.log(rng.random()) < delta:
+            state.params = replace(state.params, alpha=alpha_prop)
+            state.adj = adj_prop
+            state.prec = PrecisionStructure(adj_prop, p.rho, log_det)
+            quad_cur = quad_prop
+            accept[i] = True
+    state.last_accept["alpha"] = accept
+
+
+def ref_initial_state(data, graph, dis, config, M, rng):
+    for _ in range(100):
+        phi = rng.normal(np.log(data.y + 0.5) - np.log(data.E), 1.0)
+        mu = rng.normal(0.0, math.sqrt(config.prior_mu_var))
+        tau2 = rng.uniform(0.0, config.tau_max) ** 2
+        alpha = rng.uniform(0.0, M) if M.size else np.zeros(0)
+        if tau2 == 0.0:
+            continue
+        if config.fixed_w is not None:
+            adj = adjacency_from_w(graph, config.fixed_w)
+        elif dis is not None and M.size:
+            adj = evaluate_w(graph, dis, alpha)
+        else:
+            adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
+        params = CarParams(mu=mu, tau2=tau2, rho=config.rho, alpha=alpha)
+        state = RefState(phi=phi, params=params, adj=adj,
+                         prec=build_precision(adj, config.rho))
+        state.remember_log_det(np.packbits(adj.w).tobytes(), state.prec.log_det)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lp = (log_density_phi(phi, params, state.prec)
+                  - 0.5 * mu ** 2 / config.prior_mu_var - 0.5 * math.log(tau2)
+                  + float(np.sum(data.y * (np.log(data.E) + phi) - data.E * np.exp(phi))))
+        if np.isfinite(lp):
+            return state
+    raise AssertionError("no finite initial state")
+
+
+def ref_run_chain(c, data, graph, dis, config, M):
+    rng = derive_rng(config.seed, CHAIN, c)
+    state = ref_initial_state(data, graph, dis, config, M, rng)
+    n, b, q = graph.n, graph.n_borders, M.size
+    sample_alpha = q > 0 and config.fixed_w is None
+    log_phi_steps = np.full(n, math.log(config.phi_step))
+    log_tau_step = math.log(config.tau2_step)
+    if sample_alpha:
+        base = config.alpha_step
+        log_alpha_steps = np.log(np.full(q, base) if base is not None else 0.1 * M)
+    else:
+        log_alpha_steps = np.zeros(0)
+    n_retained = config.keep // config.thin
+    out = {"phi": np.empty((n_retained, n)), "mu": np.empty(n_retained),
+           "tau2": np.empty(n_retained), "alpha": np.empty((n_retained, q)),
+           "w": np.empty((n_retained, b), dtype=np.uint8),
+           "deviance": np.empty(n_retained)}
+    lgamma_y = gammaln(data.y + 1.0)
+    log_E = np.log(data.E)
+    win_phi, win_tau, win_alpha = np.zeros(n), 0, np.zeros(q)
+    post_phi, post_tau, post_alpha = np.zeros(n), 0, np.zeros(q)
+    batch = idx = 0
+    for it in range(config.burn_in + config.keep):
+        ref_update_phi(state, data, np.exp(log_phi_steps), rng)
+        ref_update_mu(state, rng, config.prior_mu_var)
+        ref_update_tau2(state, math.exp(log_tau_step), rng, config.tau_max)
+        if sample_alpha:
+            ref_update_alpha(state, dis, np.exp(log_alpha_steps), M, rng)
+        if it < config.burn_in:
+            win_phi += state.last_accept["phi"]
+            win_tau += state.last_accept["tau2"]
+            if sample_alpha:
+                win_alpha += state.last_accept["alpha"]
+            if (it + 1) % config.adapt_window == 0:
+                batch += 1
+                delta = min(0.25, 1.0 / math.sqrt(batch))
+                target = config.adapt_target
+                rate = win_phi / config.adapt_window
+                log_phi_steps += np.where(rate > target, delta, -delta)
+                np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
+                log_tau_step += delta if win_tau / config.adapt_window > target else -delta
+                log_tau_step = min(max(log_tau_step, -15.0), 5.0)
+                if sample_alpha:
+                    arate = win_alpha / config.adapt_window
+                    log_alpha_steps += np.where(arate > target, delta, -delta)
+                    np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
+                win_phi[:] = 0.0
+                win_tau = 0
+                win_alpha[:] = 0.0
+        else:
+            post_phi += state.last_accept["phi"]
+            post_tau += state.last_accept["tau2"]
+            if sample_alpha:
+                post_alpha += state.last_accept["alpha"]
+            if (it - config.burn_in + 1) % config.thin == 0 and idx < n_retained:
+                out["phi"][idx] = state.phi
+                out["mu"][idx] = state.params.mu
+                out["tau2"][idx] = state.params.tau2
+                if q:
+                    out["alpha"][idx] = state.params.alpha
+                out["w"][idx] = state.adj.w
+                out["deviance"][idx] = -2.0 * float(np.sum(
+                    data.y * (log_E + state.phi) - data.E * np.exp(state.phi)
+                    - lgamma_y))
+                idx += 1
+    out["accept_phi"] = post_phi / config.keep
+    out["accept_tau2"] = post_tau / config.keep
+    out["accept_alpha"] = post_alpha / config.keep
+    return out
+
+
+def assert_matches_reference(samples, data, graph, dis, config):
+    M = samples.alpha_upper
+    ref = [ref_run_chain(c, data, graph, dis, config, M) for c in range(config.n_chains)]
+    for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
+        expected = np.stack([r[name] for r in ref])
+        assert getattr(samples, name).tobytes() == expected.tobytes(), name
+    for block in ("phi", "tau2", "alpha"):
+        expected = np.array([r["accept_" + block] for r in ref])
+        assert samples.acceptance[block].tobytes() == expected.tobytes(), block
 
 
 class TestUpdatePhi:
@@ -104,6 +338,43 @@ class TestUpdatePhi:
         for _ in range(200):
             update_phi(state, data, np.full(1, 5.0), rng)
             assert abs(state.phi[0]) <= 50.0
+
+
+    def test_prior_sweep_matches_reference(self):
+        # data=None, with the assignment switched between sweeps so the
+        # cached border weights and denominators must follow it
+        g = lattice_graph(5, 5)
+        assignments = [np.ones(g.n_borders, dtype=np.uint8),
+                       (np.arange(g.n_borders) % 3 != 0).astype(np.uint8)]
+        phi = np.random.default_rng(4).normal(size=25)
+        state = make_state(g, mu=0.2, tau2=0.7, phi=phi.copy())
+        ref = RefState(phi=phi.copy(), params=state.params, adj=state.adj, prec=None)
+        rngs = [derive_rng(15, 0), derive_rng(15, 0)]
+        steps = np.linspace(0.2, 1.5, 25)
+        for sweep in range(60):
+            if sweep % 7 == 0:
+                state.adj = ref.adj = adjacency_from_w(g, assignments[sweep // 7 % 2])
+            update_phi(state, None, steps, rngs[0])
+            ref_update_phi(ref, None, steps, rngs[1])
+            assert state.phi.tobytes() == ref.phi.tobytes()
+            assert (state.last_accept["phi"].tobytes()
+                    == ref.last_accept["phi"].tobytes())
+
+
+class TestModelState:
+    def test_params_round_trip(self):
+        g = path_graph(4)
+        state = make_state(g, mu=0.3, tau2=2.0, rho=0.5, alpha=np.array([0.2, 0.1]))
+        p = state.params
+        assert (p.mu, p.tau2, p.rho) == (0.3, 2.0, 0.5)
+        np.testing.assert_array_equal(p.alpha, [0.2, 0.1])
+        state.params = CarParams(mu=-1.0, tau2=0.5, rho=0.9, alpha=np.array([0.4]))
+        assert (state.mu, state.tau2, state.rho) == (-1.0, 0.5, 0.9)
+        np.testing.assert_array_equal(state.alpha, [0.4])
+        assert state.params == CarParams(mu=-1.0, tau2=0.5, rho=0.9, alpha=state.alpha)
+        state.tau2 = 0.0   # the plain attribute is not checked; params is
+        with pytest.raises(ValidationError, match="tau2"):
+            state.params
 
 
 class TestUpdateMu:
@@ -251,9 +522,9 @@ class TestUpdateAlpha:
         def check(g, dis, state):
             adj_expected = evaluate_w(g, dis, state.params.alpha)
             np.testing.assert_array_equal(state.adj.w, adj_expected.w)
-            assert state.prec.log_det == build_precision(state.adj, 0.99).log_det
+            assert state.log_det == build_precision(state.adj, 0.99).log_det
             dense = dense_precision(6, g.borders, state.adj.w, 0.99)
-            assert state.prec.log_det == pytest.approx(
+            assert state.log_det == pytest.approx(
                 np.linalg.slogdet(dense)[1], abs=1e-10)
 
         state = self._pattern_change_run(12, check)
@@ -279,7 +550,7 @@ class TestUpdateAlpha:
             np.testing.assert_array_equal(states[0].params.alpha,
                                           states[1].params.alpha)
             np.testing.assert_array_equal(states[0].adj.w, states[1].adj.w)
-            assert states[0].prec.log_det == states[1].prec.log_det
+            assert states[0].log_det == states[1].log_det
 
     def test_logdet_memo_respects_cap(self, monkeypatch):
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 2)
@@ -287,7 +558,7 @@ class TestUpdateAlpha:
 
         def check(g, dis, state):
             sizes.append(len(state.logdet_memo))
-            assert state.prec.log_det == build_precision(state.adj, 0.99).log_det
+            assert state.log_det == build_precision(state.adj, 0.99).log_det
 
         self._pattern_change_run(12, check)
         assert max(sizes) == 2
@@ -354,6 +625,43 @@ class TestRunChains:
         assert with_memo < len(calls) - with_memo
         for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
             np.testing.assert_array_equal(getattr(memo, name), getattr(fresh, name))
+
+    def test_q2_lattice_matches_reference(self):
+        # burn-in not a multiple of the adaptation window, and thinning
+        g = lattice_graph(6, 6)
+        cov = np.random.default_rng(8).normal(size=(36, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
+                            E=np.full(36, 80.0))
+        cfg = ChainConfig(n_chains=2, burn_in=250, keep=120, thin=2, seed=21)
+        samples = run_chains(data, g, dis, cfg)
+        assert len({w.tobytes() for w in samples.pooled_w()}) > 1
+        assert_matches_reference(samples, data, g, dis, cfg)
+
+    def test_fixed_w_matches_reference(self):
+        g, data, _ = self._tiny_inputs(seed=4)
+        fixed = (np.arange(g.n_borders) % 4 != 0).astype(np.uint8)
+        cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=22, fixed_w=fixed)
+        samples = run_chains(data, g, None, cfg)
+        assert_matches_reference(samples, data, g, None, cfg)
+
+    def test_carried_quadform_is_fresh(self, monkeypatch):
+        # the d^T Q d handed to tau2 and alpha equals one computed on the spot
+        g, data, dis = self._tiny_inputs(seed=5)
+        seen = []
+
+        def checked(update):
+            def wrapper(state, *args):
+                fresh = precision_quadform(state.adj, state.rho, state.phi - state.mu)
+                assert args[-1] == fresh
+                seen.append(update.__name__)
+                return update(state, *args)
+            return wrapper
+
+        monkeypatch.setattr(mcmc, "update_tau2", checked(update_tau2))
+        monkeypatch.setattr(mcmc, "update_alpha", checked(update_alpha))
+        run_chains(data, g, dis, ChainConfig(n_chains=1, burn_in=100, keep=50, seed=6))
+        assert seen.count("update_tau2") == seen.count("update_alpha") == 150
 
     def test_w_trace_consistency(self):
         g, data, dis = self._tiny_inputs()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestMatern:
             matern_correlation(-1.0, 1.0)
         with pytest.raises(ValidationError):
             matern_correlation(1.0, 1.0, kappa=0.0)
+
+    def test_in_place_form_matches_formula_and_spares_input(self):
+        # the in-place evaluation gives the bits of the one-line formula
+        g = lattice_graph(12, 12)
+        d = sim.squareform(sim.pdist(g.centroids))
+        before = d.copy()
+        r = 3.7
+        a = np.sqrt(5.0) * d / r
+        expected = np.clip((1.0 + a + a * a / 3.0) * np.exp(-a), 0.0, 1.0)
+        assert matern_correlation(d, r).tobytes() == expected.tobytes()
+        assert d.tobytes() == before.tobytes()
 
     @given(st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=0.01, max_value=5.0),
@@ -177,6 +190,22 @@ class TestGenSurface:
                         k1=0.0, k2=0.0, field_sd=1.0, replicates=1, seed=0)
         phi, _ = gen_surface(cfg, np.random.default_rng(0))
         assert abs(phi[0] - phi[1]) < 1e-3
+
+
+class TestPrepare:
+    def test_surface_setup_peak_memory(self):
+        # 32x32: distances, correlation and Cholesky factor are n x n float64;
+        # at most three such arrays (plus change) may be alive at once
+        g = lattice_graph(32, 32)
+        cfg = SimConfig(graph=g, true_partition=five_block_partition(32, 32),
+                        k1=0.4, k2=3.0)
+        tracemalloc.start()
+        try:
+            sim._prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * g.n ** 2
 
 
 class TestGenDissimilarity:
