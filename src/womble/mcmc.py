@@ -244,16 +244,14 @@ def update_mu(state: ModelState, rng: np.random.Generator,
 
 
 def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
-                tau_max: float = 10.0, quad: Optional[float] = None) -> ModelState:
+                tau_max: float, quad: float) -> ModelState:
     """Random-walk Metropolis on ln(tau2) with Jacobian correction.
 
     The Uniform(0, tau_max) prior on the standard deviation scale contributes
     a (tau2)^(-1/2) factor on the variance scale; proposals with
     sqrt(tau2) > tau_max are rejected outright. `quad` is d^T Q d at the
-    current state, d = phi - mu; it is computed here when not given.
+    current state, d = phi - mu.
     """
-    if quad is None:
-        quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
     n = state.phi.shape[0]
     u = math.log(state.tau2)
     u_prop = u + step * rng.standard_normal()
@@ -270,15 +268,14 @@ def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
 
 def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
                  M: np.ndarray, rng: np.random.Generator,
-                 quad: Optional[float] = None) -> ModelState:
+                 quad: float) -> ModelState:
     """Component-wise truncated random-walk Metropolis on alpha.
 
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, taking log|Q| from
     the state's memo and factorizing Q only for an assignment not in it.
-    `quad` is d^T Q d at the current state, computed when first needed if
-    not given.
+    `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
     accept = np.zeros(len(M), dtype=bool)
@@ -298,8 +295,6 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
         if log_det is None:
             log_det = build_precision(adj_prop, rho).log_det
             state.remember_log_det(adj_prop.key, log_det)
-        if quad is None:
-            quad = precision_quadform(state.adj, rho, d)
         quad_prop = precision_quadform(adj_prop, rho, d)
         delta = (0.5 * (log_det - state.log_det)
                  - (quad_prop - quad) / (2.0 * tau2))

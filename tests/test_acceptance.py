@@ -20,8 +20,9 @@ from womble import (AreaGraph, CarParams, ChainConfig, DissimilarityData,
                     blv_rule_b, build_precision, classify_effect,
                     compute_border_metrics, evaluate_w, five_block_partition,
                     full_conditional_phi, gelman_rubin, lattice_graph,
-                    log_density_phi, moran_permutation_test, run_chains,
-                    run_study, update_phi, update_tau2)
+                    log_density_phi, moran_permutation_test,
+                    precision_quadform, run_chains, run_study, update_phi,
+                    update_tau2)
 from womble.boundary import NO_EFFECT, SUBSTANTIAL
 from womble.cli import main
 from womble.rng import derive_rng
@@ -229,11 +230,13 @@ def test_criterion_4_sampler_validity():
     state = ModelState(phi=phi.copy(), params=CarParams(mu=0.0, tau2=1.0, rho=0.0),
                        adj=adj, prec=build_precision(adj, 0.0))
     rng = derive_rng(21, 0)
+    # tau2 moves neither phi nor mu, so d^T Q d stays fixed
+    quad = precision_quadform(adj, 0.0, state.phi - state.mu)
     for _ in range(1000):
-        update_tau2(state, 0.6, rng)
+        update_tau2(state, 0.6, rng, 10.0, quad)
     draws = np.empty(5000)
     for i in range(5000):
-        update_tau2(state, 0.6, rng)
+        update_tau2(state, 0.6, rng, 10.0, quad)
         draws[i] = state.params.tau2
     s = float(np.sum(phi ** 2))
     grid = np.linspace(1e-4, 100.0, 400000)

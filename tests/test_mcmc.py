@@ -33,6 +33,11 @@ def make_state(graph, w=None, mu=0.0, tau2=1.0, rho=0.99, alpha=None, phi=None):
                       prec=build_precision(adj, rho))
 
 
+def quad_of(state):
+    """d^T Q d at the state, d = phi - mu, as the tau2 and alpha updates take it."""
+    return precision_quadform(state.adj, state.rho, state.phi - state.mu)
+
+
 def reference_update_alpha(state, dis, steps, M, rng):
     """update_alpha as a plain loop: every proposal that changes w
     refactorizes Q and recomputes both quadratic forms."""
@@ -435,7 +440,7 @@ class TestUpdateTau2:
         state = make_state(g, tau2=99.0, phi=np.random.default_rng(0).normal(size=4))
         rng = derive_rng(7, 0)
         for _ in range(500):
-            update_tau2(state, 5.0, rng)
+            update_tau2(state, 5.0, rng, 10.0, quad_of(state))
             assert state.params.tau2 <= 100.0
 
     def test_zero_quadratic_drifts_down(self):
@@ -443,7 +448,7 @@ class TestUpdateTau2:
         state = make_state(g, mu=1.3, tau2=1.0, phi=np.full(6, 1.3))
         rng = derive_rng(8, 0)
         for _ in range(500):
-            update_tau2(state, 0.7, rng)
+            update_tau2(state, 0.7, rng, 10.0, quad_of(state))
         assert state.params.tau2 < 0.05
 
     def test_grid_oracle_ks(self):
@@ -456,9 +461,9 @@ class TestUpdateTau2:
         rng = derive_rng(9, 0)
         draws = np.empty(5000)
         for _ in range(1000):
-            update_tau2(state, 0.6, rng)
+            update_tau2(state, 0.6, rng, 10.0, quad_of(state))
         for i in range(draws.size):
-            update_tau2(state, 0.6, rng)
+            update_tau2(state, 0.6, rng, 10.0, quad_of(state))
             draws[i] = state.params.tau2
         s = float(np.sum(phi ** 2))
         grid = np.linspace(1e-4, 100.0, 400000)
@@ -488,7 +493,8 @@ class TestUpdateAlpha:
         accepted = 0
         for _ in range(200):
             before = state.params.alpha[0]
-            update_alpha(state, dis, np.array([0.001]), np.array([0.2]), rng)
+            update_alpha(state, dis, np.array([0.001]), np.array([0.2]), rng,
+                         quad_of(state))
             accepted += state.last_accept["alpha"][0]
             assert state.params.alpha[0] != before or not state.last_accept["alpha"][0]
         assert accepted == 200
@@ -499,7 +505,8 @@ class TestUpdateAlpha:
         state = make_state(g, alpha=np.array([0.1]))
         rng = derive_rng(11, 0)
         for _ in range(300):
-            update_alpha(state, dis, np.array([5.0]), np.array([0.2]), rng)
+            update_alpha(state, dis, np.array([5.0]), np.array([0.2]), rng,
+                         quad_of(state))
             assert 0.0 <= state.params.alpha[0] <= 0.2
 
     def _pattern_change_run(self, seed, check):
@@ -512,7 +519,8 @@ class TestUpdateAlpha:
                            phi=np.random.default_rng(1).normal(size=6))
         rng = derive_rng(seed, 0)
         for _ in range(500):
-            update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng)
+            update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng,
+                         quad_of(state))
             check(g, dis, state)
         return state
 
@@ -545,7 +553,7 @@ class TestUpdateAlpha:
         rngs = [derive_rng(14, 0), derive_rng(14, 0)]
         steps, M = np.array([0.4, 0.4]), np.array([1.5, 1.5])
         for _ in range(300):
-            update_alpha(states[0], dis, steps, M, rngs[0])
+            update_alpha(states[0], dis, steps, M, rngs[0], quad_of(states[0]))
             reference_update_alpha(states[1], dis, steps, M, rngs[1])
             np.testing.assert_array_equal(states[0].params.alpha,
                                           states[1].params.alpha)
