@@ -4,43 +4,22 @@ Fits a Bayesian hierarchical Poisson model whose spatial random effects carry
 a CAR prior in which inter-area adjacency is a deterministic function of
 covariate dissimilarity; borders whose posterior-median adjacency indicator is
 zero are reported as risk boundaries.
+
+The package exports the library entry points the README shows; everything
+else is imported from its own module (`womble.mcmc`, `womble.simulate`,
+`womble.diagnostics`, ...).
 """
 
-from .boundary import (BlvResult, BoundarySet, blv, blv_rule_a, blv_rule_b,
-                       classify_boundaries, classify_effect)
-from .car import (CarParams, PrecisionStructure, build_precision,
-                  full_conditional_phi, log_density_phi, precision_quadform)
-from .diagnostics import (MoranResult, moran_permutation_test, morans_i,
-                          pearson_residuals)
+from .boundary import classify_boundaries
 from .errors import (ConstantMetricError, NumericError, ValidationError,
                      WombleError)
-from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
-                    adjacency_from_w, alpha_min, alpha_natural_limit,
-                    alpha_prior_upper, build_graph, compute_border_metrics,
-                    evaluate_w)
-from .mcmc import (ChainConfig, DicResult, ModelState, ObservedData,
-                   PosteriorSamples, dic, effective_sample_size, gelman_rubin,
-                   run_chains, update_alpha, update_mu, update_phi,
-                   update_tau2)
-from .simulate import (SimConfig, SimScore, calibrate_range, five_block_partition,
-                       gen_counts, gen_dissimilarity, gen_surface, lattice_graph,
-                       matern_correlation, run_study, true_boundary_mask)
+from .graph import build_graph, compute_border_metrics
+from .mcmc import ChainConfig, ObservedData, run_chains
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyState", "AreaGraph", "BlvResult", "BoundarySet", "CarParams",
-    "ChainConfig", "ConstantMetricError", "DicResult", "DissimilarityData",
-    "ModelState", "MoranResult", "NumericError", "ObservedData",
-    "PosteriorSamples", "PrecisionStructure", "SimConfig", "SimScore",
-    "ValidationError", "WombleError", "adjacency_from_w", "alpha_min",
-    "alpha_natural_limit", "alpha_prior_upper", "blv", "blv_rule_a",
-    "blv_rule_b", "build_graph", "build_precision", "calibrate_range",
-    "classify_boundaries", "classify_effect", "compute_border_metrics", "dic",
-    "effective_sample_size", "evaluate_w", "five_block_partition",
-    "full_conditional_phi", "gelman_rubin", "gen_counts", "gen_dissimilarity",
-    "gen_surface", "lattice_graph", "log_density_phi", "matern_correlation",
-    "moran_permutation_test", "morans_i", "pearson_residuals",
-    "precision_quadform", "run_chains", "run_study", "true_boundary_mask",
-    "update_alpha", "update_mu", "update_phi", "update_tau2",
+    "ChainConfig", "ConstantMetricError", "NumericError", "ObservedData",
+    "ValidationError", "WombleError", "build_graph", "classify_boundaries",
+    "compute_border_metrics", "run_chains",
 ]

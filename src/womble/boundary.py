@@ -11,6 +11,8 @@ from .mcmc import PosteriorSamples
 SUBSTANTIAL = "substantial"
 NO_EFFECT = "no-effect"
 INCONCLUSIVE = "inconclusive"
+# polygon vertices are matched after rounding to this many decimals
+VERTEX_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,16 @@ def blv_rule_a(res: BlvResult, c1: float) -> np.ndarray:
     return res.values > c1
 
 
+def check_rule_b(c2: float):
+    """Reject a rule (b) percentage outside (0, 100]."""
+    if not 0.0 < c2 <= 100.0:
+        raise ValidationError("c2 must be a percentage in (0, 100]")
+
+
 def blv_rule_b(res: BlvResult, c2: float) -> np.ndarray:
     """Flag the top c2% of BLVs: exactly ceil(c2/100 * B) borders, ties broken
     by stable border order (earlier border wins)."""
-    if not 0.0 < c2 <= 100.0:
-        raise ValidationError("c2 must be a percentage in (0, 100]")
+    check_rule_b(c2)
     b = res.values.shape[0]
     n_flag = math.ceil(c2 / 100.0 * b)
     order = np.argsort(-res.values, kind="stable")
@@ -85,17 +92,19 @@ def blv_rule_b(res: BlvResult, c2: float) -> np.ndarray:
     return flags
 
 
-def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
-    """Effect verdict for one metric from its posterior draws.
-
-    The equal-tailed 95% credible interval (2.5 / 97.5 percentiles) is
-    compared against the no-effect threshold: entirely below -> "no-effect",
-    entirely above -> "substantial", otherwise "inconclusive".
-    """
+def effect_interval(alpha_samples: np.ndarray) -> tuple:
+    """Equal-tailed 95% credible interval (2.5 / 97.5 percentiles) of one
+    metric's posterior draws."""
     a = np.asarray(alpha_samples, dtype=float)
     if a.size < 2:
         raise ValidationError("at least 2 samples required")
     lo, hi = np.percentile(a, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def interval_verdict(lo: float, hi: float, alpha_min_i: float) -> str:
+    """An effect interval against the no-effect threshold: entirely below ->
+    "no-effect", entirely above -> "substantial", otherwise "inconclusive"."""
     if hi < alpha_min_i:
         return NO_EFFECT
     if lo > alpha_min_i:
@@ -103,17 +112,22 @@ def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
     return INCONCLUSIVE
 
 
-def boundary_segments(graph: AreaGraph, border_indices,
-                      decimals: int = 9) -> list:
+def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
+    """Effect verdict for one metric from its posterior draws: the verdict
+    of its effect_interval."""
+    return interval_verdict(*effect_interval(alpha_samples), alpha_min_i)
+
+
+def boundary_segments(graph: AreaGraph, border_indices) -> list:
     """Shared-edge polylines for selected borders, for map overlay export.
 
     Requires topologically clean polygons: two neighbouring areas must share
-    edge vertices exactly (after rounding to `decimals`). Each selected border
-    yields a list of polylines covering the shared segment.
+    edge vertices exactly (after rounding to VERTEX_DECIMALS). Each selected
+    border yields a list of polylines covering the shared segment.
     """
     if graph.polygons is None:
         raise ValidationError("graph has no polygons")
-    edge_sets = [_edge_set(graph.polygons[k], decimals) for k in range(graph.n)]
+    edge_sets = [_edge_set(graph.polygons[k]) for k in range(graph.n)]
     out = []
     for b in border_indices:
         k, j = graph.borders[b]
@@ -122,12 +136,12 @@ def boundary_segments(graph: AreaGraph, border_indices,
     return out
 
 
-def _edge_set(polygon, decimals):
+def _edge_set(polygon):
     edges = set()
     if polygon is None:
         return edges
     for ring in polygon:
-        pts = [tuple(np.round(p, decimals)) for p in ring]
+        pts = [tuple(np.round(p, VERTEX_DECIMALS)) for p in ring]
         if len(pts) > 1 and pts[0] == pts[-1]:
             pts = pts[:-1]
         for a, bpt in zip(pts, pts[1:] + pts[:1]):

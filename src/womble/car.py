@@ -4,7 +4,7 @@ The random-effect vector phi follows a proper multivariate Gaussian
 N(mu 1, tau^2 Q^{-1}) with precision Q = rho W* + (1 - rho) I, where W* has
 diagonal entries equal to each area's retained-border count and off-diagonal
 entries -w_kj. Q is positive definite for rho in [0, 1); boundary-model fits
-pin rho at 0.99.
+pin rho at RHO = 0.99, so boundary structure is carried by W(alpha).
 
 log |Q| enters the sampler's ratio for every alpha proposal that changes the
 border assignment, so it is computed through a banded Cholesky factorization
@@ -25,6 +25,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .errors import NumericError, ValidationError
 from .graph import AdjacencyState, AreaGraph
 
+RHO = 0.99  # the dependence parameter every fit uses
+
 
 @dataclass(frozen=True)
 class CarParams:
@@ -33,7 +35,7 @@ class CarParams:
 
     mu: float
     tau2: float
-    rho: float = 0.99
+    rho: float = RHO
     alpha: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):

@@ -12,12 +12,13 @@ import argparse
 import itertools
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .boundary import (blv, blv_rule_a, blv_rule_b, classify_boundaries,
-                       classify_effect)
+from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
+                       classify_boundaries, effect_interval, interval_verdict)
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
 from .graph import alpha_min, build_graph, compute_border_metrics
@@ -129,7 +130,7 @@ def _apply_config_file(argv, parser):
                 continue
             act = next(a for a in action._actions if a.dest == k)
             if act.type:
-                usable[k] = act.type(v)
+                usable[k] = _number(act.type, v, f"{known.config}: {k}")
             elif isinstance(act.const, bool):
                 if v.lower() not in ("true", "false", "1", "0"):
                     raise ValidationError(f"{known.config}: {k} must be true/false")
@@ -168,10 +169,9 @@ def _fit_outputs(out, samples, data, graph, dis):
         for i, name in enumerate(dis.metric_names):
             a = pooled_alpha[:, i]
             am = alpha_min(dis, i)
-            rows.append([name, float(np.median(a)),
-                         float(np.percentile(a, 2.5)),
-                         float(np.percentile(a, 97.5)), am,
-                         classify_effect(a, am)])
+            lo, hi = effect_interval(a)
+            rows.append([name, float(np.median(a)), lo, hi, am,
+                         interval_verdict(lo, hi, am)])
         io.write_effects_csv(rows, out / "effects.csv")
     io.write_dic_csv(dic(samples, data), out / "dic.csv")
     resid = pearson_residuals(data.y, data.E, r_med)
@@ -194,6 +194,7 @@ def cmd_fit(args) -> int:
     if metrics:
         cov = np.column_stack([metrics[c] for c in metrics])
         dis = compute_border_metrics(graph, cov, metric_names=list(metrics))
+    rules = _parse_rules(args.baseline_blv) if args.baseline_blv else None
     config = _chain_config(args)
     config.validate()
     if dis is not None and config.n_chains * (config.keep // config.thin) < 2:
@@ -212,8 +213,7 @@ def cmd_fit(args) -> int:
             print(f"fit: wrote {out / name}")
     print(f"fit: n={graph.n} borders={graph.n_borders} "
           f"components={graph.n_components} boundaries={bset.boundary_count}")
-    if args.baseline_blv:
-        rules = _parse_rules(args.baseline_blv)
+    if rules:
         _run_blv_baseline(out, data, graph, args, rules)
     return 0
 
@@ -230,10 +230,21 @@ def _parse_rules(rules_text: str) -> dict:
         key = key.strip()
         if key not in ("c1", "c2"):
             raise ValidationError(f"unknown BLV rule {key!r}")
-        rules[key] = float(value)
+        rules[key] = _number(float, value.strip(), f"--baseline-blv {key}")
     if not rules:
         raise ValidationError("at least one of c1=/c2= required")
+    if "c2" in rules:
+        check_rule_b(rules["c2"])
     return rules
+
+
+def _number(kind, text: str, name: str):
+    """kind(text), or a ValidationError naming the key or flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{name}: {text!r} is not a valid "
+                              f"{kind.__name__}") from None
 
 
 def _run_blv_baseline(out, data, graph, args, rules):
@@ -250,8 +261,8 @@ def _run_blv_baseline(out, data, graph, args, rules):
 
 def cmd_simulate(args) -> int:
     out = io.ensure_outdir(args.out)
-    k1s = [float(v) for v in str(args.k1).split(",") if v != ""]
-    k2s = [float(v) for v in str(args.k2).split(",") if v != ""]
+    k1s = [_number(float, v, "--k1") for v in str(args.k1).split(",") if v != ""]
+    k2s = [_number(float, v, "--k2") for v in str(args.k2).split(",") if v != ""]
     if not k1s or not k2s:
         raise ValidationError("--k1 and --k2 must list at least one value")
     graph = lattice_graph(args.nrows, args.ncols)
@@ -297,13 +308,13 @@ def _expected_counts(args, graph):
 
 
 def cmd_diagnose(args) -> int:
-    fit_dir = io.ensure_outdir(args.fit_dir)
-    out = io.ensure_outdir(args.out) if args.out else fit_dir
+    fit_dir = Path(args.fit_dir)
     ids, y, E, r_med, resid = io.read_residuals_csv(fit_dir / "residuals.csv")
     adj_input = io.read_adjacency(args.adjacency, ids)
     graph = build_graph(adj_input, area_ids=ids)
     result = moran_permutation_test(resid, graph, n_perm=args.n_perm,
                                     seed=args.seed)
+    out = io.ensure_outdir(args.out) if args.out else fit_dir
     io.write_moran_csv(result, out / "moran.csv")
     print(f"diagnose: I={result.I:.4f} p={result.p_value:.4f}")
     return 0
@@ -312,6 +323,8 @@ def cmd_diagnose(args) -> int:
 def cmd_blv(args) -> int:
     if args.c1 is None and args.c2 is None:
         raise ValidationError("at least one of --c1/--c2 required")
+    if args.c2 is not None:
+        check_rule_b(args.c2)
     out = io.ensure_outdir(args.out)
     ids, y, E, _metrics = io.read_areas_csv(args.areas)
     graph = _load_graph(args, ids)

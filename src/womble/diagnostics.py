@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import AdjacencyState, AreaGraph
+from .graph import AreaGraph
 from .rng import PERMUTATION, derive_rng
 
 # Working-array budget for one chunk of permutations. A permutation row takes
@@ -19,63 +19,55 @@ class MoranResult:
     I: float
     p_value: float
     n_permutations: int
-    residual_type: str = "pearson"
 
 
-def _weights(graph: AreaGraph, adj=None):
-    k, j = graph.borders[:, 0], graph.borders[:, 1]
-    if adj is None:
-        w = np.ones(graph.n_borders)
-    else:
-        w = adj.w.astype(float)
-    if w.sum() == 0:
+def _border_ends(graph: AreaGraph):
+    if graph.n_borders == 0:
         raise ValidationError("weight structure has no retained borders")
-    return k, j, w
+    return graph.borders[:, 0], graph.borders[:, 1]
 
 
-def morans_i(values: np.ndarray, graph: AreaGraph,
-             adj: AdjacencyState = None) -> float:
-    """Moran's I over binary border weights (both orientations counted).
+def morans_i(values: np.ndarray, graph: AreaGraph) -> float:
+    """Moran's I over the graph's borders, each of weight 1 (both
+    orientations counted).
 
     I = (n / S0) * sum_kj w_kj (v_k - vbar)(v_j - vbar) / sum_k (v_k - vbar)^2
-    with S0 = sum_kj w_kj. Constant input has zero variance and is rejected.
+    with S0 = sum_kj w_kj = 2B. Constant input has zero variance and is
+    rejected.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (graph.n,):
         raise ValidationError("one value per area required")
-    k, j, w = _weights(graph, adj)
+    k, j = _border_ends(graph)
     d = v - v.mean()
     denom = float(np.sum(d * d))
     if denom == 0.0:
         raise ValidationError("values are constant; Moran's I is undefined")
-    s0 = 2.0 * float(w.sum())
-    num = 2.0 * float(np.sum(w * d[k] * d[j]))
+    s0 = 2.0 * graph.n_borders
+    num = 2.0 * float(np.sum(d[k] * d[j]))
     return graph.n / s0 * num / denom
 
 
 def moran_permutation_test(residuals: np.ndarray, graph: AreaGraph,
-                           n_perm: int = 10000, seed: int = 0,
-                           adj: AdjacencyState = None,
-                           residual_type: str = "pearson") -> MoranResult:
+                           n_perm: int = 10000, seed: int = 0) -> MoranResult:
     """One-sided upper-tail permutation test for positive spatial correlation.
 
     p = (1 + #{permuted I >= observed I}) / (1 + n_perm), permutations drawn
     by randomly relabelling residuals across areas.
     """
     v = np.asarray(residuals, dtype=float)
-    observed = morans_i(v, graph, adj)
+    observed = morans_i(v, graph)
     if n_perm < 0:
         raise ValidationError("n_perm must be >= 0")
     if n_perm == 0:
-        return MoranResult(I=observed, p_value=1.0, n_permutations=0,
-                           residual_type=residual_type)
+        return MoranResult(I=observed, p_value=1.0, n_permutations=0)
     n_ge = sum(int(np.sum(i_perm >= observed))
-               for i_perm in _permuted_moran(v, graph, adj, n_perm, seed))
+               for i_perm in _permuted_moran(v, graph, n_perm, seed))
     return MoranResult(I=observed, p_value=(1 + n_ge) / (1 + n_perm),
-                       n_permutations=n_perm, residual_type=residual_type)
+                       n_permutations=n_perm)
 
 
-def _permuted_moran(v, graph: AreaGraph, adj, n_perm: int, seed: int):
+def _permuted_moran(v, graph: AreaGraph, n_perm: int, seed: int):
     """Moran's I of n_perm random relabellings of v, yielded a chunk at a time.
 
     Each chunk draws its rows from one stream in order, so the statistics are
@@ -83,10 +75,10 @@ def _permuted_moran(v, graph: AreaGraph, adj, n_perm: int, seed: int):
     chunk before it: numpy's row sum of a 1-row array can round differently
     from the same row inside a taller one.
     """
-    k, j, w = _weights(graph, adj)
+    k, j = _border_ends(graph)
     d = v - v.mean()
     denom = float(np.sum(d * d))
-    s0 = 2.0 * float(w.sum())
+    s0 = 2.0 * graph.n_borders
     rng = derive_rng(seed, PERMUTATION)
     height = max(2, PERM_CHUNK_BYTES // (8 * (3 * graph.n + 2 * graph.n_borders)))
     left = n_perm
@@ -96,7 +88,9 @@ def _permuted_moran(v, graph: AreaGraph, adj, n_perm: int, seed: int):
         keys = rng.random((rows, graph.n))
         order = np.argsort(keys, axis=1)
         dp = d[order]
-        nums = 2.0 * np.sum(w * dp[:, k] * dp[:, j], axis=1)
+        prod = dp[:, k]
+        prod *= dp[:, j]   # in place: two border-sized arrays alive, not three
+        nums = 2.0 * np.sum(prod, axis=1)
         yield graph.n / s0 * nums / denom
         left -= rows
 

@@ -11,7 +11,7 @@ Ties at exactly 0.5 keep the border (no boundary). Borders with zero
 dissimilarity can never become boundaries, whatever alpha is.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -162,16 +162,12 @@ class DissimilarityData:
     metric ``i`` across border ``b``; ``scales[i]`` is the sample standard
     deviation (over borders) of the raw absolute differences that produced it,
     so every metric has unit standard deviation over borders.
-    ``raw`` holds the per-area covariate values when the metric came from
-    area-level covariates, and is None when border-level values were supplied
-    directly (the simulation-study path).
     """
 
     q: int
     metric_names: tuple
     border_metrics: np.ndarray
     scales: np.ndarray
-    raw: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         bm = np.asarray(self.border_metrics, dtype=float)
@@ -249,8 +245,7 @@ def compute_border_metrics(graph: AreaGraph, covariates: np.ndarray,
         if s == 0.0:
             raise ConstantMetricError(names[i])
     return DissimilarityData(q=q, metric_names=names,
-                             border_metrics=raw_diff / scales,
-                             scales=scales, raw=cov)
+                             border_metrics=raw_diff / scales, scales=scales)
 
 
 @dataclass(frozen=True)

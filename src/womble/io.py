@@ -225,7 +225,7 @@ def read_residuals_csv(path):
 def write_moran_csv(result, path):
     _write_rows(path, ["I", "p_value", "n_permutations", "residual_type"],
                 [[result.I, result.p_value, int(result.n_permutations),
-                  result.residual_type]])
+                  "pearson"]])
 
 
 def write_blv_csv(res, path, rule_a_flags=None, rule_b_flags=None):

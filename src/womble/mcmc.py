@@ -1,9 +1,10 @@
 """Metropolis-within-Gibbs sampler for the boundary-detection model.
 
 Model: y_k ~ Poisson(E_k R_k) with ln R_k = phi_k; phi follows the CAR prior
-of :mod:`womble.car` with adjacency determined by evaluate_w(alpha); mu has a
-N(0, 10) prior, the standard deviation sqrt(tau2) a Uniform(0, 10) prior, and
-each alpha_i a Uniform(0, M_i) prior with M_i from alpha_prior_upper.
+of :mod:`womble.car` with adjacency determined by evaluate_w(alpha) and
+rho = car.RHO; mu has a N(0, PRIOR_MU_VAR) prior, the standard deviation
+sqrt(tau2) a Uniform(0, TAU_MAX) prior, and each alpha_i a Uniform(0, M_i)
+prior with M_i from alpha_prior_upper.
 
 Update scheme, one iteration:
 
@@ -13,7 +14,7 @@ Update scheme, one iteration:
 * mu: exact Gibbs draw. W* has zero row sums, so 1'Q1 = (1-rho) n and
   1'Q phi = (1-rho) sum(phi), making the conditional trivially cheap.
 * tau2: random-walk Metropolis on ln(tau2) with Jacobian correction,
-  hard-rejecting sqrt(tau2) > 10.
+  hard-rejecting sqrt(tau2) > TAU_MAX.
 * alpha: component-wise truncated random-walk Metropolis. A proposal that
   leaves the border assignment unchanged is accepted outright (uniform prior,
   symmetric proposal, identical CAR density); otherwise the ratio uses the
@@ -22,8 +23,9 @@ Update scheme, one iteration:
   first), so Q is factorized only for assignments the chain has not seen or
   has evicted; a hit returns the float a refactorization would.
 
-Step sizes adapt toward 0.44 acceptance during burn-in only (Robbins-Monro
-style batch updates) and are frozen afterward.
+Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
+toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
+(Robbins-Monro style), and are frozen afterward.
 
 Each chain runs on a plain mutable ModelState, validated once when built.
 An iteration computes d^T Q d (d = phi - mu) once for the tau2 and alpha
@@ -43,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .car import (CarParams, PrecisionStructure, build_precision,
+from .car import (RHO, CarParams, PrecisionStructure, build_precision,
                   log_density_phi, precision_quadform)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
@@ -51,6 +53,15 @@ from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
 from .rng import CHAIN, derive_rng
 
 PHI_GUARD = 50.0  # proposals beyond +-50 on the log-risk scale are rejected
+PRIOR_MU_VAR = 10.0  # mu ~ N(0, PRIOR_MU_VAR)
+TAU_MAX = 10.0  # sqrt(tau2) ~ Uniform(0, TAU_MAX)
+# initial random-walk step sizes; alpha_i starts at ALPHA_STEP_FRACTION * M_i
+PHI_STEP = 0.5
+TAU2_STEP = 0.5
+ALPHA_STEP_FRACTION = 0.1
+# burn-in adaptation: batch length and target acceptance rate
+ADAPT_WINDOW = 100
+ADAPT_TARGET = 0.44
 # border assignments whose log|Q| one chain remembers; about B/8 bytes each
 LOGDET_MEMO_CAP = 4096
 
@@ -83,23 +94,16 @@ class ObservedData:
 
 @dataclass
 class ChainConfig:
-    """Sampler run configuration; defaults follow the full multi-chain
-    protocol (five chains, 40k burn-in, 10k retained each)."""
+    """Sampler run configuration, the settings the CLI exposes; defaults
+    follow the full multi-chain protocol (five chains, 40k burn-in, 10k
+    retained each). Priors and step-size tuning are module constants."""
 
     n_chains: int = 5
     burn_in: int = 40000
     keep: int = 10000
     thin: int = 1
     seed: int = 0
-    phi_step: float = 0.5
-    tau2_step: float = 0.5
-    alpha_step: Optional[float] = None   # default: 0.1 * M_i per metric
-    adapt_window: int = 100
-    adapt_target: float = 0.44
     max_boundary_fraction: float = 0.5
-    rho: float = 0.99
-    prior_mu_var: float = 10.0
-    tau_max: float = 10.0
     fixed_w: Optional[np.ndarray] = None  # freeze the border assignment; skip alpha
     workers: int = 1
 
@@ -114,8 +118,6 @@ class ChainConfig:
             raise ValidationError("keep // thin must be >= 1: nothing would be retained")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be >= 0")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValidationError("rho must lie in [0, 1)")
 
 
 class ModelState:
@@ -148,12 +150,11 @@ class ModelState:
         while len(memo) > LOGDET_MEMO_CAP:
             del memo[next(iter(memo))]
 
-    def log_post(self, data: Optional[ObservedData],
-                 prior_mu_var: float = 10.0) -> float:
+    def log_post(self, data: Optional[ObservedData]) -> float:
         """Joint log-posterior up to prior normalizing constants."""
         lp = log_density_phi(self.phi, self.params,
                              PrecisionStructure(self.adj, self.rho, self.log_det))
-        lp += -0.5 * self.mu ** 2 / prior_mu_var
+        lp += -0.5 * self.mu ** 2 / PRIOR_MU_VAR
         lp += -0.5 * math.log(self.tau2)
         if data is not None:
             lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
@@ -227,36 +228,35 @@ def update_phi(state: ModelState, data: Optional[ObservedData],
     return state
 
 
-def update_mu(state: ModelState, rng: np.random.Generator,
-              prior_var: float = 10.0) -> ModelState:
+def update_mu(state: ModelState, rng: np.random.Generator) -> ModelState:
     """Gibbs draw of mu from its exact Gaussian full conditional.
 
-    Conditional precision is 1'Q1 / tau2 + 1/prior_var and the mean is
+    Conditional precision is 1'Q1 / tau2 + 1/PRIOR_MU_VAR and the mean is
     (1'Q phi / tau2) / precision; with W* having zero row sums these reduce
-    to (1-rho) n / tau2 + 1/prior_var and (1-rho) sum(phi) / tau2.
+    to (1-rho) n / tau2 + 1/PRIOR_MU_VAR and (1-rho) sum(phi) / tau2.
     """
     one_q_one = (1.0 - state.rho) * state.phi.shape[0]
     one_q_phi = (1.0 - state.rho) * float(state.phi.sum())
-    prec = one_q_one / state.tau2 + 1.0 / prior_var
+    prec = one_q_one / state.tau2 + 1.0 / PRIOR_MU_VAR
     mean = (one_q_phi / state.tau2) / prec
     state.mu = mean + rng.standard_normal() / math.sqrt(prec)
     return state
 
 
 def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
-                tau_max: float, quad: float) -> ModelState:
+                quad: float) -> ModelState:
     """Random-walk Metropolis on ln(tau2) with Jacobian correction.
 
-    The Uniform(0, tau_max) prior on the standard deviation scale contributes
+    The Uniform(0, TAU_MAX) prior on the standard deviation scale contributes
     a (tau2)^(-1/2) factor on the variance scale; proposals with
-    sqrt(tau2) > tau_max are rejected outright. `quad` is d^T Q d at the
+    sqrt(tau2) > TAU_MAX are rejected outright. `quad` is d^T Q d at the
     current state, d = phi - mu.
     """
     n = state.phi.shape[0]
     u = math.log(state.tau2)
     u_prop = u + step * rng.standard_normal()
     accepted = False
-    if u_prop <= 2.0 * math.log(tau_max):
+    if u_prop <= 2.0 * math.log(TAU_MAX):
         def target(x):
             return -0.5 * n * x - 0.5 * quad * math.exp(-x) + 0.5 * x
         if math.log(rng.random()) < target(u_prop) - target(u):
@@ -329,7 +329,6 @@ class PosteriorSamples:
     acceptance: dict       # block -> (C, ...) post-burn-in acceptance rates
     graph: AreaGraph
     dis: Optional[DissimilarityData]
-    config: ChainConfig
     alpha_upper: np.ndarray
 
     def pooled_phi(self) -> np.ndarray:
@@ -367,8 +366,8 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
     # prior draws for mu / tau / alpha
     for _ in range(100):
         phi = rng.normal(np.log(data.y + 0.5) - np.log(data.E), 1.0)
-        mu = rng.normal(0.0, math.sqrt(config.prior_mu_var))
-        tau2 = rng.uniform(0.0, config.tau_max) ** 2
+        mu = rng.normal(0.0, math.sqrt(PRIOR_MU_VAR))
+        tau2 = rng.uniform(0.0, TAU_MAX) ** 2
         if M.size:
             alpha = rng.uniform(0.0, M)
         else:
@@ -381,13 +380,13 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
             adj = evaluate_w(graph, dis, alpha)
         else:
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
-        params = CarParams(mu=mu, tau2=tau2, rho=config.rho, alpha=alpha)
+        params = CarParams(mu=mu, tau2=tau2, rho=RHO, alpha=alpha)
         state = ModelState(phi=phi, params=params, adj=adj,
-                           prec=build_precision(adj, config.rho))
+                           prec=build_precision(adj, RHO))
         state.remember_log_det(adj.key, state.log_det)
         # overflow here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(state.log_post(data, config.prior_mu_var))
+            finite = np.isfinite(state.log_post(data))
         if finite:
             return state
     raise NumericError("non-finite log-posterior at initialization after 100 re-draws")
@@ -401,10 +400,9 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     n, b, q = graph.n, graph.n_borders, M.size
     sample_alpha = q > 0 and config.fixed_w is None
 
-    log_phi_steps = np.full(n, math.log(config.phi_step))
-    log_tau_step = math.log(config.tau2_step)
-    log_alpha_steps = np.log(0.1 * M if config.alpha_step is None
-                             else np.full(q, config.alpha_step))
+    log_phi_steps = np.full(n, math.log(PHI_STEP))
+    log_tau_step = math.log(TAU2_STEP)
+    log_alpha_steps = np.log(ALPHA_STEP_FRACTION * M)
     phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
     alpha_steps = np.exp(log_alpha_steps)
 
@@ -422,15 +420,15 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     hits_phi, hits_tau, hits_alpha = np.zeros(n), 0, np.zeros(q)
     batch = 0
     idx = 0
-    burn_in, window, target = config.burn_in, config.adapt_window, config.adapt_target
+    burn_in, window, target = config.burn_in, ADAPT_WINDOW, ADAPT_TARGET
     for it in range(burn_in + config.keep):
         if it == burn_in:
             hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
         update_phi(state, data, phi_steps, rng)
-        update_mu(state, rng, config.prior_mu_var)
+        update_mu(state, rng)
         # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
         quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
-        update_tau2(state, tau_step, rng, config.tau_max, quad)
+        update_tau2(state, tau_step, rng, quad)
         hits_phi += state.last_accept["phi"]
         hits_tau += state.last_accept["tau2"]
         if sample_alpha:
@@ -502,7 +500,7 @@ def run_chains(data: ObservedData, graph: AreaGraph,
             "tau2": np.array([r["accept_tau2"] for r in results]),
             "alpha": stack("accept_alpha"),
         },
-        graph=graph, dis=dis, config=config, alpha_upper=M)
+        graph=graph, dis=dis, alpha_upper=M)
 
 
 def run_tasks(fn, tasks: list, workers: int) -> list:

@@ -27,7 +27,7 @@ from .boundary import classify_boundaries
 from .errors import NumericError, ValidationError
 from .graph import AreaGraph, DissimilarityData
 from .mcmc import ChainConfig, ObservedData, run_chains, run_tasks
-from .rng import REPLICATE
+from .rng import REPLICATE, derive_rng
 
 RANGE_CAP_FACTOR = 1e9
 # The surface is a dense n x n Matern Cholesky: at this many areas (a 64x64
@@ -151,10 +151,17 @@ def _matern(d: np.ndarray, range_: float, kappa: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _calibrate_from_distances(dists: np.ndarray, target_median: float,
-                              kappa: float) -> float:
+def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
+                    kappa: float = 2.5) -> float:
+    """Bisection for the Matern range whose median all-pairs correlation
+    equals the target within 1e-6. Correlation is monotone increasing in the
+    range, so convergence is guaranteed below the cap."""
+    centroids = np.asarray(centroids, dtype=float)
+    if centroids.shape[0] < 2:
+        raise ValidationError("at least two centroids required")
     if not 0.0 < target_median < 1.0:
         raise ValidationError("target median correlation must be in (0, 1)")
+    dists = pdist(centroids)
     dists = dists[dists > 0]
     if dists.size == 0:
         raise ValidationError("all centroids coincide; cannot calibrate a range")
@@ -183,17 +190,6 @@ def _calibrate_from_distances(dists: np.ndarray, target_median: float,
     raise NumericError("range calibration did not converge")
 
 
-def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
-                    kappa: float = 2.5) -> float:
-    """Bisection for the Matern range whose median all-pairs correlation
-    equals the target within 1e-6. Correlation is monotone increasing in the
-    range, so convergence is guaranteed below the cap."""
-    centroids = np.asarray(centroids, dtype=float)
-    if centroids.shape[0] < 2:
-        raise ValidationError("at least two centroids required")
-    return _calibrate_from_distances(pdist(centroids), target_median, kappa)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One cell of the simulation study."""
@@ -208,7 +204,6 @@ class SimConfig:
     E: Union[float, np.ndarray] = 100.0
     replicates: int = 20
     seed: int = 0
-    median_pairs: str = "all"       # "all" or "adjacent"
     workers: int = 1
     _plan: Optional[dict] = field(default=None, init=False, repr=False,
                                   compare=False)
@@ -224,8 +219,6 @@ class SimConfig:
             raise ValidationError("field_sd must be positive")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
-        if self.median_pairs not in ("all", "adjacent"):
-            raise ValidationError("median_pairs must be 'all' or 'adjacent'")
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")
@@ -243,14 +236,8 @@ def _prepare(config: SimConfig) -> dict:
         raise ValidationError(
             f"{graph.n} areas exceed the {MAX_SURFACE_AREAS} a dense simulation "
             "surface allows: use a smaller lattice (--nrows/--ncols)")
-    if config.median_pairs == "all":
-        rng_val = calibrate_range(graph.centroids,
-                                  config.target_median_correlation, config.kappa)
-    else:
-        k, j = graph.borders[:, 0], graph.borders[:, 1]
-        d = np.linalg.norm(graph.centroids[k] - graph.centroids[j], axis=1)
-        rng_val = _calibrate_from_distances(
-            d, config.target_median_correlation, config.kappa)
+    rng_val = calibrate_range(graph.centroids,
+                              config.target_median_correlation, config.kappa)
     # no other n x n array is alive while the correlation is evaluated
     corr = _matern(squareform(pdist(graph.centroids)), rng_val, config.kappa)
     try:
@@ -326,8 +313,7 @@ class SimScore:
 def _replicate_result(config: SimConfig, chain_config: ChainConfig,
                       rep: int) -> dict:
     plan = _prepare(config)
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(REPLICATE, rep, 0)))
+    data_rng = derive_rng(config.seed, REPLICATE, rep, 0)
     chain_seed = int(np.random.SeedSequence(
         config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
     phi_true, r_true = gen_surface(config, data_rng)

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from womble import AreaGraph, DissimilarityData, adjacency_from_w, build_graph
+from womble import build_graph
+from womble.graph import AreaGraph, DissimilarityData, adjacency_from_w
 
 
 def pytest_terminal_summary(terminalreporter):

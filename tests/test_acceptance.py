@@ -14,16 +14,17 @@ from scipy.stats import kstest
 from oracles import (conditional_from_joint, dense_log_density,
                      dense_precision, random_graph)
 from test_cli import FIT_FLAGS, write_dataset
-from womble import (AreaGraph, CarParams, ChainConfig, DissimilarityData,
-                    ModelState, ObservedData, SimConfig, adjacency_from_w,
-                    alpha_min, alpha_natural_limit, blv, blv_rule_a,
-                    blv_rule_b, build_precision, classify_effect,
-                    compute_border_metrics, evaluate_w, five_block_partition,
-                    full_conditional_phi, gelman_rubin, lattice_graph,
-                    log_density_phi, moran_permutation_test,
-                    precision_quadform, run_chains, run_study, update_phi,
-                    update_tau2)
-from womble.boundary import NO_EFFECT, SUBSTANTIAL
+from womble import ChainConfig, ObservedData, compute_border_metrics, run_chains
+from womble.boundary import (NO_EFFECT, SUBSTANTIAL, blv, blv_rule_a,
+                             blv_rule_b, classify_effect)
+from womble.car import (CarParams, build_precision, full_conditional_phi,
+                        log_density_phi, precision_quadform)
+from womble.diagnostics import moran_permutation_test
+from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
+                          alpha_min, alpha_natural_limit, evaluate_w)
+from womble.mcmc import ModelState, gelman_rubin, update_phi, update_tau2
+from womble.simulate import (SimConfig, five_block_partition, lattice_graph,
+                             run_study)
 from womble.cli import main
 from womble.rng import derive_rng
 
@@ -233,10 +234,10 @@ def test_criterion_4_sampler_validity():
     # tau2 moves neither phi nor mu, so d^T Q d stays fixed
     quad = precision_quadform(adj, 0.0, state.phi - state.mu)
     for _ in range(1000):
-        update_tau2(state, 0.6, rng, 10.0, quad)
+        update_tau2(state, 0.6, rng, quad)
     draws = np.empty(5000)
     for i in range(5000):
-        update_tau2(state, 0.6, rng, 10.0, quad)
+        update_tau2(state, 0.6, rng, quad)
         draws[i] = state.params.tau2
     s = float(np.sum(phi ** 2))
     grid = np.linspace(1e-4, 100.0, 400000)

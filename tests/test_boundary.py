@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from womble import (ChainConfig, DissimilarityData, ValidationError, blv,
-                    blv_rule_a, blv_rule_b, classify_boundaries,
-                    classify_effect, evaluate_w, lattice_graph)
-from womble.boundary import INCONCLUSIVE, NO_EFFECT, SUBSTANTIAL, boundary_segments
+from womble import ValidationError, classify_boundaries
+from womble.boundary import (INCONCLUSIVE, NO_EFFECT, SUBSTANTIAL, blv,
+                             blv_rule_a, blv_rule_b, boundary_segments,
+                             classify_effect)
+from womble.graph import DissimilarityData, evaluate_w
+from womble.simulate import lattice_graph
 
 
 def samples_with_w_trace(graph, w_draws):
@@ -20,7 +22,6 @@ def samples_with_w_trace(graph, w_draws):
         phi=np.zeros((1, m, graph.n)), mu=np.zeros((1, m)),
         tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)), w=w,
         deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None,
-        config=ChainConfig(n_chains=1, burn_in=0, keep=m),
         alpha_upper=np.zeros(0))
 
 

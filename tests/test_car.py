@@ -3,9 +3,10 @@ import pytest
 
 from oracles import (conditional_from_joint, dense_log_density,
                      dense_precision, random_graph)
-from womble import (AreaGraph, CarParams, ValidationError, adjacency_from_w,
-                    build_precision, full_conditional_phi, log_density_phi,
-                    precision_quadform)
+from womble import ValidationError
+from womble.car import (CarParams, build_precision, full_conditional_phi,
+                        log_density_phi, precision_quadform)
+from womble.graph import AreaGraph, adjacency_from_w
 from conftest import all_ones_adj
 
 

@@ -4,8 +4,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from womble import io, lattice_graph, simulate
+from womble import io, simulate
+from womble.simulate import lattice_graph
 from womble.cli import main
 
 
@@ -66,6 +68,15 @@ def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
 
 
 FIT_FLAGS = ["--chains", "2", "--burnin", "200", "--keep", "100", "--seed", "5"]
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if the command reaches the sampler."""
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr("womble.cli.run_chains", fail)
 
 
 class TestFit:
@@ -181,6 +192,35 @@ class TestFit:
         flagged = sum(r["rule_b"] == "1" for r in rows)
         assert flagged == math.ceil(0.10 * g.n_borders)
 
+    @pytest.mark.parametrize("rules, named", [
+        ("c2=x", "--baseline-blv c2"),
+        ("c1=0.5,c2=150", "c2 must be a percentage"),
+        ("c3=1", "unknown BLV rule"),
+    ])
+    def test_bad_baseline_blv_rules_fail_before_sampling(
+            self, tmp_path, capsys, no_sampling, rules, named):
+        _, paths = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--baseline-blv", rules, "--out", str(out)] + FIT_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and named in err
+        assert not (out / "posterior_summary.csv").exists()
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        _, paths = write_dataset(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("chains=abc\n")
+        rc = main(["--config", str(cfg), "fit",
+                   "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and "chains" in err and "'abc'" in err
+
     def test_config_file_supplies_defaults(self, tmp_path):
         _, paths = write_dataset(tmp_path)
         cfg = tmp_path / "run.conf"
@@ -201,8 +241,7 @@ class TestEffectVerdict:
     def test_near_perfect_metric_substantial(self, tmp_path):
         # clean group-separating covariate: the fitted effect must come out
         # substantial and recover the true boundary set
-        from womble import five_block_partition
-        from womble.simulate import SimConfig, gen_surface
+        from womble.simulate import SimConfig, five_block_partition, gen_surface
 
         g = lattice_graph(8, 8)
         labels = five_block_partition(8, 8)
@@ -257,6 +296,15 @@ class TestDiagnose:
         assert 0.0 < p <= 1.0
         assert rows[0]["residual_type"] == "pearson"
 
+    def test_missing_fit_dir_is_not_created(self, tmp_path, capsys):
+        _, paths = write_dataset(tmp_path)
+        fit_dir = tmp_path / "no_such_fit"
+        rc = main(["diagnose", "--fit-dir", str(fit_dir),
+                   "--adjacency", str(paths["adjacency"]), "--n-perm", "9"])
+        assert rc == 3
+        assert "IO:" in capsys.readouterr().err
+        assert not fit_dir.exists()
+
 
 class TestBlvCommand:
     def test_blv_subcommand(self, tmp_path):
@@ -277,6 +325,14 @@ class TestBlvCommand:
                    "--adjacency", str(paths["adjacency"]),
                    "--out", str(tmp_path / "out")] + FIT_FLAGS)
         assert rc == 2
+
+    def test_bad_c2_fails_before_sampling(self, tmp_path, capsys, no_sampling):
+        _, paths = write_dataset(tmp_path)
+        rc = main(["blv", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--c2", "150",
+                   "--out", str(tmp_path / "out")] + FIT_FLAGS)
+        assert rc == 2
+        assert "c2 must be a percentage" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -325,6 +381,15 @@ class TestSimulateCommand:
                    "--seed", "1", "--expected-csv", str(ecsv),
                    "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("flag", ["--k1", "--k2"])
+    def test_non_numeric_cell_list(self, tmp_path, capsys, flag):
+        rc = main(["simulate", flag, "0.2,abc", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and flag in err and "'abc'" in err
 
     def test_expected_csv_missing_area_rejected(self, tmp_path, capsys):
         ecsv = tmp_path / "expected.csv"

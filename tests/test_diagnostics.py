@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from womble import (AreaGraph, ValidationError, diagnostics, lattice_graph,
-                    moran_permutation_test, morans_i, pearson_residuals)
+from womble import ValidationError, diagnostics
+from womble.diagnostics import (moran_permutation_test, morans_i,
+                                pearson_residuals)
+from womble.graph import AreaGraph
+from womble.simulate import lattice_graph
 from womble.rng import PERMUTATION, derive_rng
 
 
@@ -135,8 +138,7 @@ class TestChunkedPermutations:
         vals = np.random.default_rng(seed).normal(size=graph.n)
         ref_i, ref_p, ref_perm = all_at_once_permutations(vals, graph, n_perm,
                                                           seed)
-        chunks = list(diagnostics._permuted_moran(vals, graph, None, n_perm,
-                                                  seed))
+        chunks = list(diagnostics._permuted_moran(vals, graph, n_perm, seed))
         assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()
         res = moran_permutation_test(vals, graph, n_perm=n_perm, seed=seed)
         assert res.I == ref_i and res.p_value == ref_p

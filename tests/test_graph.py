@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from womble import (AreaGraph, ConstantMetricError, DissimilarityData,
-                    ValidationError, alpha_min, alpha_natural_limit,
-                    alpha_prior_upper, build_graph, compute_border_metrics,
-                    evaluate_w)
+from womble import (ConstantMetricError, ValidationError, build_graph,
+                    compute_border_metrics)
+from womble.graph import (AreaGraph, DissimilarityData, alpha_min,
+                          alpha_natural_limit, alpha_prior_upper, evaluate_w)
 
 LN2 = np.log(2.0)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from womble import (ChainConfig, DissimilarityData, ObservedData,
-                    ValidationError, io, lattice_graph, run_chains)
+from womble import ChainConfig, ObservedData, ValidationError, io, run_chains
+from womble.graph import DissimilarityData
+from womble.simulate import lattice_graph
 
 
 class TestAdjacencyDetection:

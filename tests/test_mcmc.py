@@ -6,15 +6,16 @@ import pytest
 from scipy.special import gammaln
 
 from oracles import dense_precision, poisson_deviance
-from womble import (AreaGraph, CarParams, ChainConfig, DissimilarityData,
-                    ModelState, ObservedData, PrecisionStructure,
-                    ValidationError, adjacency_from_w, build_precision,
-                    compute_border_metrics, dic, effective_sample_size,
-                    evaluate_w, gelman_rubin, log_density_phi,
-                    precision_quadform, run_chains, update_alpha, update_mu,
-                    update_phi, update_tau2)
+from womble import (ChainConfig, ObservedData, ValidationError,
+                    compute_border_metrics, run_chains)
 from womble import mcmc
-from womble.mcmc import deviance_at
+from womble.car import (CarParams, PrecisionStructure, build_precision,
+                        log_density_phi, precision_quadform)
+from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
+                          evaluate_w)
+from womble.mcmc import (ModelState, deviance_at, dic, effective_sample_size,
+                         gelman_rubin, update_alpha, update_mu, update_phi,
+                         update_tau2)
 from womble.rng import CHAIN, derive_rng
 from womble.simulate import (SimConfig, five_block_partition, gen_counts,
                              gen_dissimilarity, gen_surface, lattice_graph)
@@ -194,8 +195,8 @@ def ref_update_alpha(state, dis, steps, M, rng):
 def ref_initial_state(data, graph, dis, config, M, rng):
     for _ in range(100):
         phi = rng.normal(np.log(data.y + 0.5) - np.log(data.E), 1.0)
-        mu = rng.normal(0.0, math.sqrt(config.prior_mu_var))
-        tau2 = rng.uniform(0.0, config.tau_max) ** 2
+        mu = rng.normal(0.0, math.sqrt(10.0))
+        tau2 = rng.uniform(0.0, 10.0) ** 2
         alpha = rng.uniform(0.0, M) if M.size else np.zeros(0)
         if tau2 == 0.0:
             continue
@@ -205,13 +206,13 @@ def ref_initial_state(data, graph, dis, config, M, rng):
             adj = evaluate_w(graph, dis, alpha)
         else:
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
-        params = CarParams(mu=mu, tau2=tau2, rho=config.rho, alpha=alpha)
+        params = CarParams(mu=mu, tau2=tau2, rho=0.99, alpha=alpha)
         state = RefState(phi=phi, params=params, adj=adj,
-                         prec=build_precision(adj, config.rho))
+                         prec=build_precision(adj, 0.99))
         state.remember_log_det(np.packbits(adj.w).tobytes(), state.prec.log_det)
         with np.errstate(over="ignore", invalid="ignore"):
             lp = (log_density_phi(phi, params, state.prec)
-                  - 0.5 * mu ** 2 / config.prior_mu_var - 0.5 * math.log(tau2)
+                  - 0.5 * mu ** 2 / 10.0 - 0.5 * math.log(tau2)
                   + float(np.sum(data.y * (np.log(data.E) + phi) - data.E * np.exp(phi))))
         if np.isfinite(lp):
             return state
@@ -223,11 +224,10 @@ def ref_run_chain(c, data, graph, dis, config, M):
     state = ref_initial_state(data, graph, dis, config, M, rng)
     n, b, q = graph.n, graph.n_borders, M.size
     sample_alpha = q > 0 and config.fixed_w is None
-    log_phi_steps = np.full(n, math.log(config.phi_step))
-    log_tau_step = math.log(config.tau2_step)
+    log_phi_steps = np.full(n, math.log(0.5))
+    log_tau_step = math.log(0.5)
     if sample_alpha:
-        base = config.alpha_step
-        log_alpha_steps = np.log(np.full(q, base) if base is not None else 0.1 * M)
+        log_alpha_steps = np.log(0.1 * M)
     else:
         log_alpha_steps = np.zeros(0)
     n_retained = config.keep // config.thin
@@ -242,8 +242,8 @@ def ref_run_chain(c, data, graph, dis, config, M):
     batch = idx = 0
     for it in range(config.burn_in + config.keep):
         ref_update_phi(state, data, np.exp(log_phi_steps), rng)
-        ref_update_mu(state, rng, config.prior_mu_var)
-        ref_update_tau2(state, math.exp(log_tau_step), rng, config.tau_max)
+        ref_update_mu(state, rng, 10.0)
+        ref_update_tau2(state, math.exp(log_tau_step), rng, 10.0)
         if sample_alpha:
             ref_update_alpha(state, dis, np.exp(log_alpha_steps), M, rng)
         if it < config.burn_in:
@@ -251,17 +251,17 @@ def ref_run_chain(c, data, graph, dis, config, M):
             win_tau += state.last_accept["tau2"]
             if sample_alpha:
                 win_alpha += state.last_accept["alpha"]
-            if (it + 1) % config.adapt_window == 0:
+            if (it + 1) % 100 == 0:
                 batch += 1
                 delta = min(0.25, 1.0 / math.sqrt(batch))
-                target = config.adapt_target
-                rate = win_phi / config.adapt_window
+                target = 0.44
+                rate = win_phi / 100
                 log_phi_steps += np.where(rate > target, delta, -delta)
                 np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
-                log_tau_step += delta if win_tau / config.adapt_window > target else -delta
+                log_tau_step += delta if win_tau / 100 > target else -delta
                 log_tau_step = min(max(log_tau_step, -15.0), 5.0)
                 if sample_alpha:
-                    arate = win_alpha / config.adapt_window
+                    arate = win_alpha / 100
                     log_alpha_steps += np.where(arate > target, delta, -delta)
                     np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
                 win_phi[:] = 0.0
@@ -440,7 +440,7 @@ class TestUpdateTau2:
         state = make_state(g, tau2=99.0, phi=np.random.default_rng(0).normal(size=4))
         rng = derive_rng(7, 0)
         for _ in range(500):
-            update_tau2(state, 5.0, rng, 10.0, quad_of(state))
+            update_tau2(state, 5.0, rng, quad_of(state))
             assert state.params.tau2 <= 100.0
 
     def test_zero_quadratic_drifts_down(self):
@@ -448,7 +448,7 @@ class TestUpdateTau2:
         state = make_state(g, mu=1.3, tau2=1.0, phi=np.full(6, 1.3))
         rng = derive_rng(8, 0)
         for _ in range(500):
-            update_tau2(state, 0.7, rng, 10.0, quad_of(state))
+            update_tau2(state, 0.7, rng, quad_of(state))
         assert state.params.tau2 < 0.05
 
     def test_grid_oracle_ks(self):
@@ -461,9 +461,9 @@ class TestUpdateTau2:
         rng = derive_rng(9, 0)
         draws = np.empty(5000)
         for _ in range(1000):
-            update_tau2(state, 0.6, rng, 10.0, quad_of(state))
+            update_tau2(state, 0.6, rng, quad_of(state))
         for i in range(draws.size):
-            update_tau2(state, 0.6, rng, 10.0, quad_of(state))
+            update_tau2(state, 0.6, rng, quad_of(state))
             draws[i] = state.params.tau2
         s = float(np.sum(phi ** 2))
         grid = np.linspace(1e-4, 100.0, 400000)
@@ -853,7 +853,7 @@ class TestAlphaConcentration:
         data = ObservedData(y=y.astype(float), E=np.full(64, 100.0))
         cfg = ChainConfig(n_chains=1, burn_in=2000, keep=1500, seed=9)
         samples = run_chains(data, g, dis, cfg)
-        from womble import alpha_min
+        from womble.graph import alpha_min
         amin = alpha_min(dis, 0)
         frac = np.mean(samples.pooled_alpha()[:, 0] > amin)
         assert frac >= 0.95

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import womble.simulate as sim
-from womble import (ChainConfig, NumericError, SimConfig, ValidationError,
-                    calibrate_range, five_block_partition, gen_counts,
-                    gen_dissimilarity, gen_surface, lattice_graph,
-                    matern_correlation, run_study, true_boundary_mask)
+from womble import ChainConfig, NumericError, ValidationError
+from womble.simulate import (SimConfig, calibrate_range, five_block_partition,
+                             gen_counts, gen_dissimilarity, gen_surface,
+                             lattice_graph, matern_correlation, run_study,
+                             true_boundary_mask)
 
 MATERN_AT_RANGE = (1.0 + np.sqrt(5.0) + 5.0 / 3.0) * np.exp(-np.sqrt(5.0))
 
