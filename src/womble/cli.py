@@ -5,13 +5,13 @@ reported on stderr as a single line `CLASS: message`.
 
 Every flag can also be supplied through `--config FILE` holding `key=value`
 lines (keys are the long flag names, dashes or underscores); explicit flags
-override the file.
+override the file. A key that no subcommand has is a validation error; one
+that only another subcommand has is ignored, so one file can serve several.
 """
 
 import argparse
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +121,14 @@ def _apply_config_file(argv, parser):
                     f"{known.config}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             overrides[key.strip().replace("-", "_")] = value.strip()
+    commands = parser._subparsers._group_actions[0].choices.values()
+    unknown = sorted(set(overrides) - {a.dest for action in commands
+                                       for a in action._actions} - {"help"})
+    if unknown:
+        raise ValidationError(f"{known.config}: unknown key(s) "
+                              f"{', '.join(unknown)}: no subcommand has such a flag")
     # inject as defaults on every subparser that knows the key
-    for action in parser._subparsers._group_actions[0].choices.values():
+    for action in commands:
         known_dests = {a.dest for a in action._actions}
         usable = {}
         for k, v in overrides.items():
@@ -269,7 +275,6 @@ def cmd_simulate(args) -> int:
     labels = five_block_partition(args.nrows, args.ncols)
     expected = _expected_counts(args, graph)
     chain_cfg = _chain_config(args)
-    chain_cfg = replace(chain_cfg, workers=1)
     scores = []
     for k1, k2 in itertools.product(k1s, k2s):
         config = SimConfig(

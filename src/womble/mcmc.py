@@ -34,10 +34,15 @@ assignment changes.
 
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state, so results are identical
-whether chains run sequentially or in a process pool.
+whether chains run sequentially or in a process pool. Retained phi goes to
+one temporary file under TMPDIR, each chain writing its own slice; the
+merged samples map it read-only, and the output stage reduces it a block of
+areas at a time (RISK_BLOCK_BYTES).
 """
 
 import math
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -64,6 +69,10 @@ ADAPT_WINDOW = 100
 ADAPT_TARGET = 0.44
 # border assignments whose log|Q| one chain remembers; about B/8 bytes each
 LOGDET_MEMO_CAP = 4096
+# temporary file of retained phi, (chains, draws, areas) float64, under TMPDIR
+PHI_FILE_PREFIX = "womble-phi-"
+# exp(phi) is reduced over blocks of areas of one to two times this many bytes
+RISK_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -317,7 +326,8 @@ class PosteriorSamples:
     """Thinned multi-chain draws plus the per-border w trace.
 
     Arrays are indexed (chain, draw, ...); pooled views flatten the first two
-    axes with chains kept contiguous.
+    axes with chains kept contiguous. `run_chains` gives phi as a read-only
+    map of a temporary file that is already unlinked.
     """
 
     phi: np.ndarray        # (C, m, n)
@@ -331,9 +341,6 @@ class PosteriorSamples:
     dis: Optional[DissimilarityData]
     alpha_upper: np.ndarray
 
-    def pooled_phi(self) -> np.ndarray:
-        return self.phi.reshape(-1, self.phi.shape[2])
-
     def pooled_w(self) -> np.ndarray:
         return self.w.reshape(-1, self.w.shape[2])
 
@@ -343,20 +350,36 @@ class PosteriorSamples:
     def pooled(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(-1)
 
-    def _risk_by_area(self) -> np.ndarray:
-        # (n, draws): numpy reduces along rows several times faster, same values
-        r = self.pooled_phi().T.copy()
-        return np.exp(r, out=r)
+    def _risk_blocks(self):
+        """Yield (areas, exp(phi)) over blocks of areas: a slice and the
+        pooled (draws, areas) risk draws, one to two RISK_BLOCK_BYTES each.
+
+        numpy sums a one-area block pairwise but a wider one draw by draw,
+        as it does the whole map, so blocks hold at least two areas."""
+        phi = self.phi.reshape(-1, self.phi.shape[2])
+        draws, n = phi.shape
+        n_blocks = max(1, n // max(2, RISK_BLOCK_BYTES // (8 * draws)))
+        edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+        for start, stop in zip(edges, edges[1:]):
+            yield slice(start, stop), np.exp(phi[:, start:stop])
 
     def risk_median(self) -> np.ndarray:
         """Posterior median of each area's risk R_k."""
-        return np.median(self._risk_by_area(), axis=1)
+        med = np.empty(self.phi.shape[2])
+        for areas, r in self._risk_blocks():
+            # numpy reduces along rows several times faster, same values
+            med[areas] = np.median(r.T.copy(), axis=1)
+        return med
 
     def risk_summary(self):
         """Posterior median, 2.5% and 97.5% points of each area's risk."""
-        r = self._risk_by_area()
-        return (np.median(r, axis=1), np.percentile(r, 2.5, axis=1),
-                np.percentile(r, 97.5, axis=1))
+        med, lo, hi = (np.empty(self.phi.shape[2]) for _ in range(3))
+        for areas, r in self._risk_blocks():
+            r = r.T.copy()
+            med[areas] = np.median(r, axis=1)
+            lo[areas] = np.percentile(r, 2.5, axis=1)
+            hi[areas] = np.percentile(r, 97.5, axis=1)
+        return med, lo, hi
 
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
@@ -394,7 +417,9 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray) -> dict:
+               M: np.ndarray, phi_path: str) -> dict:
+    """Run one chain, writing its retained phi into its (draws, n) slice of
+    the float64 file at `phi_path`; return the other draws."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
     state = _initial_state(data, graph, dis, config, M, rng)
     n, b, q = graph.n, graph.n_borders, M.size
@@ -407,7 +432,8 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     alpha_steps = np.exp(log_alpha_steps)
 
     n_retained = config.keep // config.thin
-    out_phi = np.empty((n_retained, n))
+    out_phi = np.memmap(phi_path, dtype=np.float64, mode="r+",
+                        offset=8 * chain_idx * n_retained * n, shape=(n_retained, n))
     out_mu = np.empty(n_retained)
     out_tau2 = np.empty(n_retained)
     out_alpha = np.empty((n_retained, q))
@@ -457,7 +483,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                                      data.E * np.exp(state.phi), lgamma_y)
             idx += 1
     return {
-        "phi": out_phi, "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
+        "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
         "w": out_w, "deviance": out_dev,
         "accept_phi": hits_phi / config.keep,
         "accept_tau2": hits_tau / config.keep,
@@ -474,6 +500,11 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     dispersed locations; the per-border w indicator is recorded at every
     retained iteration. Identical inputs produce identical output arrays,
     regardless of `workers`.
+
+    Retained phi is written to one temporary file of chains x (keep // thin)
+    x n float64 under TMPDIR, reserved before any chain starts (an OSError
+    if the disk cannot hold it). The file is unlinked before returning;
+    `phi` maps it read-only until the samples are released.
     """
     config.validate()
     if data.n != graph.n:
@@ -488,12 +519,24 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     else:
         M = np.zeros(0)
 
-    results = run_tasks(_run_chain, [(c, data, graph, dis, config, M)
-                                     for c in range(config.n_chains)],
-                        config.workers)
+    shape = (config.n_chains, config.keep // config.thin, graph.n)
+    nbytes = 8 * math.prod(shape)
+    with tempfile.NamedTemporaryFile(prefix=PHI_FILE_PREFIX) as fh:
+        # reserved up front, so a full disk fails here and not as a SIGBUS
+        # when a chain first writes to a page of the map
+        try:
+            os.posix_fallocate(fh.fileno(), 0, nbytes)
+        except OSError as exc:
+            raise OSError(exc.errno, f"cannot reserve {nbytes} bytes for "
+                          f"retained phi (chains x keep // thin x areas x 8) "
+                          f"in {fh.name}: {exc.strerror}") from exc
+        results = run_tasks(_run_chain, [(c, data, graph, dis, config, M, fh.name)
+                                         for c in range(config.n_chains)],
+                            config.workers)
+        phi = np.memmap(fh.name, dtype=np.float64, mode="r", shape=shape)
     stack = lambda key: np.stack([r[key] for r in results])
     return PosteriorSamples(
-        phi=stack("phi"), mu=stack("mu"), tau2=stack("tau2"),
+        phi=phi, mu=stack("mu"), tau2=stack("tau2"),
         alpha=stack("alpha"), w=stack("w"), deviance=stack("deviance"),
         acceptance={
             "phi": stack("accept_phi"),
@@ -531,7 +574,9 @@ def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:
     if dev.size == 0:
         raise ValidationError("empty samples")
     mean_dev = float(dev.mean())
-    r_bar = np.exp(samples.pooled_phi()).mean(axis=0)
+    r_bar = np.empty(samples.phi.shape[2])
+    for areas, r in samples._risk_blocks():
+        r_bar[areas] = r.mean(axis=0)
     d_hat = deviance_at(r_bar, data)
     p_d = mean_dev - d_hat
     return DicResult(dic=mean_dev + p_d, p_d=p_d, mean_deviance=mean_dev)

@@ -322,8 +322,7 @@ def _replicate_result(config: SimConfig, chain_config: ChainConfig,
     dis = DissimilarityData.from_border_values(config.graph, raw,
                                                metric_names=("sim_metric",))
     data = ObservedData(y=y, E=plan["E"])
-    cfg = replace(chain_config, seed=chain_seed,
-                  workers=1 if config.workers > 1 else chain_config.workers)
+    cfg = replace(chain_config, seed=chain_seed, workers=1)
     samples = run_chains(data, config.graph, dis, cfg)
     bset = classify_boundaries(samples)
     tb = plan["true_boundary"]
@@ -346,8 +345,10 @@ def _replicate_result(config: SimConfig, chain_config: ChainConfig,
 def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     """Generate, fit, and score `config.replicates` independent replicates.
 
-    Replicates derive their streams from (seed, replicate index) and may run
-    in a process pool; results are identical either way.
+    Replicates derive their streams from (seed, replicate index) and run in
+    a pool of `config.workers` processes; the chains of one replicate run
+    without a pool, whatever `chain_config.workers` says. Results are
+    identical either way.
     """
     _prepare(config)
     results = run_tasks(_replicate_result,

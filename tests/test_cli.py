@@ -1,6 +1,9 @@
 import csv
+import errno
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -221,10 +224,47 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("VALIDATION:") and "chains" in err and "'abc'" in err
 
-    def test_config_file_supplies_defaults(self, tmp_path):
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys, no_sampling):
         _, paths = write_dataset(tmp_path)
         cfg = tmp_path / "run.conf"
-        cfg.write_text("chains=2\nburnin=200\nkeep=100\nseed=5\n")
+        cfg.write_text("rho=0.5\nchainz=3\nchains=2\n")
+        rc = main(["--config", str(cfg), "fit",
+                   "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and str(cfg) in err
+        assert "chainz" in err and "rho" in err
+
+    def test_full_disk_fails_before_any_chain(self, tmp_path, capsys,
+                                              monkeypatch):
+        _, paths = write_dataset(tmp_path)
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def chain(*args):
+            raise AssertionError("a chain started")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        monkeypatch.setattr("womble.mcmc._run_chain", chain)
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(tmp_path / "out")] + FIT_FLAGS)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("IO:") and os.strerror(errno.ENOSPC) in err
+        assert list(tmp.iterdir()) == []
+
+    def test_config_file_supplies_defaults(self, tmp_path):
+        # n_perm belongs to diagnose; a shared file may hold it
+        _, paths = write_dataset(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("chains=2\nburnin=200\nkeep=100\nseed=5\nn_perm=50\n")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         rc = main(["--config", str(cfg), "fit",
                    "--areas", str(paths["areas"]),

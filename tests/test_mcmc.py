@@ -1,12 +1,14 @@
 import math
+import tempfile
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from oracles import dense_precision, poisson_deviance
-from womble import (ChainConfig, ObservedData, ValidationError,
+from womble import (ChainConfig, NumericError, ObservedData, ValidationError,
                     compute_border_metrics, run_chains)
 from womble import mcmc
 from womble.car import (CarParams, PrecisionStructure, build_precision,
@@ -713,6 +715,82 @@ class TestRunChains:
         assert (mean_err < 0.08).all()
         cov_err = np.abs(np.cov(keep.T) - cov_target)
         assert (cov_err < 0.12).all()
+
+
+class TestRetainedPhi:
+    """Retained phi lives in one temporary file; the output stage reduces it
+    a block of areas at a time."""
+
+    def _inputs(self):
+        return TestRunChains()._tiny_inputs(seed=5)
+
+    @pytest.mark.parametrize("n_chains, keep, width", [
+        (2, 30, 3),      # 16 areas in blocks of 3, 3, 3, 3 and 4
+        (2, 30, 1),      # one-area blocks are widened to two
+        (1, 1, 5),       # a single retained draw
+        (2, 30, None),   # every area in one block
+    ])
+    def test_blocked_reductions_match_one_shot(self, monkeypatch, n_chains,
+                                               keep, width):
+        g, data, dis = self._inputs()
+        draws = n_chains * keep
+        if width is not None:
+            monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * draws * width)
+        samples = run_chains(data, g, dis, ChainConfig(
+            n_chains=n_chains, burn_in=40, keep=keep, seed=2))
+        pooled = np.array(samples.phi).reshape(draws, g.n)
+        by_area = np.exp(pooled.T.copy())
+        expected = (np.median(by_area, axis=1),
+                    np.percentile(by_area, 2.5, axis=1),
+                    np.percentile(by_area, 97.5, axis=1))
+        got = samples.risk_summary()
+        for e, a in zip(expected, got):
+            assert a.tobytes() == e.tobytes()
+        assert samples.risk_median().tobytes() == expected[0].tobytes()
+        mean_dev = float(samples.deviance.reshape(-1).mean())
+        p_d = mean_dev - deviance_at(np.exp(pooled).mean(axis=0), data)
+        assert dic(samples, data) == (mean_dev + p_d, p_d, mean_dev)
+
+    def test_phi_is_read_only(self):
+        g, data, dis = self._inputs()
+        samples = run_chains(data, g, dis, ChainConfig(n_chains=1, burn_in=20,
+                                                       keep=10, seed=1))
+        assert not samples.phi.flags.writeable
+        with pytest.raises(ValueError):
+            samples.phi[0, 0, 0] = 1.0
+
+    def test_file_is_removed_after_a_run(self, tmp_path, monkeypatch):
+        g, data, dis = self._inputs()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen = []
+        chain = mcmc._run_chain
+
+        def recording(*args):
+            path = Path(args[-1])
+            seen.append(path.parent == tmp_path and path.exists()
+                        and path.name.startswith(mcmc.PHI_FILE_PREFIX))
+            return chain(*args)
+
+        monkeypatch.setattr(mcmc, "_run_chain", recording)
+        samples = run_chains(data, g, dis, ChainConfig(n_chains=2, burn_in=20,
+                                                       keep=10, seed=1))
+        assert seen == [True, True]
+        assert list(tmp_path.iterdir()) == []
+        # the unlinked file stays readable through the samples' map
+        assert np.isfinite(samples.phi).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_is_removed_when_a_chain_raises(self, tmp_path, monkeypatch,
+                                                 workers):
+        # log-SIR initialization overflows exp(phi) for every redraw
+        g = lattice_graph(2, 2)
+        data = ObservedData(y=np.full(4, 1e9), E=np.full(4, 1e-300))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cfg = ChainConfig(n_chains=2, burn_in=10, keep=5, seed=0,
+                          workers=workers)
+        with pytest.raises(NumericError, match="100 re-draws"):
+            run_chains(data, g, None, cfg)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDic:
