@@ -41,7 +41,7 @@ class BoundarySet:
 
 def classify_boundaries(samples: PosteriorSamples) -> BoundarySet:
     """Classify each border from the posterior median of w, chains pooled."""
-    w = samples.pooled_w()
+    w = samples.pooled("w")
     if w.shape[0] == 0:
         raise ValidationError("empty w trace")
     w_mean = w.mean(axis=0)

@@ -147,12 +147,12 @@ def _apply_config_file(argv, parser):
     return argv
 
 
-def _chain_config(args, fixed_w=None) -> ChainConfig:
+def _chain_config(args) -> ChainConfig:
     return ChainConfig(
         n_chains=args.chains, burn_in=args.burnin, keep=args.keep,
         thin=args.thin, seed=args.seed,
         max_boundary_fraction=args.max_boundary_fraction,
-        fixed_w=fixed_w, workers=args.workers)
+        workers=args.workers)
 
 
 def _load_graph(args, area_ids):
@@ -171,7 +171,7 @@ def _fit_outputs(out, samples, data, graph, dis):
     io.write_boundary_csv(bset, blv(r_med, graph).values, out / "boundary.csv")
     if dis is not None:
         rows = []
-        pooled_alpha = samples.pooled_alpha()
+        pooled_alpha = samples.pooled("alpha")
         for i, name in enumerate(dis.metric_names):
             a = pooled_alpha[:, i]
             am = alpha_min(dis, i)
@@ -254,9 +254,8 @@ def _number(kind, text: str, name: str):
 
 
 def _run_blv_baseline(out, data, graph, args, rules):
-    # baseline smoother: adjacency frozen all-1 (alpha identically zero)
-    config = _chain_config(args, fixed_w=np.ones(graph.n_borders, dtype=np.uint8))
-    samples = run_chains(data, graph, None, config)
+    # baseline smoother: without metrics the model keeps every border
+    samples = run_chains(data, graph, None, _chain_config(args))
     res = blv(samples.risk_median(), graph)
     fa = blv_rule_a(res, rules["c1"]) if "c1" in rules else None
     fb = blv_rule_b(res, rules["c2"]) if "c2" in rules else None

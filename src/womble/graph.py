@@ -193,26 +193,29 @@ class DissimilarityData:
             raise ValidationError("one row of metric values per border required")
         if (values < 0).any() or not np.isfinite(values).all():
             raise ValidationError("border metric values must be finite and non-negative")
-        q = values.shape[1]
-        names = _metric_names(metric_names, q)
-        if graph.n_borders < 2:
-            raise ValidationError(
-                "standard deviation over borders is undefined with fewer than 2 borders")
-        scales = values.std(axis=0, ddof=1)
-        for i, s in enumerate(scales):
-            if s == 0.0:
-                raise ConstantMetricError(names[i])
-        return DissimilarityData(q=q, metric_names=names,
-                                 border_metrics=values / scales, scales=scales)
+        return _standardize(graph, values, metric_names)
 
 
-def _metric_names(metric_names, q) -> tuple:
+def _standardize(graph: AreaGraph, raw: np.ndarray,
+                 metric_names) -> DissimilarityData:
+    """Divide each column of the (B, q) raw border values by its sample
+    standard deviation over borders; a constant column cannot be divided."""
+    q = raw.shape[1]
     if metric_names is None:
-        return tuple(f"metric_{i}" for i in range(q))
-    names = tuple(str(m) for m in metric_names)
-    if len(names) != q:
-        raise ValidationError("metric_names length must equal q")
-    return names
+        names = tuple(f"metric_{i}" for i in range(q))
+    else:
+        names = tuple(str(m) for m in metric_names)
+        if len(names) != q:
+            raise ValidationError("metric_names length must equal q")
+    if graph.n_borders < 2:
+        raise ValidationError(
+            "standard deviation over borders is undefined with fewer than 2 borders")
+    scales = raw.std(axis=0, ddof=1)
+    for i, s in enumerate(scales):
+        if s == 0.0:
+            raise ConstantMetricError(names[i])
+    return DissimilarityData(q=q, metric_names=names,
+                             border_metrics=raw / scales, scales=scales)
 
 
 def compute_border_metrics(graph: AreaGraph, covariates: np.ndarray,
@@ -231,21 +234,10 @@ def compute_border_metrics(graph: AreaGraph, covariates: np.ndarray,
         raise ValidationError("covariates must have one row per area")
     if not np.isfinite(cov).all():
         raise ValidationError("covariates contain missing or non-finite values")
-    q = cov.shape[1]
-    if q < 1:
+    if cov.shape[1] < 1:
         raise ValidationError("at least one covariate required")
-    names = _metric_names(metric_names, q)
-    if graph.n_borders < 2:
-        raise ValidationError(
-            "standard deviation over borders is undefined with fewer than 2 borders")
     k, j = graph.borders[:, 0], graph.borders[:, 1]
-    raw_diff = np.abs(cov[k] - cov[j])
-    scales = raw_diff.std(axis=0, ddof=1)
-    for i, s in enumerate(scales):
-        if s == 0.0:
-            raise ConstantMetricError(names[i])
-    return DissimilarityData(q=q, metric_names=names,
-                             border_metrics=raw_diff / scales, scales=scales)
+    return _standardize(graph, np.abs(cov[k] - cov[j]), metric_names)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ decimal separator, locale-independent, and byte-stable across reruns.
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,11 @@ def read_areas_csv(path, metric_columns=None):
                 metrics[c].append(float(row[c]))
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric value in row {i + 2}: {exc}") from None
-        if yv < 0 or yv != int(yv):
+        # comparisons with nan are false, and inf is not an integer
+        if not (yv >= 0 and yv.is_integer()):
             raise ValidationError(f"{path}: y must be non-negative integer (row {i + 2})")
-        if ev <= 0:
-            raise ValidationError(f"{path}: E must be positive (row {i + 2})")
+        if not (0 < ev < math.inf):
+            raise ValidationError(f"{path}: E must be finite and positive (row {i + 2})")
         y.append(int(yv))
         E.append(ev)
     if len(set(ids)) != len(ids):
@@ -157,7 +159,7 @@ def write_posterior_summary(samples: PosteriorSamples, path):
     """`param,chain,median,mean,ci2.5,ci97.5,ess`, per chain plus pooled."""
     names = ["mu", "tau2"]
     series = [samples.mu, samples.tau2]
-    if samples.dis is not None and samples.alpha.shape[2]:
+    if samples.dis is not None:
         for i, mname in enumerate(samples.dis.metric_names):
             names.append(f"alpha_{mname}")
             series.append(samples.alpha[:, :, i])
@@ -217,9 +219,19 @@ def read_residuals_csv(path):
     expected = ["area_id", "y", "E", "R_median", "residual"]
     if header != expected:
         raise ValidationError(f"{path}: expected header {','.join(expected)}")
-    ids = [r["area_id"] for r in rows]
-    to_arr = lambda c: np.array([float(r[c]) for r in rows])
-    return ids, to_arr("y"), to_arr("E"), to_arr("R_median"), to_arr("residual")
+    values = []
+    for i, row in enumerate(rows):
+        try:
+            values.append([float(row[c]) for c in expected[1:]])
+        except KeyError:
+            raise ValidationError(f"{path}: row {i + 2} has fewer than "
+                                  f"{len(expected)} fields") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric value in row {i + 2}: {exc}") from None
+        if not np.isfinite(values[-1]).all():
+            raise ValidationError(f"{path}: non-finite value in row {i + 2}")
+    y, E, r_median, resid = np.array(values).reshape(-1, 4).T.copy()
+    return [r["area_id"] for r in rows], y, E, r_median, resid
 
 
 def write_moran_csv(result, path):

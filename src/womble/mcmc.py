@@ -4,7 +4,9 @@ Model: y_k ~ Poisson(E_k R_k) with ln R_k = phi_k; phi follows the CAR prior
 of :mod:`womble.car` with adjacency determined by evaluate_w(alpha) and
 rho = car.RHO; mu has a N(0, PRIOR_MU_VAR) prior, the standard deviation
 sqrt(tau2) a Uniform(0, TAU_MAX) prior, and each alpha_i a Uniform(0, M_i)
-prior with M_i from alpha_prior_upper.
+prior with M_i from alpha_prior_upper. Without dissimilarity metrics there is
+no alpha: every border is kept, which is the ordinary smoothing model of the
+BLV baseline.
 
 Update scheme, one iteration:
 
@@ -27,10 +29,10 @@ Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
 (Robbins-Monro style), and are frozen afterward.
 
-Each chain runs on a plain mutable ModelState, validated once when built.
-An iteration computes d^T Q d (d = phi - mu) once for the tau2 and alpha
-blocks; the phi sweep keeps its border weights and denominators until the
-assignment changes.
+Each chain runs on a plain mutable ModelState, validated once when built;
+a block changes it in place and returns what it accepted. An iteration
+computes d^T Q d (d = phi - mu) once for the tau2 and alpha blocks; the phi
+sweep keeps its border weights and denominators until the assignment changes.
 
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state, so results are identical
@@ -105,7 +107,8 @@ class ObservedData:
 class ChainConfig:
     """Sampler run configuration, the settings the CLI exposes; defaults
     follow the full multi-chain protocol (five chains, 40k burn-in, 10k
-    retained each). Priors and step-size tuning are module constants."""
+    retained each). Priors and step-size tuning are module constants; whether
+    alpha is sampled follows from the metrics given to run_chains."""
 
     n_chains: int = 5
     burn_in: int = 40000
@@ -113,7 +116,6 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     max_boundary_fraction: float = 0.5
-    fixed_w: Optional[np.ndarray] = None  # freeze the border assignment; skip alpha
     workers: int = 1
 
     def validate(self):
@@ -127,11 +129,13 @@ class ChainConfig:
             raise ValidationError("keep // thin must be >= 1: nothing would be retained")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be >= 0")
+        if self.workers < 1:
+            raise ValidationError("workers must be >= 1")
 
 
 class ModelState:
     """One chain's state as plain attributes, changed in place: phi, mu, tau2,
-    rho, alpha, `adj` (evaluate_w at alpha, or a fixed-W fit's frozen w) and
+    rho, alpha, `adj` (evaluate_w at alpha; all borders without metrics) and
     `log_det` (log|Q| for `adj`). `params` gets and sets a validated CarParams."""
 
     def __init__(self, phi: np.ndarray, params: CarParams, adj: AdjacencyState,
@@ -140,7 +144,6 @@ class ModelState:
         self.params = params
         self.adj = adj
         self.log_det = prec.log_det
-        self.last_accept = {}
         # packed border assignment -> log|Q| at rho, in insertion order
         self.logdet_memo = {}
         self.sweep = None  # update_phi's cached inputs, a _Sweep
@@ -159,15 +162,14 @@ class ModelState:
         while len(memo) > LOGDET_MEMO_CAP:
             del memo[next(iter(memo))]
 
-    def log_post(self, data: Optional[ObservedData]) -> float:
+    def log_post(self, data: ObservedData) -> float:
         """Joint log-posterior up to prior normalizing constants."""
         lp = log_density_phi(self.phi, self.params,
                              PrecisionStructure(self.adj, self.rho, self.log_det))
         lp += -0.5 * self.mu ** 2 / PRIOR_MU_VAR
         lp += -0.5 * math.log(self.tau2)
-        if data is not None:
-            lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
-                               - data.E * np.exp(self.phi)))
+        lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
+                           - data.E * np.exp(self.phi)))
         return lp
 
 
@@ -207,8 +209,9 @@ class _Sweep:
 
 
 def update_phi(state: ModelState, data: Optional[ObservedData],
-               steps: np.ndarray, rng: np.random.Generator) -> ModelState:
-    """One sweep of per-area random-walk Metropolis on phi.
+               steps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One sweep of per-area random-walk Metropolis on phi; returns the
+    per-area acceptance flags.
 
     With data=None the likelihood term is dropped and the sweep targets the
     CAR prior alone (used by sampler-validation tests).
@@ -233,11 +236,10 @@ def update_phi(state: ModelState, data: Optional[ObservedData],
         ok = (np.log(rng.random(m)) < delta) & (np.abs(prop) <= PHI_GUARD)
         phi[members] = np.where(ok, prop, cur)
         accept[members] = ok
-    state.last_accept["phi"] = accept
-    return state
+    return accept
 
 
-def update_mu(state: ModelState, rng: np.random.Generator) -> ModelState:
+def update_mu(state: ModelState, rng: np.random.Generator):
     """Gibbs draw of mu from its exact Gaussian full conditional.
 
     Conditional precision is 1'Q1 / tau2 + 1/PRIOR_MU_VAR and the mean is
@@ -249,12 +251,12 @@ def update_mu(state: ModelState, rng: np.random.Generator) -> ModelState:
     prec = one_q_one / state.tau2 + 1.0 / PRIOR_MU_VAR
     mean = (one_q_phi / state.tau2) / prec
     state.mu = mean + rng.standard_normal() / math.sqrt(prec)
-    return state
 
 
 def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
-                quad: float) -> ModelState:
-    """Random-walk Metropolis on ln(tau2) with Jacobian correction.
+                quad: float) -> bool:
+    """Random-walk Metropolis on ln(tau2) with Jacobian correction; returns
+    whether the proposal was accepted.
 
     The Uniform(0, TAU_MAX) prior on the standard deviation scale contributes
     a (tau2)^(-1/2) factor on the variance scale; proposals with
@@ -271,14 +273,14 @@ def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
         if math.log(rng.random()) < target(u_prop) - target(u):
             state.tau2 = math.exp(u_prop)
             accepted = True
-    state.last_accept["tau2"] = accepted
-    return state
+    return accepted
 
 
 def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
                  M: np.ndarray, rng: np.random.Generator,
-                 quad: float) -> ModelState:
-    """Component-wise truncated random-walk Metropolis on alpha.
+                 quad: float) -> np.ndarray:
+    """Component-wise truncated random-walk Metropolis on alpha; returns the
+    per-component acceptance flags.
 
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
@@ -311,8 +313,7 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             state.alpha, state.adj, state.log_det = alpha_prop, adj_prop, log_det
             quad = quad_prop
             accept[i] = True
-    state.last_accept["alpha"] = accept
-    return state
+    return accept
 
 
 class DicResult(NamedTuple):
@@ -339,16 +340,11 @@ class PosteriorSamples:
     acceptance: dict       # block -> (C, ...) post-burn-in acceptance rates
     graph: AreaGraph
     dis: Optional[DissimilarityData]
-    alpha_upper: np.ndarray
-
-    def pooled_w(self) -> np.ndarray:
-        return self.w.reshape(-1, self.w.shape[2])
-
-    def pooled_alpha(self) -> np.ndarray:
-        return self.alpha.reshape(-1, self.alpha.shape[2])
 
     def pooled(self, name: str) -> np.ndarray:
-        return getattr(self, name).reshape(-1)
+        """The draws of `name` with the chain and draw axes merged."""
+        a = getattr(self, name)
+        return a.reshape(-1, *a.shape[2:])
 
     def _risk_blocks(self):
         """Yield (areas, exp(phi)) over blocks of areas: a slice and the
@@ -383,8 +379,8 @@ class PosteriorSamples:
 
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
-                   dis: Optional[DissimilarityData], config: ChainConfig,
-                   M: np.ndarray, rng: np.random.Generator) -> ModelState:
+                   dis: Optional[DissimilarityData], M: np.ndarray,
+                   rng: np.random.Generator) -> ModelState:
     # dispersed initialization: empirical log-SIR with unit jitter for phi,
     # prior draws for mu / tau / alpha
     for _ in range(100):
@@ -393,16 +389,12 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
         tau2 = rng.uniform(0.0, TAU_MAX) ** 2
         if M.size:
             alpha = rng.uniform(0.0, M)
-        else:
-            alpha = np.zeros(0)
-        if tau2 == 0.0:
-            continue
-        if config.fixed_w is not None:
-            adj = adjacency_from_w(graph, config.fixed_w)
-        elif dis is not None and M.size:
             adj = evaluate_w(graph, dis, alpha)
         else:
+            alpha = np.zeros(0)
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
+        if tau2 == 0.0:
+            continue
         params = CarParams(mu=mu, tau2=tau2, rho=RHO, alpha=alpha)
         state = ModelState(phi=phi, params=params, adj=adj,
                            prec=build_precision(adj, RHO))
@@ -421,9 +413,8 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     """Run one chain, writing its retained phi into its (draws, n) slice of
     the float64 file at `phi_path`; return the other draws."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
-    state = _initial_state(data, graph, dis, config, M, rng)
+    state = _initial_state(data, graph, dis, M, rng)
     n, b, q = graph.n, graph.n_borders, M.size
-    sample_alpha = q > 0 and config.fixed_w is None
 
     log_phi_steps = np.full(n, math.log(PHI_STEP))
     log_tau_step = math.log(TAU2_STEP)
@@ -450,16 +441,13 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     for it in range(burn_in + config.keep):
         if it == burn_in:
             hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
-        update_phi(state, data, phi_steps, rng)
+        hits_phi += update_phi(state, data, phi_steps, rng)
         update_mu(state, rng)
         # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
         quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
-        update_tau2(state, tau_step, rng, quad)
-        hits_phi += state.last_accept["phi"]
-        hits_tau += state.last_accept["tau2"]
-        if sample_alpha:
-            update_alpha(state, dis, alpha_steps, M, rng, quad)
-            hits_alpha += state.last_accept["alpha"]
+        hits_tau += update_tau2(state, tau_step, rng, quad)
+        if q:
+            hits_alpha += update_alpha(state, dis, alpha_steps, M, rng, quad)
         if it < burn_in:
             if (it + 1) % window == 0:
                 batch += 1
@@ -496,10 +484,11 @@ def run_chains(data: ObservedData, graph: AreaGraph,
                config: ChainConfig) -> PosteriorSamples:
     """Run the configured chains and merge their retained draws.
 
-    Chains are seeded from (config.seed, chain index) and initialised at
-    dispersed locations; the per-border w indicator is recorded at every
-    retained iteration. Identical inputs produce identical output arrays,
-    regardless of `workers`.
+    Alpha is sampled iff there are metrics; with dis=None every border is
+    kept, the BLV baseline's smoothing model. Chains are seeded from
+    (config.seed, chain index) and initialised at dispersed locations; the
+    per-border w indicator is recorded at every retained iteration. Identical
+    inputs produce identical output arrays, regardless of `workers`.
 
     Retained phi is written to one temporary file of chains x (keep // thin)
     x n float64 under TMPDIR, reserved before any chain starts (an OSError
@@ -509,15 +498,8 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     config.validate()
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
-    if config.fixed_w is not None:
-        fw = np.asarray(config.fixed_w)
-        if fw.shape != (graph.n_borders,) or not np.isin(fw, (0, 1)).all():
-            raise ValidationError("fixed_w must be a 0/1 vector with one entry per border")
-    if dis is not None and config.fixed_w is None:
-        M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
-                      for i in range(dis.q)])
-    else:
-        M = np.zeros(0)
+    M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
+                  for i in range(0 if dis is None else dis.q)])
 
     shape = (config.n_chains, config.keep // config.thin, graph.n)
     nbytes = 8 * math.prod(shape)
@@ -538,18 +520,15 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     return PosteriorSamples(
         phi=phi, mu=stack("mu"), tau2=stack("tau2"),
         alpha=stack("alpha"), w=stack("w"), deviance=stack("deviance"),
-        acceptance={
-            "phi": stack("accept_phi"),
-            "tau2": np.array([r["accept_tau2"] for r in results]),
-            "alpha": stack("accept_alpha"),
-        },
-        graph=graph, dis=dis, alpha_upper=M)
+        acceptance={b: stack("accept_" + b) for b in ("phi", "tau2", "alpha")},
+        graph=graph, dis=dis)
 
 
 def run_tasks(fn, tasks: list, workers: int) -> list:
-    """[fn(*t) for t in tasks], in a pool of `workers` processes when both
-    the worker and the task count exceed one; the results are the same."""
-    if workers > 1 and len(tasks) > 1:
+    """[fn(*t) for t in tasks], in a pool of min(workers, tasks) processes
+    when that exceeds one; the results are the same."""
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, *t) for t in tasks]
             return [f.result() for f in futures]

@@ -219,6 +219,8 @@ class SimConfig:
             raise ValidationError("field_sd must be positive")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        if self.workers < 1:
+            raise ValidationError("workers must be >= 1")
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")

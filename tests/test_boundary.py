@@ -21,8 +21,7 @@ def samples_with_w_trace(graph, w_draws):
     return PosteriorSamples(
         phi=np.zeros((1, m, graph.n)), mu=np.zeros((1, m)),
         tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)), w=w,
-        deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None,
-        alpha_upper=np.zeros(0))
+        deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None)
 
 
 def interval_samples(lo, hi, n=1001):

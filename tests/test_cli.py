@@ -336,6 +336,24 @@ class TestDiagnose:
         assert 0.0 < p <= 1.0
         assert rows[0]["residual_type"] == "pearson"
 
+    @pytest.mark.parametrize("row, named", [
+        ("a0_0,100,100.0,1.0,x\n", "non-numeric value in row 2"),
+        ("a0_0,100,100.0\n", "row 2 has fewer than 5 fields"),
+        ("a0_0,100,100.0,1.0,nan\n", "non-finite value in row 2"),
+    ])
+    def test_malformed_residuals_rejected(self, tmp_path, capsys, row, named):
+        _, paths = write_dataset(tmp_path)
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        resid = fit_dir / "residuals.csv"
+        resid.write_text("area_id,y,E,R_median,residual\n" + row)
+        rc = main(["diagnose", "--fit-dir", str(fit_dir),
+                   "--adjacency", str(paths["adjacency"]), "--n-perm", "9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and str(resid) in err and named in err
+        assert not (fit_dir / "moran.csv").exists()
+
     def test_missing_fit_dir_is_not_created(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)
         fit_dir = tmp_path / "no_such_fit"
@@ -358,6 +376,26 @@ class TestBlvCommand:
         header, rows = io.read_table(out / "blv.csv")
         assert header == ["area_id_1", "area_id_2", "blv", "rule_a", "rule_b"]
         assert sum(r["rule_b"] == "1" for r in rows) == math.ceil(0.2 * g.n_borders)
+
+    def test_baseline_is_the_metric_free_fit(self, tmp_path):
+        # the same chains three ways: `blv`, `fit --baseline-blv`, and the
+        # blv column of a fit without metrics
+        (tmp_path / "m").mkdir()
+        (tmp_path / "p").mkdir()
+        _, paths = write_dataset(tmp_path / "m")
+        _, plain = write_dataset(tmp_path / "p", metric=False)
+        io_flags = lambda p, out: ["--areas", str(p["areas"]), "--adjacency",
+                                   str(p["adjacency"]), "--out", str(tmp_path / out)]
+        assert main(["blv", "--c1", "0.1", "--c2", "10"]
+                    + io_flags(paths, "blv") + FIT_FLAGS) == 0
+        assert main(["fit", "--baseline-blv", "c1=0.1,c2=10"]
+                    + io_flags(paths, "fit") + FIT_FLAGS) == 0
+        assert main(["fit"] + io_flags(plain, "plain") + FIT_FLAGS) == 0
+        blv_csv = (tmp_path / "blv" / "blv.csv").read_bytes()
+        assert (tmp_path / "fit" / "blv.csv").read_bytes() == blv_csv
+        _, blv_rows = io.read_table(tmp_path / "blv" / "blv.csv")
+        _, fit_rows = io.read_table(tmp_path / "plain" / "boundary.csv")
+        assert [r["blv"] for r in fit_rows] == [r["blv"] for r in blv_rows]
 
     def test_requires_a_rule(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)
@@ -486,6 +524,36 @@ class TestReaders:
                    "--adjacency", str(bad),
                    "--out", str(tmp_path / "out")] + FIT_FLAGS)
         assert rc == 2
+
+    @pytest.mark.parametrize("column, value, named", [
+        (1, "nan", "y must be non-negative integer (row 4)"),
+        (1, "inf", "y must be non-negative integer (row 4)"),
+        (2, "nan", "E must be finite and positive (row 4)"),
+        (2, "inf", "E must be finite and positive (row 4)"),
+    ])
+    def test_non_finite_count_rejected(self, tmp_path, capsys, no_sampling,
+                                       column, value, named):
+        _, paths = write_dataset(tmp_path)
+        lines = paths["areas"].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        paths["areas"].write_text("\n".join(lines) + "\n")
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(tmp_path / "out")] + FIT_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION:") and str(paths["areas"]) in err
+        assert named in err
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys, no_sampling):
+        _, paths = write_dataset(tmp_path)
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--workers", "0",
+                   "--out", str(tmp_path / "out")] + FIT_FLAGS)
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_areas_validation(self, tmp_path):
         bad = tmp_path / "areas.csv"

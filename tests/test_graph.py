@@ -134,6 +134,20 @@ class TestBorderMetrics:
         via_cov = compute_border_metrics(g, np.array([0.0, 2.0, 6.0]))
         np.testing.assert_allclose(direct.border_metrics, via_cov.border_metrics)
 
+    @pytest.mark.parametrize("q, names", [(1, None), (3, ["a", "b", "c"])])
+    def test_covariates_standardize_as_their_border_differences(self, q, names):
+        # one standardization: covariates give bit for bit what their
+        # absolute border differences give
+        g = build_graph(np.array([(k, k + 1) for k in range(11)]
+                                 + [(k, k + 3) for k in range(9)]))
+        cov = np.random.default_rng(q).normal(size=(12, q))
+        raw = np.abs(cov[g.borders[:, 0]] - cov[g.borders[:, 1]])
+        via_cov = compute_border_metrics(g, cov, metric_names=names)
+        direct = DissimilarityData.from_border_values(g, raw, metric_names=names)
+        assert via_cov.border_metrics.tobytes() == direct.border_metrics.tobytes()
+        assert via_cov.scales.tobytes() == direct.scales.tobytes()
+        assert via_cov.metric_names == direct.metric_names
+
 
 class TestEvaluateW:
     def setup_method(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from womble import ChainConfig, ObservedData, ValidationError, io, run_chains
-from womble.graph import DissimilarityData
 from womble.simulate import lattice_graph
 
 
@@ -61,16 +60,13 @@ class TestAreasReader:
 
 
 class TestSummaryWriter:
-    def test_fixed_w_fit_has_no_alpha_rows(self, tmp_path):
+    def test_metric_free_fit_has_no_alpha_rows(self, tmp_path):
         g = lattice_graph(3, 3)
         rng = np.random.default_rng(0)
         data = ObservedData(y=rng.poisson(50, 9).astype(float),
                             E=np.full(9, 50.0))
-        dis = DissimilarityData.from_border_values(
-            g, rng.gamma(2.0, 1.0, g.n_borders))
-        cfg = ChainConfig(n_chains=1, burn_in=50, keep=20, seed=0,
-                          fixed_w=np.ones(g.n_borders, np.uint8))
-        samples = run_chains(data, g, dis, cfg)
+        cfg = ChainConfig(n_chains=1, burn_in=50, keep=20, seed=0)
+        samples = run_chains(data, g, None, cfg)
         io.write_posterior_summary(samples, tmp_path / "ps.csv")
         _, rows = io.read_table(tmp_path / "ps.csv")
         assert {r["param"] for r in rows} == {"mu", "tau2", "deviance"}

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from womble import mcmc
 from womble.car import (CarParams, PrecisionStructure, build_precision,
                         log_density_phi, precision_quadform)
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
-                          evaluate_w)
+                          alpha_prior_upper, build_graph, evaluate_w)
 from womble.mcmc import (ModelState, deviance_at, dic, effective_sample_size,
                          gelman_rubin, update_alpha, update_mu, update_phi,
                          update_tau2)
@@ -84,7 +85,6 @@ class RefState:
     params: CarParams
     adj: object
     prec: object
-    last_accept: dict = field(default_factory=dict)
     logdet_memo: dict = field(default_factory=dict)
 
     def remember_log_det(self, key, log_det):
@@ -130,7 +130,7 @@ def ref_update_phi(state, data, steps, rng):
         ok = (np.log(rng.random(m)) < delta) & (np.abs(prop) <= mcmc.PHI_GUARD)
         phi[members] = np.where(ok, prop, cur)
         accept[members] = ok
-    state.last_accept["phi"] = accept
+    return accept
 
 
 def ref_update_mu(state, rng, prior_var):
@@ -155,7 +155,7 @@ def ref_update_tau2(state, step, rng, tau_max):
         if math.log(rng.random()) < target(u_prop) - target(u):
             state.params = replace(p, tau2=math.exp(u_prop))
             accepted = True
-    state.last_accept["tau2"] = accepted
+    return accepted
 
 
 def ref_update_alpha(state, dis, steps, M, rng):
@@ -191,10 +191,10 @@ def ref_update_alpha(state, dis, steps, M, rng):
             state.prec = PrecisionStructure(adj_prop, p.rho, log_det)
             quad_cur = quad_prop
             accept[i] = True
-    state.last_accept["alpha"] = accept
+    return accept
 
 
-def ref_initial_state(data, graph, dis, config, M, rng):
+def ref_initial_state(data, graph, dis, M, rng):
     for _ in range(100):
         phi = rng.normal(np.log(data.y + 0.5) - np.log(data.E), 1.0)
         mu = rng.normal(0.0, math.sqrt(10.0))
@@ -202,9 +202,7 @@ def ref_initial_state(data, graph, dis, config, M, rng):
         alpha = rng.uniform(0.0, M) if M.size else np.zeros(0)
         if tau2 == 0.0:
             continue
-        if config.fixed_w is not None:
-            adj = adjacency_from_w(graph, config.fixed_w)
-        elif dis is not None and M.size:
+        if M.size:
             adj = evaluate_w(graph, dis, alpha)
         else:
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
@@ -223,9 +221,9 @@ def ref_initial_state(data, graph, dis, config, M, rng):
 
 def ref_run_chain(c, data, graph, dis, config, M):
     rng = derive_rng(config.seed, CHAIN, c)
-    state = ref_initial_state(data, graph, dis, config, M, rng)
+    state = ref_initial_state(data, graph, dis, M, rng)
     n, b, q = graph.n, graph.n_borders, M.size
-    sample_alpha = q > 0 and config.fixed_w is None
+    sample_alpha = q > 0
     log_phi_steps = np.full(n, math.log(0.5))
     log_tau_step = math.log(0.5)
     if sample_alpha:
@@ -243,16 +241,16 @@ def ref_run_chain(c, data, graph, dis, config, M):
     post_phi, post_tau, post_alpha = np.zeros(n), 0, np.zeros(q)
     batch = idx = 0
     for it in range(config.burn_in + config.keep):
-        ref_update_phi(state, data, np.exp(log_phi_steps), rng)
+        acc_phi = ref_update_phi(state, data, np.exp(log_phi_steps), rng)
         ref_update_mu(state, rng, 10.0)
-        ref_update_tau2(state, math.exp(log_tau_step), rng, 10.0)
+        acc_tau = ref_update_tau2(state, math.exp(log_tau_step), rng, 10.0)
         if sample_alpha:
-            ref_update_alpha(state, dis, np.exp(log_alpha_steps), M, rng)
+            acc_alpha = ref_update_alpha(state, dis, np.exp(log_alpha_steps), M, rng)
         if it < config.burn_in:
-            win_phi += state.last_accept["phi"]
-            win_tau += state.last_accept["tau2"]
+            win_phi += acc_phi
+            win_tau += acc_tau
             if sample_alpha:
-                win_alpha += state.last_accept["alpha"]
+                win_alpha += acc_alpha
             if (it + 1) % 100 == 0:
                 batch += 1
                 delta = min(0.25, 1.0 / math.sqrt(batch))
@@ -270,10 +268,10 @@ def ref_run_chain(c, data, graph, dis, config, M):
                 win_tau = 0
                 win_alpha[:] = 0.0
         else:
-            post_phi += state.last_accept["phi"]
-            post_tau += state.last_accept["tau2"]
+            post_phi += acc_phi
+            post_tau += acc_tau
             if sample_alpha:
-                post_alpha += state.last_accept["alpha"]
+                post_alpha += acc_alpha
             if (it - config.burn_in + 1) % config.thin == 0 and idx < n_retained:
                 out["phi"][idx] = state.phi
                 out["mu"][idx] = state.params.mu
@@ -292,7 +290,8 @@ def ref_run_chain(c, data, graph, dis, config, M):
 
 
 def assert_matches_reference(samples, data, graph, dis, config):
-    M = samples.alpha_upper
+    M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
+                  for i in range(0 if dis is None else dis.q)])
     ref = [ref_run_chain(c, data, graph, dis, config, M) for c in range(config.n_chains)]
     for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
         expected = np.stack([r[name] for r in ref])
@@ -308,10 +307,10 @@ class TestUpdatePhi:
         state = make_state(g, phi=np.array([0.1, -0.2, 0.3, 0.0]))
         before = state.phi.copy()
         rng = derive_rng(0, 9)
-        update_phi(state, ObservedData(y=np.ones(4), E=np.ones(4)),
-                   np.zeros(4), rng)
+        accept = update_phi(state, ObservedData(y=np.ones(4), E=np.ones(4)),
+                            np.zeros(4), rng)
         np.testing.assert_array_equal(state.phi, before)
-        assert state.last_accept["phi"].all()
+        assert accept.shape == (4,) and accept.all()
 
     def test_zero_count_drifts_down(self):
         # y = 0 with a flat prior: the likelihood pushes phi toward -inf
@@ -361,11 +360,10 @@ class TestUpdatePhi:
         for sweep in range(60):
             if sweep % 7 == 0:
                 state.adj = ref.adj = adjacency_from_w(g, assignments[sweep // 7 % 2])
-            update_phi(state, None, steps, rngs[0])
-            ref_update_phi(ref, None, steps, rngs[1])
+            accept = update_phi(state, None, steps, rngs[0])
+            ref_accept = ref_update_phi(ref, None, steps, rngs[1])
             assert state.phi.tobytes() == ref.phi.tobytes()
-            assert (state.last_accept["phi"].tobytes()
-                    == ref.last_accept["phi"].tobytes())
+            assert accept.tobytes() == ref_accept.tobytes()
 
 
 class TestModelState:
@@ -495,10 +493,11 @@ class TestUpdateAlpha:
         accepted = 0
         for _ in range(200):
             before = state.params.alpha[0]
-            update_alpha(state, dis, np.array([0.001]), np.array([0.2]), rng,
-                         quad_of(state))
-            accepted += state.last_accept["alpha"][0]
-            assert state.params.alpha[0] != before or not state.last_accept["alpha"][0]
+            accept = update_alpha(state, dis, np.array([0.001]), np.array([0.2]),
+                                  rng, quad_of(state))
+            assert accept.shape == (1,)
+            accepted += accept[0]
+            assert state.params.alpha[0] != before or not accept[0]
         assert accepted == 200
 
     def test_out_of_bounds_rejected(self):
@@ -645,13 +644,15 @@ class TestRunChains:
                             E=np.full(36, 80.0))
         cfg = ChainConfig(n_chains=2, burn_in=250, keep=120, thin=2, seed=21)
         samples = run_chains(data, g, dis, cfg)
-        assert len({w.tobytes() for w in samples.pooled_w()}) > 1
+        assert len({w.tobytes() for w in samples.pooled("w")}) > 1
         assert_matches_reference(samples, data, g, dis, cfg)
 
-    def test_fixed_w_matches_reference(self):
+    def test_metric_free_matches_reference(self):
+        # every fourth border dropped, so the kept borders are not a lattice
         g, data, _ = self._tiny_inputs(seed=4)
-        fixed = (np.arange(g.n_borders) % 4 != 0).astype(np.uint8)
-        cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=22, fixed_w=fixed)
+        kept = np.arange(g.n_borders) % 4 != 0
+        g = AreaGraph(g.n, g.borders[kept])
+        cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=22)
         samples = run_chains(data, g, None, cfg)
         assert_matches_reference(samples, data, g, None, cfg)
 
@@ -677,21 +678,19 @@ class TestRunChains:
         g, data, dis = self._tiny_inputs()
         cfg = ChainConfig(n_chains=1, burn_in=200, keep=100, seed=11)
         samples = run_chains(data, g, dis, cfg)
-        alpha = samples.pooled_alpha()
-        w = samples.pooled_w()
+        alpha = samples.pooled("alpha")
+        w = samples.pooled("w")
         for i in range(0, w.shape[0], 7):
             expected = evaluate_w(g, dis, alpha[i]).w
             np.testing.assert_array_equal(w[i], expected)
 
-    def test_fixed_w_freezes_assignment(self):
-        g, data, dis = self._tiny_inputs()
-        fixed = np.zeros(g.n_borders, dtype=np.uint8)
-        fixed[::2] = 1
-        cfg = ChainConfig(n_chains=1, burn_in=50, keep=20, seed=5, fixed_w=fixed)
-        samples = run_chains(data, g, dis, cfg)
-        assert samples.alpha.shape[2] == 0
-        for i in range(samples.w.shape[1]):
-            np.testing.assert_array_equal(samples.w[0, i], fixed)
+    def test_no_metrics_keeps_every_border(self):
+        g, data, _ = self._tiny_inputs()
+        cfg = ChainConfig(n_chains=2, burn_in=50, keep=20, seed=5)
+        samples = run_chains(data, g, None, cfg)
+        assert samples.alpha.shape == (2, 20, 0)
+        assert samples.acceptance["alpha"].shape == (2, 0)
+        assert samples.w.shape == (2, 20, g.n_borders) and (samples.w == 1).all()
 
     def test_prior_sampling_moment_match_smoke(self):
         # likelihood disabled: phi sweeps must target the CAR prior
@@ -715,6 +714,56 @@ class TestRunChains:
         assert (mean_err < 0.08).all()
         cov_err = np.abs(np.cov(keep.T) - cov_target)
         assert (cov_err < 0.12).all()
+
+
+class TestPoolSize:
+    """run_tasks opens no more processes than it has tasks; a fake pool
+    records its size and runs the tasks inline, so no process starts."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(mcmc, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("workers, n_tasks, pools", [
+        (32, 2, [2]), (2, 5, [2]), (32, 1, []), (1, 3, []),
+    ])
+    def test_pool_is_sized_to_the_tasks(self, pool_sizes, workers, n_tasks,
+                                        pools):
+        tasks = [(t, 2) for t in range(n_tasks)]
+        assert mcmc.run_tasks(pow, tasks, workers) == [t * t for t in range(n_tasks)]
+        assert pool_sizes == pools
+
+    def test_two_chains_open_two_workers(self, pool_sizes):
+        g, data, dis = TestRunChains()._tiny_inputs()
+        cfg = ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1, workers=32)
+        pooled = run_chains(data, g, dis, cfg)
+        alone = run_chains(data, g, dis, replace(cfg, workers=1))
+        assert pool_sizes == [2]
+        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
+            np.testing.assert_array_equal(getattr(pooled, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            ChainConfig(workers=workers).validate()
 
 
 class TestRetainedPhi:
@@ -822,8 +871,11 @@ class TestDic:
             poisson_deviance(y, E, r), rel=1e-12)
 
     def test_true_w_beats_all_boundaries_on_correlated_data(self):
-        # strongly correlated surfaces: severing every border must cost DIC
+        # strongly correlated surfaces: severing every border must cost DIC.
+        # With every border cut Q = (1 - rho) I, the precision of a graph
+        # without borders.
         g = lattice_graph(8, 8)
+        cut = build_graph(np.zeros((64, 64), dtype=int))
         labels = np.zeros(64, dtype=int)
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.0, k2=0.0,
                             field_sd=0.3, E=100.0, replicates=1, seed=0)
@@ -834,11 +886,9 @@ class TestDic:
             phi, r_true = gen_surface(cfg_sim, rng)
             y = gen_counts(r_true, np.full(64, 100.0), rng)
             data = ObservedData(y=y.astype(float), E=np.full(64, 100.0))
-            base = dict(n_chains=1, burn_in=800, keep=600, seed=rep)
-            ones = ChainConfig(fixed_w=np.ones(g.n_borders, np.uint8), **base)
-            zeros = ChainConfig(fixed_w=np.zeros(g.n_borders, np.uint8), **base)
-            dic_true = dic(run_chains(data, g, None, ones), data).dic
-            dic_cut = dic(run_chains(data, g, None, zeros), data).dic
+            cfg = ChainConfig(n_chains=1, burn_in=800, keep=600, seed=rep)
+            dic_true = dic(run_chains(data, g, None, cfg), data).dic
+            dic_cut = dic(run_chains(data, cut, None, cfg), data).dic
             wins += dic_true < dic_cut
         assert wins >= 0.8 * n_rep
 
@@ -933,5 +983,5 @@ class TestAlphaConcentration:
         samples = run_chains(data, g, dis, cfg)
         from womble.graph import alpha_min
         amin = alpha_min(dis, 0)
-        frac = np.mean(samples.pooled_alpha()[:, 0] > amin)
+        frac = np.mean(samples.pooled("alpha")[:, 0] > amin)
         assert frac >= 0.95

@@ -316,3 +316,6 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             SimConfig(graph=g, true_partition=np.zeros(4, dtype=int),
                       k1=0.1, k2=0.0)
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+                      k1=0.1, k2=0.0, workers=0)
