@@ -14,13 +14,15 @@ are currently severed, so the symbolic work is done once per graph and each
 evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
 is a deterministic function of the assignment, which lets the sampler
 memoize it per chain (see :mod:`womble.mcmc`).
+
+scipy is imported by the band plan, not by this module: `run_chains` builds
+the plan in the parent process before the chains fork, so pool workers
+receive it inside the pickled graph with scipy already loaded, and commands
+that never factorize Q (`diagnose`) run on numpy alone.
 """
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import NumericError, ValidationError
 from .graph import AdjacencyState, AreaGraph
@@ -50,9 +52,14 @@ class CarParams:
 
 
 class _BandPlan:
-    """Per-graph symbolic layout for banded assembly of Q."""
+    """Per-graph symbolic layout for banded assembly of Q, and the banded
+    Cholesky factorizer that uses it."""
 
     def __init__(self, graph: AreaGraph):
+        from scipy.linalg import cholesky_banded
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         n, borders = graph.n, graph.borders
         b = borders.shape[0]
         if b:
@@ -74,7 +81,7 @@ class _BandPlan:
             self.low = np.zeros(0, dtype=np.int64)
             self.bandwidth = 0
         self.pos = pos
-        self.n = n
+        self.cholesky_banded = cholesky_banded
 
 
 def _band_plan(graph: AreaGraph) -> _BandPlan:
@@ -111,8 +118,8 @@ def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
     if plan.offsets.size:
         ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
     try:
-        factor = cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                 check_finite=False)
+        factor = plan.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                      check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
         raise NumericError(f"precision factorization failed: {exc}") from exc
     log_det = 2.0 * float(np.log(factor[0]).sum())

@@ -299,15 +299,28 @@ def cmd_simulate(args) -> int:
 def _expected_counts(args, graph):
     if not getattr(args, "expected_csv", None):
         return args.expected
-    header, rows = io.read_table(args.expected_csv)
+    path = args.expected_csv
+    header, rows = io.read_table(path)
     if header != ["area_id", "E"]:
-        raise ValidationError(f"{args.expected_csv}: expected header area_id,E")
-    by_id = {r["area_id"]: float(r["E"]) for r in rows}
+        raise ValidationError(f"{path}: expected header area_id,E")
+    known = set(graph.area_ids)
+    by_id = {}
+    for i, row in enumerate(rows):
+        if "E" not in row:
+            raise ValidationError(f"{path}: row {i + 2} has fewer than 2 fields")
+        area = row["area_id"]
+        if area not in known or area in by_id:
+            problem = "duplicate" if area in by_id else "unknown"
+            raise ValidationError(f"{path}: {problem} area_id {area!r} (row {i + 2})")
+        e = _number(float, row["E"], f"{path}: E in row {i + 2}")
+        if not 0 < e < np.inf:
+            raise ValidationError(f"{path}: E must be finite and positive (row {i + 2})")
+        by_id[area] = e
     try:
         values = np.array([by_id[a] for a in graph.area_ids])
     except KeyError as exc:
         raise ValidationError(
-            f"{args.expected_csv}: missing E for area {exc.args[0]!r}") from None
+            f"{path}: missing E for area {exc.args[0]!r}") from None
     return values
 
 

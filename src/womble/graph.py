@@ -16,8 +16,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConstantMetricError, ValidationError
 
@@ -73,6 +71,9 @@ class AreaGraph:
     @cached_property
     def n_components(self) -> int:
         """Connected-component count. Disconnection is legal, just reported."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         k, j = self.borders[:, 0], self.borders[:, 1]
         adj = csr_matrix((np.ones(self.n_borders), (k, j)), shape=(self.n, self.n))
         return int(connected_components(adj, directed=False)[0])

@@ -36,24 +36,26 @@ sweep keeps its border weights and denominators until the assignment changes.
 
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state, so results are identical
-whether chains run sequentially or in a process pool. Retained phi goes to
-one temporary file under TMPDIR, each chain writing its own slice; the
-merged samples map it read-only, and the output stage reduces it a block of
-areas at a time (RISK_BLOCK_BYTES).
+whether chains run sequentially or in a process pool. The graph's band plan
+(RCM ordering and scipy's banded Cholesky) and ln(y!) are built in the
+parent before the pool forks, so workers receive them pickled with the graph
+and the data, with the scipy modules they use already loaded. Retained phi
+goes to one temporary file under TMPDIR, each chain writing its own slice;
+the merged samples map it read-only, and the output stage reduces it a block
+of areas at a time (RISK_BLOCK_BYTES).
 """
 
 import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
-from .car import (RHO, CarParams, PrecisionStructure, build_precision,
-                  log_density_phi, precision_quadform)
+from .car import (RHO, CarParams, PrecisionStructure, _band_plan,
+                  build_precision, log_density_phi, precision_quadform)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -79,10 +81,12 @@ RISK_BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class ObservedData:
-    """Disease counts and expected counts per area."""
+    """Disease counts and expected counts per area, and ln(y!), the Poisson
+    deviance's constant term."""
 
     y: np.ndarray
     E: np.ndarray
+    _lgamma_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -93,10 +97,13 @@ class ObservedData:
             raise ValidationError("y must contain finite non-negative integers")
         if not np.isfinite(E).all() or (E <= 0).any():
             raise ValidationError("E must contain finite positive values")
+        from scipy.special import gammaln
+        lgamma_y = gammaln(y + 1.0)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "E", E)
-        y.setflags(write=False)
-        E.setflags(write=False)
+        object.__setattr__(self, "_lgamma_y", lgamma_y)
+        for a in (y, E, lgamma_y):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -430,7 +437,6 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     out_alpha = np.empty((n_retained, q))
     out_w = np.empty((n_retained, b), dtype=np.uint8)
     out_dev = np.empty(n_retained)
-    lgamma_y = gammaln(data.y + 1.0)
     log_E = np.log(data.E)
 
     # acceptance counts: per adaptation window in burn-in, then over the kept run
@@ -468,7 +474,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
             out_alpha[idx] = state.alpha
             out_w[idx] = state.adj.w
             out_dev[idx] = _deviance(data.y, log_E + state.phi,
-                                     data.E * np.exp(state.phi), lgamma_y)
+                                     data.E * np.exp(state.phi), data._lgamma_y)
             idx += 1
     return {
         "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
@@ -494,12 +500,16 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     x n float64 under TMPDIR, reserved before any chain starts (an OSError
     if the disk cannot hold it). The file is unlinked before returning;
     `phi` maps it read-only until the samples are released.
+
+    The graph's band plan is built here, before the pool forks (see the
+    module docstring).
     """
     config.validate()
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
                   for i in range(0 if dis is None else dis.q)])
+    _band_plan(graph)
 
     shape = (config.n_chains, config.keep // config.thin, graph.n)
     nbytes = 8 * math.prod(shape)
@@ -543,7 +553,7 @@ def deviance_at(r_hat: np.ndarray, data: ObservedData) -> float:
     """Poisson deviance -2 sum[y ln(E R) - E R - ln(y!)] at a fixed risk
     vector, constants retained."""
     mean = data.E * r_hat
-    return _deviance(data.y, np.log(mean), mean, gammaln(data.y + 1.0))
+    return _deviance(data.y, np.log(mean), mean, data._lgamma_y)
 
 
 def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:

@@ -12,6 +12,9 @@ standard deviation over borders like any other metric.
 The field's marginal standard deviation defaults to 0.2; detection quality
 depends strongly on it (larger values bury the k1 step under smooth field
 variation), and it is exposed as configuration.
+
+scipy is imported inside the functions that call it, so importing this
+module (and the CLI) loads numpy alone.
 """
 
 import math
@@ -19,11 +22,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .boundary import classify_boundaries
+from .car import _band_plan
 from .errors import NumericError, ValidationError
 from .graph import AreaGraph, DissimilarityData
 from .mcmc import ChainConfig, ObservedData, run_chains, run_tasks
@@ -142,6 +143,9 @@ def _matern(d: np.ndarray, range_: float, kappa: float) -> np.ndarray:
         d *= e
         out = d
     else:
+        from scipy.special import gamma as gamma_fn
+        from scipy.special import kv
+
         a = math.sqrt(2.0 * kappa) * d / range_
         with np.errstate(invalid="ignore"):
             out = np.where(
@@ -156,6 +160,8 @@ def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
     """Bisection for the Matern range whose median all-pairs correlation
     equals the target within 1e-6. Correlation is monotone increasing in the
     range, so convergence is guaranteed below the cap."""
+    from scipy.spatial.distance import pdist
+
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValidationError("at least two centroids required")
@@ -240,6 +246,7 @@ def _prepare(config: SimConfig) -> dict:
             "surface allows: use a smaller lattice (--nrows/--ncols)")
     rng_val = calibrate_range(graph.centroids,
                               config.target_median_correlation, config.kappa)
+    from scipy.spatial.distance import pdist, squareform
     # no other n x n array is alive while the correlation is evaluated
     corr = _matern(squareform(pdist(graph.centroids)), rng_val, config.kappa)
     try:
@@ -352,7 +359,12 @@ def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     without a pool, whatever `chain_config.workers` says. Results are
     identical either way.
     """
+    # built and imported before the pool forks: both plans travel to every
+    # task inside the pickled config, and each replicate's ObservedData
+    # needs scipy.special for ln(y!)
     _prepare(config)
+    _band_plan(config.graph)
+    import scipy.special  # noqa: F401
     results = run_tasks(_replicate_result,
                         [(config, chain_config, r) for r in range(config.replicates)],
                         config.workers)

@@ -3,13 +3,17 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
-from womble import io, simulate
+import womble
+from womble import io
 from womble.simulate import lattice_graph
 from womble.cli import main
 
@@ -364,6 +368,54 @@ class TestDiagnose:
         assert not fit_dir.exists()
 
 
+def scipy_modules_after(code):
+    """The scipy modules loaded once `code` has run in a fresh interpreter:
+    this one has loaded scipy for the tests already."""
+    src = str(Path(womble.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+class TestStartupImports:
+    """Importing womble and running diagnose load numpy but not scipy; the
+    commands that sample import it where they use it."""
+
+    @pytest.mark.parametrize("module", ["womble", "womble.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert scipy_modules_after(f"import {module}") == "[]"
+
+    def test_diagnose_loads_no_scipy(self, tmp_path):
+        g, paths = write_dataset(tmp_path)
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        rows = [f"{a},{100 + k % 7},100.0,1.0,{(k % 7) / 10}"
+                for k, a in enumerate(g.area_ids)]
+        (fit_dir / "residuals.csv").write_text(
+            "\n".join(["area_id,y,E,R_median,residual"] + rows) + "\n")
+        argv = ["diagnose", "--fit-dir", str(fit_dir),
+                "--adjacency", str(paths["adjacency"]), "--n-perm", "99"]
+        code = f"from womble.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_modules_after(code) == "[]"
+        assert (fit_dir / "moran.csv").exists()
+
+    def test_fit_loads_scipy(self, tmp_path):
+        # the probe's control: the sampler does import scipy
+        _, paths = write_dataset(tmp_path)
+        argv = ["fit", "--areas", str(paths["areas"]),
+                "--adjacency", str(paths["adjacency"]), "--chains", "1",
+                "--burnin", "10", "--keep", "2", "--out", str(tmp_path / "out")]
+        code = f"from womble.cli import main\nassert main({argv!r}) == 0"
+        loaded = scipy_modules_after(code)
+        for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.special"):
+            assert repr(name) in loaded
+
+
 class TestBlvCommand:
     def test_blv_subcommand(self, tmp_path):
         g, paths = write_dataset(tmp_path)
@@ -479,12 +531,39 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "sim")])
         assert rc == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("a0_3,x", "E in row 5: 'x' is not a valid float"),
+        ("a0_3", "row 5 has fewer than 2 fields"),
+        ("a0_3,nan", "E must be finite and positive (row 5)"),
+        ("a0_3,0", "E must be finite and positive (row 5)"),
+        ("a0_0,100", "duplicate area_id 'a0_0' (row 5)"),
+        ("zz_9,100", "unknown area_id 'zz_9' (row 5)"),
+    ])
+    def test_expected_csv_bad_row_rejected(self, tmp_path, capsys, monkeypatch,
+                                           row, message):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("range calibrated before the input was checked")
+
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", no_calibration)
+        g = lattice_graph(8, 8)
+        lines = ["area_id,E"] + [f"{a},100" for a in g.area_ids]
+        lines[4] = row
+        ecsv = tmp_path / "expected.csv"
+        ecsv.write_text("\n".join(lines) + "\n")
+        rc = main(["simulate", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--expected-csv", str(ecsv),
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"VALIDATION: {ecsv}: {message}\n"
+
     def test_oversized_lattice_rejected_before_surface(self, tmp_path, capsys,
                                                       monkeypatch):
         def no_dense_surface(*args, **kwargs):
             raise AssertionError("dense surface built past the size cap")
 
-        monkeypatch.setattr(simulate, "pdist", no_dense_surface)
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", no_dense_surface)
         rc = main(["simulate", "--nrows", "65", "--ncols", "64",
                    "--replicates", "1", "--chains", "1", "--burnin", "10",
                    "--keep", "10", "--out", str(tmp_path / "sim")])

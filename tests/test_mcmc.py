@@ -1,4 +1,5 @@
 import math
+import os
 import tempfile
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
@@ -11,7 +12,7 @@ from scipy.special import gammaln
 from oracles import dense_precision, poisson_deviance
 from womble import (ChainConfig, NumericError, ObservedData, ValidationError,
                     compute_border_metrics, run_chains)
-from womble import mcmc
+from womble import car, mcmc
 from womble.car import (CarParams, PrecisionStructure, build_precision,
                         log_density_phi, precision_quadform)
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
@@ -21,7 +22,8 @@ from womble.mcmc import (ModelState, deviance_at, dic, effective_sample_size,
                          update_tau2)
 from womble.rng import CHAIN, derive_rng
 from womble.simulate import (SimConfig, five_block_partition, gen_counts,
-                             gen_dissimilarity, gen_surface, lattice_graph)
+                             gen_dissimilarity, gen_surface, lattice_graph,
+                             run_study)
 
 LN2 = np.log(2.0)
 
@@ -764,6 +766,38 @@ class TestPoolSize:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValidationError, match="workers must be >= 1"):
             ChainConfig(workers=workers).validate()
+
+
+class TestBandPlanBeforeFork:
+    """The band plan is built in the parent before the pool forks and reaches
+    the workers inside the pickled graph; a forked worker that built its own
+    would log its pid here."""
+
+    @pytest.fixture
+    def plan_pids(self, tmp_path, monkeypatch):
+        log = tmp_path / "plans"
+        build = car._BandPlan.__init__
+
+        def logged(plan, graph):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            build(plan, graph)
+
+        monkeypatch.setattr(car._BandPlan, "__init__", logged)
+        return lambda: log.read_text().split()
+
+    def test_run_chains(self, plan_pids):
+        g, data, dis = TestRunChains()._tiny_inputs()
+        run_chains(data, g, dis, ChainConfig(n_chains=2, burn_in=20, keep=10,
+                                             seed=1, workers=2))
+        assert plan_pids() == [str(os.getpid())]
+
+    def test_run_study(self, plan_pids):
+        g = lattice_graph(8, 8)
+        cfg = SimConfig(graph=g, true_partition=five_block_partition(8, 8),
+                        k1=0.4, k2=3.0, replicates=2, seed=1, workers=2)
+        run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10))
+        assert plan_pids() == [str(os.getpid())]
 
 
 class TestRetainedPhi:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 import womble.simulate as sim
 from womble import ChainConfig, NumericError, ValidationError
@@ -50,7 +51,7 @@ class TestMatern:
     def test_in_place_form_matches_formula_and_spares_input(self):
         # the in-place evaluation gives the bits of the one-line formula
         g = lattice_graph(12, 12)
-        d = sim.squareform(sim.pdist(g.centroids))
+        d = squareform(pdist(g.centroids))
         before = d.copy()
         r = 3.7
         a = np.sqrt(5.0) * d / r
