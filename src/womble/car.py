@@ -15,6 +15,14 @@ evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
 is a deterministic function of the assignment, which lets the sampler
 memoize it per chain (see :mod:`womble.mcmc`).
 
+`cut_bounds` gives, per border b, h_b = ln(1 - rho R_b) < 0, with R_b the
+border's resistance under Q with every border kept. Severing a set F of
+borders from any assignment changes log |Q| by at most the sum of h_b over
+F, which lets the sampler reject a border-cutting proposal without
+factorizing.
+R_b is read from the band of that Q's inverse by a block Takahashi
+recursion over the same banded factor, once per graph and rho.
+
 scipy is imported by the band plan, not by this module: `run_chains` builds
 the plan in the parent process before the chains fork, so pool workers
 receive it inside the pickled graph with scipy already loaded, and commands
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import AdjacencyState, AreaGraph
+from .graph import AdjacencyState, AreaGraph, adjacency_from_w
 
 RHO = 0.99  # the dependence parameter every fit uses
 
@@ -102,14 +110,9 @@ class PrecisionStructure:
     log_det: float
 
 
-def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
-    """Assemble and factorize Q for one adjacency assignment.
-
-    Positive definiteness is guaranteed for rho in [0, 1); a factorization
-    failure therefore signals a programming error, not bad input.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValidationError("rho must lie in [0, 1)")
+def _factor(adj: AdjacencyState, rho: float):
+    """The band plan and the lower banded Cholesky factor of Q for one
+    assignment, in the plan's ordering: factor[d, c] = L[c + d, c]."""
     graph = adj.graph
     plan = _band_plan(graph)
     # Fortran order lets LAPACK factorize the fresh buffer in place
@@ -122,8 +125,95 @@ def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
                                       check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
         raise NumericError(f"precision factorization failed: {exc}") from exc
+    return plan, factor
+
+
+def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
+    """Assemble and factorize Q for one adjacency assignment.
+
+    Positive definiteness is guaranteed for rho in [0, 1); a factorization
+    failure therefore signals a programming error, not bad input.
+    """
+    if not 0.0 <= rho < 1.0:
+        raise ValidationError("rho must lie in [0, 1)")
+    _, factor = _factor(adj, rho)
     log_det = 2.0 * float(np.log(factor[0]).sum())
     return PrecisionStructure(adj=adj, rho=rho, log_det=log_det)
+
+
+def cut_bounds(graph: AreaGraph, rho: float) -> np.ndarray:
+    """(B,) h_b = ln(1 - rho R_b), where R_b = (e_k - e_j)^T Q_all^{-1}
+    (e_k - e_j) is border b's resistance with every border kept.
+
+    Severing a set F of retained borders from any assignment w changes log|Q|
+    by at most sum_{b in F} h_b: by the determinant lemma and Hadamard's
+    inequality the change is at most sum_F ln(1 - rho R_b(w)), and
+    R_b(w) >= R_b because Q(w) <= Q_all. Computed on first use and kept on
+    the graph, per rho.
+    """
+    key = ("cut_bounds", rho)
+    h = graph._cache.get(key)
+    if h is None:
+        h = np.log1p(-rho * _resistances(graph, rho))
+        graph._cache[key] = h
+    return h
+
+
+def _resistances(graph: AreaGraph, rho: float) -> np.ndarray:
+    """R_b for every border, from the band of Sigma = Q_all^{-1}.
+
+    Q_all's band ordering makes it block tridiagonal in blocks of the
+    bandwidth, so both ends of a border lie in one block or in adjacent
+    ones. With D_I and C_I the diagonal and subdiagonal blocks of its
+    Cholesky factor and G_I = C_I D_I^{-1}, the block Takahashi recursion
+    runs from the last block up:
+
+        Sigma_{I+1,I} = -Sigma_{I+1,I+1} G_I
+        Sigma_{I,I}   = D_I^{-T} D_I^{-1} + G_I^T Sigma_{I+1,I+1} G_I
+
+    holding one block pair at a time, so beyond the factor it needs
+    O(bandwidth^2) memory.
+    """
+    from scipy.linalg import solve_triangular
+
+    n, n_borders = graph.n, graph.n_borders
+    if n_borders == 0:
+        return np.zeros(0)
+    plan, factor = _factor(
+        adjacency_from_w(graph, np.ones(n_borders, dtype=np.uint8)), rho)
+    size, low = plan.bandwidth, plan.low
+    high = low + plan.offsets
+    diag = np.empty(n)
+    cross = np.empty(n_borders)                 # Sigma[low, high]
+    n_blocks = -(-n // size)
+    block = low // size
+    order = np.argsort(block, kind="stable")
+    edges = np.searchsorted(block[order], np.arange(n_blocks + 1))
+    d = np.arange(size + 1)[:, None]
+    sigma = None                                # Sigma_{I+1,I+1}
+    for i in reversed(range(n_blocks)):
+        s, e = i * size, min((i + 1) * size, n)
+        m, f = e - s, min(e + size, n)
+        # columns s..e of L, rows s..f, as a dense (f - s, m) array
+        rows = d + np.arange(m)
+        inside = rows < f - s
+        band = np.zeros((f - s, m))
+        band[rows[inside], np.nonzero(inside)[1]] = factor[:, s:e][inside]
+        d_inv = solve_triangular(band[:m], np.eye(m), lower=True,
+                                 check_finite=False)
+        block_sigma = d_inv.T @ d_inv
+        ids = order[edges[i]:edges[i + 1]]
+        lo, hi = low[ids] - s, high[ids] - s
+        same = hi < m
+        if sigma is not None:
+            g = band[m:] @ d_inv
+            below = -(sigma @ g)                 # Sigma_{I+1,I}
+            block_sigma -= g.T @ below
+            cross[ids[~same]] = below[hi[~same] - m, lo[~same]]
+        cross[ids[same]] = block_sigma[lo[same], hi[same]]
+        diag[s:e] = np.diagonal(block_sigma)
+        sigma = block_sigma
+    return diag[low] + diag[high] - 2.0 * cross
 
 
 def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:

@@ -274,14 +274,17 @@ def cmd_simulate(args) -> int:
     labels = five_block_partition(args.nrows, args.ncols)
     expected = _expected_counts(args, graph)
     chain_cfg = _chain_config(args)
+    # every cell is checked before the first one runs
+    configs = [SimConfig(graph=graph, true_partition=labels, k1=k1, k2=k2,
+                         kappa=args.kappa,
+                         target_median_correlation=args.target_median_corr,
+                         field_sd=args.field_sd, E=expected,
+                         replicates=args.replicates, seed=args.seed,
+                         workers=args.workers)
+               for k1, k2 in itertools.product(k1s, k2s)]
     scores = []
-    for k1, k2 in itertools.product(k1s, k2s):
-        config = SimConfig(
-            graph=graph, true_partition=labels, k1=k1, k2=k2,
-            kappa=args.kappa,
-            target_median_correlation=args.target_median_corr,
-            field_sd=args.field_sd, E=expected,
-            replicates=args.replicates, seed=args.seed, workers=args.workers)
+    for config in configs:
+        k1, k2 = config.k1, config.k2
         if args.verbose:
             print(f"simulate: cell k1={k1:g} k2={k2:g} "
                   f"lattice={args.nrows}x{args.ncols} reps={args.replicates}")

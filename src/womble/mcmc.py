@@ -23,7 +23,13 @@ Update scheme, one iteration:
   full CAR density including (1/2) log|Q(alpha)|. Each chain memoizes log|Q|
   by border assignment (at most LOGDET_MEMO_CAP entries, oldest evicted
   first), so Q is factorized only for assignments the chain has not seen or
-  has evicted; a hit returns the float a refactorization would.
+  has evicted; a hit returns the float a refactorization would. A miss that
+  raises alpha_i only severs borders (z >= 0), so log|Q| changes by at most
+  the sum of their car.cut_bounds: when the proposal fails against that
+  bound (with CUT_BOUND_SLACK to spare), it is rejected unfactorized and not
+  remembered. The uniform is drawn before the memo lookup, where nothing
+  else draws, so every decision and draw is the one the full ratio makes.
+  The bounds are built in the chain's process at its first such miss.
 
 Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
@@ -55,7 +61,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .car import (RHO, CarParams, PrecisionStructure, _band_plan,
-                  build_precision, log_density_phi, precision_quadform)
+                  build_precision, cut_bounds, log_density_phi,
+                  precision_quadform)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -73,6 +80,9 @@ ADAPT_WINDOW = 100
 ADAPT_TARGET = 0.44
 # border assignments whose log|Q| one chain remembers; about B/8 bytes each
 LOGDET_MEMO_CAP = 4096
+# margin of the cut bound over the exact ratio, far above the rounding in
+# either log|Q|, so a bound rejection is one the exact test also makes
+CUT_BOUND_SLACK = 1e-6
 # temporary file of retained phi, (chains, draws, areas) float64, under TMPDIR
 PHI_FILE_PREFIX = "womble-phi-"
 # exp(phi) is reduced over blocks of areas of one to two times this many bytes
@@ -292,7 +302,9 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, taking log|Q| from
-    the state's memo and factorizing Q only for an assignment not in it.
+    the state's memo and factorizing Q only for an assignment not in it and,
+    when the proposal only severs borders, not already rejected by the cut
+    bound.
     `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
@@ -309,14 +321,23 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             state.alpha = alpha_prop
             accept[i] = True
             continue
+        log_u = math.log(rng.random())
+        quad_prop = precision_quadform(adj_prop, rho, d)
+        quad_term = (quad_prop - quad) / (2.0 * tau2)
         log_det = state.logdet_memo.get(adj_prop.key)
         if log_det is None:
+            # z >= 0, so raising alpha_i only severs borders, and log|Q|
+            # changes by at most the sum of their cut bounds: when even that
+            # bound rejects, the exact ratio would reject too
+            if prop_i > state.alpha[i]:
+                cut = state.adj.w > adj_prop.w
+                bound = 0.5 * float(cut_bounds(graph, rho)[cut].sum()) - quad_term
+                if log_u >= bound + CUT_BOUND_SLACK:
+                    continue
             log_det = build_precision(adj_prop, rho).log_det
             state.remember_log_det(adj_prop.key, log_det)
-        quad_prop = precision_quadform(adj_prop, rho, d)
-        delta = (0.5 * (log_det - state.log_det)
-                 - (quad_prop - quad) / (2.0 * tau2))
-        if math.log(rng.random()) < delta:
+        delta = 0.5 * (log_det - state.log_det) - quad_term
+        if log_u < delta:
             state.alpha, state.adj, state.log_det = alpha_prop, adj_prop, log_det
             quad = quad_prop
             accept[i] = True

@@ -171,8 +171,14 @@ def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
     dists = dists[dists > 0]
     if dists.size == 0:
         raise ValidationError("all centroids coincide; cannot calibrate a range")
-    median = lambda r: float(np.median(matern_correlation(dists, r, kappa)))
-    lo = hi = float(np.median(dists))
+    # correlation never increases with distance, so the median correlation
+    # is the correlation at the middle distance, or the mean of it at the
+    # two middle ones: the same float as the median over all pairs
+    half = dists.size // 2
+    kth = [half] if dists.size % 2 else [half - 1, half]
+    middle = np.partition(dists, kth)[kth]
+    median = lambda r: float(np.median(matern_correlation(middle, r, kappa)))
+    lo = hi = float(np.median(middle))
     cap = float(dists.max()) * RANGE_CAP_FACTOR
     while median(hi) < target_median:
         hi *= 2.0
@@ -215,6 +221,10 @@ class SimConfig:
                                   compare=False)
 
     def __post_init__(self):
+        # NaN fails no comparison, so finiteness is checked first
+        for name in ("k1", "k2", "field_sd", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.kappa <= 0:
             raise ValidationError("kappa must be positive")
         if not 0.0 < self.target_median_correlation < 1.0:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (conditional_from_joint, dense_log_density,
                      dense_precision, random_graph)
 from womble import ValidationError
-from womble.car import (CarParams, build_precision, full_conditional_phi,
-                        log_density_phi, precision_quadform)
+from womble.car import (CarParams, _band_plan, _resistances, build_precision,
+                        cut_bounds, full_conditional_phi, log_density_phi,
+                        precision_quadform)
 from womble.graph import AreaGraph, adjacency_from_w
+from womble.simulate import lattice_graph
 from conftest import all_ones_adj
 
 
@@ -66,6 +70,62 @@ class TestBuildPrecision:
             dense = dense_precision(n, borders, w, 0.99)
             assert precision_quadform(adj, 0.99, d) == pytest.approx(
                 d @ dense @ d, rel=1e-12, abs=1e-12)
+
+
+class TestCutBounds:
+    @staticmethod
+    def _dense_resistances(g, rho):
+        sigma = np.linalg.inv(dense_precision(g.n, g.borders,
+                                              np.ones(g.n_borders), rho))
+        k, j = g.borders[:, 0], g.borders[:, 1]
+        return sigma[k, k] + sigma[j, j] - 2.0 * sigma[k, j]
+
+    @pytest.mark.parametrize("name, graph", [
+        # 5 x 7: 35 areas in blocks of the bandwidth, 6, so the last block
+        # is shorter
+        ("lattice", lattice_graph(5, 7)),
+        ("path", _graph(9, [(k, k + 1) for k in range(8)])),
+        ("isolated area", _graph(26, lattice_graph(5, 5).borders)),
+        ("disconnected", _graph(32, np.vstack([lattice_graph(4, 4).borders,
+                                               lattice_graph(4, 4).borders + 16]))),
+    ])
+    def test_resistances_match_dense_inverse(self, name, graph):
+        bandwidth = _band_plan(graph).bandwidth
+        if name == "lattice":
+            assert graph.n % bandwidth != 0
+        for rho in (0.5, 0.99):
+            np.testing.assert_allclose(_resistances(graph, rho),
+                                       self._dense_resistances(graph, rho),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_kept_on_the_graph_per_rho(self):
+        g = lattice_graph(3, 4)
+        assert cut_bounds(g, 0.99) is cut_bounds(g, 0.99)
+        assert not np.array_equal(cut_bounds(g, 0.99), cut_bounds(g, 0.5))
+        assert (cut_bounds(g, 0.99) < 0).all()
+
+    def test_no_borders(self):
+        assert cut_bounds(_graph(3, []), 0.99).shape == (0,)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bounds_every_cut(self, seed):
+        # from any assignment w, severing any F within w moves log|Q| by at
+        # most the sum of F's bounds
+        rng = np.random.default_rng(seed)
+        n, borders = random_graph(rng, n_max=10, p=float(rng.uniform(0.2, 0.8)))
+        g = _graph(n, borders)
+        if g.n_borders == 0:
+            return
+        rho = float(rng.choice([0.99, rng.uniform(0.0, 0.999)]))
+        w = rng.integers(0, 2, size=g.n_borders).astype(np.uint8)
+        w[rng.integers(g.n_borders)] = 1
+        cut = (w == 1) & (rng.random(g.n_borders) < rng.uniform(0.1, 1.0))
+        cut[rng.choice(np.nonzero(w)[0])] = True
+        w_cut = np.where(cut, 0, w).astype(np.uint8)
+        change = (build_precision(adjacency_from_w(g, w_cut), rho).log_det
+                  - build_precision(adjacency_from_w(g, w), rho).log_det)
+        assert change <= cut_bounds(g, rho)[cut].sum() + 1e-9
 
 
 class TestLogDensity:

@@ -521,6 +521,34 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("VALIDATION:") and flag in err and "'abc'" in err
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--k1", "k1"), ("--k2", "k2"), ("--field-sd", "field_sd"),
+        ("--kappa", "kappa")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, monkeypatch,
+                                           flag, name, value):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("range calibrated before the input was checked")
+
+        monkeypatch.setattr("womble.simulate.calibrate_range", no_calibration)
+        rc = main(["simulate", f"{flag}={value}", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"VALIDATION: {name} must be finite\n"
+
+    def test_every_cell_checked_before_the_first_runs(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a cell ran before every cell was checked")
+
+        monkeypatch.setattr("womble.cli.run_study", no_study)
+        rc = main(["simulate", "--k1", "0.4,nan", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert "k1 must be finite" in capsys.readouterr().err
+
     def test_expected_csv_missing_area_rejected(self, tmp_path, capsys):
         ecsv = tmp_path / "expected.csv"
         ecsv.write_text("area_id,E\na0_0,100\n")

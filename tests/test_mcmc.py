@@ -649,6 +649,32 @@ class TestRunChains:
         assert len({w.tobytes() for w in samples.pooled("w")}) > 1
         assert_matches_reference(samples, data, g, dis, cfg)
 
+    def test_cut_bound_skips_factorizations(self, monkeypatch):
+        # cuts that the bound rejects are never factorized, yet the draws are
+        # those of the reference sampler, which factorizes every memo miss
+        g = lattice_graph(6, 6)
+        cov = np.random.default_rng(8).normal(size=(36, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
+                            E=np.full(36, 80.0))
+        cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=23)
+        calls = []
+
+        def counting(adj, rho):
+            calls.append(1)
+            return build_precision(adj, rho)
+
+        monkeypatch.setattr(mcmc, "build_precision", counting)
+        samples = run_chains(data, g, dis, cfg)
+        bounded = len(calls)
+        monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
+        unbounded = run_chains(data, g, dis, cfg)
+        assert 0 < bounded < len(calls) - bounded
+        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
+            np.testing.assert_array_equal(getattr(samples, name),
+                                          getattr(unbounded, name))
+        assert_matches_reference(samples, data, g, dis, cfg)
+
     def test_metric_free_matches_reference(self):
         # every fourth border dropped, so the kept borders are not a lattice
         g, data, _ = self._tiny_inputs(seed=4)

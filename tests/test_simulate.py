@@ -86,6 +86,39 @@ class TestCalibrateRange:
         med = np.median(matern_correlation(pdist(g.centroids), r))
         assert med == pytest.approx(0.5, abs=1e-6)
 
+    @staticmethod
+    def _all_pairs_calibration(centroids, target, kappa):
+        """The bisection with the median taken over every pair."""
+        dists = pdist(centroids)
+        dists = dists[dists > 0]
+        median = lambda r: float(np.median(matern_correlation(dists, r, kappa)))
+        lo = hi = float(np.median(dists))
+        while median(hi) < target:
+            hi *= 2.0
+        while median(lo) > target:
+            lo /= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            val = median(mid)
+            if abs(val - target) <= 1e-6:
+                return mid
+            lo, hi = (mid, hi) if val < target else (lo, mid)
+        raise AssertionError("no convergence")
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("points", [
+        "4x4", "3x5", "5x17", "16x16", "random300", "random302"])
+    def test_middle_distances_give_the_all_pairs_result(self, points, kappa):
+        # 3x5 and 302 random points have an odd number of pairs
+        if points.startswith("random"):
+            n = int(points[len("random"):])
+            cents = np.random.default_rng(n).uniform(0.0, 10.0, (n, 2))
+        else:
+            cents = lattice_graph(*map(int, points.split("x"))).centroids
+        for target in (0.3, 0.5):
+            assert (calibrate_range(cents, target, kappa)
+                    == self._all_pairs_calibration(cents, target, kappa))
+
     def test_unreachable_target_hits_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "RANGE_CAP_FACTOR", 2.0)
         cents = np.array([[0.0, 0.0], [0.0, 1.0]])
