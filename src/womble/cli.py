@@ -11,6 +11,7 @@ that only another subcommand has is ignored, so one file can serve several.
 
 import argparse
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -189,7 +190,8 @@ def _fit_outputs(out, samples, data, graph, dis):
 
 
 def cmd_fit(args) -> int:
-    out = io.ensure_outdir(args.out)
+    config = _chain_config(args)
+    rules = _parse_rules(args.baseline_blv) if args.baseline_blv else None
     metric_cols = None
     if args.metrics is not None:
         metric_cols = [c for c in args.metrics.split(",") if c]
@@ -200,14 +202,12 @@ def cmd_fit(args) -> int:
     if metrics:
         cov = np.column_stack([metrics[c] for c in metrics])
         dis = compute_border_metrics(graph, cov, metric_names=list(metrics))
-    rules = _parse_rules(args.baseline_blv) if args.baseline_blv else None
-    config = _chain_config(args)
-    config.validate()
     if dis is not None and config.n_chains * (config.keep // config.thin) < 2:
         # checked before sampling: the effect verdicts need two pooled draws
         raise ValidationError("metric effect verdicts need at least 2 retained "
                               "draws in total (chains x keep // thin): raise "
                               "--keep or --chains")
+    out = io.ensure_outdir(args.out)
     if args.verbose:
         print(f"fit: {config.n_chains} chains x ({config.burn_in} burn-in "
               f"+ {config.keep} keep), seed={config.seed}, "
@@ -220,7 +220,7 @@ def cmd_fit(args) -> int:
     print(f"fit: n={graph.n} borders={graph.n_borders} "
           f"components={graph.n_components} boundaries={bset.boundary_count}")
     if rules:
-        _run_blv_baseline(out, data, graph, args, rules)
+        _run_blv_baseline(out, data, graph, config, rules)
     return 0
 
 
@@ -237,8 +237,17 @@ def _parse_rules(rules_text: str) -> dict:
         if key not in ("c1", "c2"):
             raise ValidationError(f"unknown BLV rule {key!r}")
         rules[key] = _number(float, value.strip(), f"--baseline-blv {key}")
+    return _check_blv_rules(rules, "--baseline-blv {}")
+
+
+def _check_blv_rules(rules: dict, flag: str) -> dict:
+    """The BLV rules {c1, c2} given by `flag` (a format for the rule's name):
+    at least one, a finite rule (a) cutoff, a rule (b) percentage in (0, 100]."""
     if not rules:
-        raise ValidationError("at least one of c1=/c2= required")
+        raise ValidationError(f"no BLV rule given: set {flag.format('c1')}, "
+                              f"{flag.format('c2')} or both")
+    if "c1" in rules and not math.isfinite(rules["c1"]):
+        raise ValidationError(f"{flag.format('c1')} must be finite")
     if "c2" in rules:
         check_rule_b(rules["c2"])
     return rules
@@ -253,9 +262,9 @@ def _number(kind, text: str, name: str):
                               f"{kind.__name__}") from None
 
 
-def _run_blv_baseline(out, data, graph, args, rules):
+def _run_blv_baseline(out, data, graph, config, rules):
     # baseline smoother: without metrics the model keeps every border
-    samples = run_chains(data, graph, None, _chain_config(args))
+    samples = run_chains(data, graph, None, config)
     res = blv(samples.risk_median(), graph)
     fa = blv_rule_a(res, rules["c1"]) if "c1" in rules else None
     fb = blv_rule_b(res, rules["c2"]) if "c2" in rules else None
@@ -265,7 +274,7 @@ def _run_blv_baseline(out, data, graph, args, rules):
 
 
 def cmd_simulate(args) -> int:
-    out = io.ensure_outdir(args.out)
+    chain_cfg = _chain_config(args)
     k1s = [_number(float, v, "--k1") for v in str(args.k1).split(",") if v != ""]
     k2s = [_number(float, v, "--k2") for v in str(args.k2).split(",") if v != ""]
     if not k1s or not k2s:
@@ -273,7 +282,6 @@ def cmd_simulate(args) -> int:
     graph = lattice_graph(args.nrows, args.ncols)
     labels = five_block_partition(args.nrows, args.ncols)
     expected = _expected_counts(args, graph)
-    chain_cfg = _chain_config(args)
     # every cell is checked before the first one runs
     configs = [SimConfig(graph=graph, true_partition=labels, k1=k1, k2=k2,
                          kappa=args.kappa,
@@ -282,6 +290,7 @@ def cmd_simulate(args) -> int:
                          replicates=args.replicates, seed=args.seed,
                          workers=args.workers)
                for k1, k2 in itertools.product(k1s, k2s)]
+    out = io.ensure_outdir(args.out)
     scores = []
     for config in configs:
         k1, k2 = config.k1, config.k2
@@ -341,20 +350,13 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_blv(args) -> int:
-    if args.c1 is None and args.c2 is None:
-        raise ValidationError("at least one of --c1/--c2 required")
-    if args.c2 is not None:
-        check_rule_b(args.c2)
-    out = io.ensure_outdir(args.out)
+    config = _chain_config(args)
+    rules = _check_blv_rules({k: getattr(args, k) for k in ("c1", "c2")
+                              if getattr(args, k) is not None}, "--{}")
     ids, y, E, _metrics = io.read_areas_csv(args.areas)
     graph = _load_graph(args, ids)
     data = ObservedData(y=y, E=E)
-    rules = {}
-    if args.c1 is not None:
-        rules["c1"] = args.c1
-    if args.c2 is not None:
-        rules["c2"] = args.c2
-    _run_blv_baseline(out, data, graph, args, rules)
+    _run_blv_baseline(io.ensure_outdir(args.out), data, graph, config, rules)
     return 0
 
 

@@ -59,6 +59,8 @@ def moran_permutation_test(residuals: np.ndarray, graph: AreaGraph,
     observed = morans_i(v, graph)
     if n_perm < 0:
         raise ValidationError("n_perm must be >= 0")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if n_perm == 0:
         return MoranResult(I=observed, p_value=1.0, n_permutations=0)
     n_ge = sum(int(np.sum(i_perm >= observed))

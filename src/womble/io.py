@@ -130,24 +130,31 @@ def read_geojson_polygons(path, area_ids):
     Areas without a feature get None and are skipped by the overlay writer.
     """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValidationError(f"{path}: expected a GeoJSON FeatureCollection")
     by_id = {}
-    for feat in doc.get("features", []):
-        props = feat.get("properties") or {}
-        aid = props.get("area_id")
+    for i, feat in enumerate(doc.get("features", [])):
+        try:
+            aid = (feat.get("properties") or {}).get("area_id")
+            geom = feat.get("geometry") or {}
+            gtype, coords = geom.get("type"), geom.get("coordinates")
+            if gtype == "Polygon":
+                rings = list(coords)
+            elif gtype == "MultiPolygon":
+                rings = [ring for poly in coords for ring in poly]
+        except (AttributeError, TypeError):
+            raise ValidationError(
+                f"{path}: feature {i} is malformed: expected an object whose "
+                "geometry holds coordinates") from None
         if aid is None:
-            raise ValidationError(f"{path}: feature without properties.area_id")
-        geom = feat.get("geometry") or {}
-        gtype = geom.get("type")
-        coords = geom.get("coordinates")
-        if gtype == "Polygon":
-            rings = list(coords)
-        elif gtype == "MultiPolygon":
-            rings = [ring for poly in coords for ring in poly]
-        else:
-            raise ValidationError(f"{path}: unsupported geometry type {gtype!r}")
+            raise ValidationError(f"{path}: feature {i} has no properties.area_id")
+        if gtype not in ("Polygon", "MultiPolygon"):
+            raise ValidationError(
+                f"{path}: feature {i} has unsupported geometry type {gtype!r}")
         by_id[str(aid)] = rings
     return [by_id.get(a) for a in area_ids]
 

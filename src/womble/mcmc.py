@@ -120,12 +120,13 @@ class ObservedData:
         return self.y.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainConfig:
     """Sampler run configuration, the settings the CLI exposes; defaults
     follow the full multi-chain protocol (five chains, 40k burn-in, 10k
     retained each). Priors and step-size tuning are module constants; whether
-    alpha is sampled follows from the metrics given to run_chains."""
+    alpha is sampled follows from the metrics given to run_chains. Checked
+    when built, so every ChainConfig is a valid one."""
 
     n_chains: int = 5
     burn_in: int = 40000
@@ -135,7 +136,7 @@ class ChainConfig:
     max_boundary_fraction: float = 0.5
     workers: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_chains < 1:
             raise ValidationError("n_chains must be >= 1")
         if self.keep < 1:
@@ -148,6 +149,11 @@ class ChainConfig:
             raise ValidationError("burn_in must be >= 0")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        # NaN fails the comparison, so it is rejected too
+        if not 0.0 < self.max_boundary_fraction <= 1.0:
+            raise ValidationError("max_boundary_fraction must be in (0, 1]")
 
 
 class ModelState:
@@ -523,9 +529,8 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     `phi` maps it read-only until the samples are released.
 
     The graph's band plan is built here, before the pool forks (see the
-    module docstring).
+    module docstring). `config` was checked when it was built.
     """
-    config.validate()
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)

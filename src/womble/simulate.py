@@ -204,7 +204,7 @@ def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One cell of the simulation study."""
+    """One cell of the simulation study, checked when built."""
 
     graph: AreaGraph
     true_partition: np.ndarray
@@ -237,10 +237,22 @@ class SimConfig:
             raise ValidationError("replicates must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")
+        if self.graph.centroids is None:
+            raise ValidationError("graph needs centroids for surface generation")
+        if self.graph.n > MAX_SURFACE_AREAS:
+            raise ValidationError(
+                f"{self.graph.n} areas exceed the {MAX_SURFACE_AREAS} a dense "
+                "simulation surface allows: use a smaller lattice (--nrows/--ncols)")
+        E = np.broadcast_to(np.asarray(self.E, dtype=float), (self.graph.n,)).copy()
+        if (E <= 0).any() or not np.isfinite(E).all():
+            raise ValidationError("expected counts must be positive and finite")
         object.__setattr__(self, "true_partition", labels)
+        object.__setattr__(self, "E", E)
 
 
 def _prepare(config: SimConfig) -> dict:
@@ -248,12 +260,6 @@ def _prepare(config: SimConfig) -> dict:
     if plan is not None:
         return plan
     graph = config.graph
-    if graph.centroids is None:
-        raise ValidationError("graph needs centroids for surface generation")
-    if graph.n > MAX_SURFACE_AREAS:
-        raise ValidationError(
-            f"{graph.n} areas exceed the {MAX_SURFACE_AREAS} a dense simulation "
-            "surface allows: use a smaller lattice (--nrows/--ncols)")
     rng_val = calibrate_range(graph.centroids,
                               config.target_median_correlation, config.kappa)
     from scipy.spatial.distance import pdist, squareform
@@ -266,13 +272,10 @@ def _prepare(config: SimConfig) -> dict:
             chol = np.linalg.cholesky(corr + 1e-10 * np.eye(graph.n))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"correlation matrix not factorizable: {exc}") from exc
-    E = np.broadcast_to(np.asarray(config.E, dtype=float), (graph.n,)).copy()
-    if (E <= 0).any() or not np.isfinite(E).all():
-        raise ValidationError("expected counts must be positive and finite")
     plan = {
         "range": rng_val,
         "chol": chol,
-        "E": E,
+        "E": config.E,
         "mean": np.where(config.true_partition == 0, 0.0, config.k1),
         "true_boundary": true_boundary_mask(graph, config.true_partition),
     }

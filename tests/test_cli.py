@@ -609,6 +609,71 @@ class TestSimulateCommand:
         assert "chains x" in text and "wrote" in text
 
 
+class TestRejectedCommandsWriteNothing:
+    """A command that exits 2 or 3 creates no --out directory."""
+
+    @pytest.mark.parametrize("command, flags, code, named", [
+        ("fit", ["--chains", "0"], 2, "n_chains must be >= 1"),
+        ("fit", ["--areas", "{tmp}/missing.csv"], 3, "IO:"),
+        ("fit", ["--max-boundary-fraction", "0"], 2,
+         "max_boundary_fraction must be in (0, 1]"),
+        ("fit", ["--seed", "-1"], 2, "seed must be >= 0"),
+        ("fit", ["--baseline-blv", "c1=nan"], 2,
+         "--baseline-blv c1 must be finite"),
+        ("blv", ["--keep", "0"], 2, "keep must be >= 1"),
+        ("blv", ["--c1", "nan"], 2, "--c1 must be finite"),
+        ("blv", ["--max-boundary-fraction", "5"], 2,
+         "max_boundary_fraction must be in (0, 1]"),
+    ])
+    def test_fit_and_blv(self, tmp_path, capsys, no_sampling, command, flags,
+                         code, named):
+        _, paths = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        rule = ["--c2", "10"] if command == "blv" else []
+        rc = main([command, "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--out", str(out)]
+                  + rule + FIT_FLAGS
+                  + [f.format(tmp=tmp_path) for f in flags])
+        assert rc == code
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--keep", "0"], "keep must be >= 1"),
+        (["--expected", "nan"], "expected counts must be positive and finite"),
+        (["--k1", "nan"], "k1 must be finite"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ])
+    def test_simulate_before_calibration(self, tmp_path, capsys, monkeypatch,
+                                         flags, named):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("range calibrated before the input was checked")
+
+        monkeypatch.setattr("womble.simulate.calibrate_range", no_calibration)
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(out)] + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_negative_seed(self, tmp_path, capsys):
+        g, paths = write_dataset(tmp_path)
+        fit_dir = tmp_path / "fit"
+        fit_dir.mkdir()
+        (fit_dir / "residuals.csv").write_text(
+            "area_id,y,E,R_median,residual\n"
+            + "".join(f"{a},100,100.0,1.0,{0.1 * k}\n"
+                      for k, a in enumerate(g.area_ids)))
+        rc = main(["diagnose", "--fit-dir", str(fit_dir),
+                   "--adjacency", str(paths["adjacency"]), "--n-perm", "9",
+                   "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (fit_dir / "moran.csv").exists()
+
+
 class TestReaders:
     def test_geojson_overlay_parses(self, tmp_path):
         _, paths = write_dataset(tmp_path, geojson=True)
@@ -622,6 +687,27 @@ class TestReaders:
         for feat in doc["features"]:
             assert feat["geometry"]["type"] == "LineString"
             assert len(feat["geometry"]["coordinates"]) >= 2
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"type": "FeatureCollection", "features": [', "not valid JSON"),
+        ('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+         '"properties": {"area_id": "a0_0"}, "geometry": {"type": "Polygon"}}]}',
+         "feature 0 is malformed"),
+        ('{"type": "FeatureCollection", "features": [1]}', "feature 0 is malformed"),
+    ], ids=["invalid-json", "polygon-without-coordinates", "feature-not-object"])
+    def test_malformed_geojson_rejected(self, tmp_path, capsys, no_sampling,
+                                        text, named):
+        _, paths = write_dataset(tmp_path)
+        gj = tmp_path / "bad.geojson"
+        gj.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--geojson", str(gj),
+                   "--out", str(out)] + FIT_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"VALIDATION: {gj}: ") and named in err
+        assert not out.exists()
 
     def test_adjacency_unknown_id(self, tmp_path):
         _, paths = write_dataset(tmp_path)

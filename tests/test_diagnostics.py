@@ -98,6 +98,13 @@ class TestPermutationTest:
         assert res.p_value == 1.0
         assert res.n_permutations == 0
 
+    @pytest.mark.parametrize("n_perm", [0, 99])
+    def test_negative_seed_rejected(self, n_perm):
+        g = lattice_graph(2, 2)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            moran_permutation_test(np.array([1.0, -1, 1, -1]), g,
+                                   n_perm=n_perm, seed=-1)
+
     def test_p_value_bounds(self):
         rng = np.random.default_rng(2)
         g = lattice_graph(4, 4)

@@ -586,10 +586,22 @@ class TestRunChains:
         return g, data, dis
 
     def test_keep_zero_rejected(self):
-        g, data, dis = self._tiny_inputs()
-        cfg = ChainConfig(n_chains=1, burn_in=10, keep=0, seed=1)
         with pytest.raises(ValidationError, match="retained"):
-            run_chains(data, g, dis, cfg)
+            ChainConfig(n_chains=1, burn_in=10, keep=0, seed=1)
+
+    @pytest.mark.parametrize("setting, named", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"max_boundary_fraction": 0.0}, "max_boundary_fraction"),
+        ({"max_boundary_fraction": 1.5}, "max_boundary_fraction"),
+        ({"max_boundary_fraction": float("nan")}, "max_boundary_fraction"),
+    ])
+    def test_bad_setting_rejected_when_built(self, setting, named):
+        with pytest.raises(ValidationError, match=named):
+            ChainConfig(**setting)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(AttributeError):
+            ChainConfig().keep = 0
 
     def test_thin_divides_keep(self):
         g, data, dis = self._tiny_inputs()
@@ -791,7 +803,7 @@ class TestPoolSize:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValidationError, match="workers must be >= 1"):
-            ChainConfig(workers=workers).validate()
+            ChainConfig(workers=workers)
 
 
 class TestBandPlanBeforeFork:

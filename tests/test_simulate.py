@@ -353,3 +353,12 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="workers must be >= 1"):
             SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
                       k1=0.1, k2=0.0, workers=0)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+                      k1=0.1, k2=0.0, seed=-1)
+        with pytest.raises(ValidationError, match="centroids"):
+            SimConfig(graph=sim.AreaGraph(9, g.borders),
+                      true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
+        with pytest.raises(ValidationError, match="expected counts"):
+            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+                      k1=0.1, k2=0.0, E=np.r_[np.ones(8), np.nan])
