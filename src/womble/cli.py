@@ -23,7 +23,7 @@ from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
 from .graph import alpha_min, build_graph, compute_border_metrics
-from .mcmc import ChainConfig, ObservedData, dic, run_chains
+from .mcmc import ChainConfig, ObservedData, alpha_upper_bounds, dic, run_chains
 from .simulate import SimConfig, five_block_partition, lattice_graph, run_study
 
 
@@ -202,6 +202,7 @@ def cmd_fit(args) -> int:
     if metrics:
         cov = np.column_stack([metrics[c] for c in metrics])
         dis = compute_border_metrics(graph, cov, metric_names=list(metrics))
+        alpha_upper_bounds(dis, config.max_boundary_fraction)   # a zero bound exits 2 here
     if dis is not None and config.n_chains * (config.keep // config.thin) < 2:
         # checked before sampling: the effect verdicts need two pooled draws
         raise ValidationError("metric effect verdicts need at least 2 retained "

@@ -533,8 +533,7 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
-    M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
-                  for i in range(0 if dis is None else dis.q)])
+    M = alpha_upper_bounds(dis, config.max_boundary_fraction)
     _band_plan(graph)
 
     shape = (config.n_chains, config.keep // config.thin, graph.n)
@@ -558,6 +557,13 @@ def run_chains(data: ObservedData, graph: AreaGraph,
         alpha=stack("alpha"), w=stack("w"), deviance=stack("deviance"),
         acceptance={b: stack("accept_" + b) for b in ("phi", "tau2", "alpha")},
         graph=graph, dis=dis)
+
+
+def alpha_upper_bounds(dis: Optional[DissimilarityData],
+                       max_boundary_fraction: float) -> np.ndarray:
+    """M, one alpha_prior_upper per metric; a zero bound raises here."""
+    return np.array([alpha_prior_upper(dis, i, max_boundary_fraction)
+                     for i in range(0 if dis is None else dis.q)])
 
 
 def run_tasks(fn, tasks: list, workers: int) -> list:

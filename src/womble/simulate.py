@@ -5,6 +5,10 @@ Each replicate draws a fresh log-risk surface phi ~ MVN(m, field_sd^2 C),
 where m is 0 in the background group and k1 elsewhere, and C is a Matern
 correlation matrix whose range is calibrated so the median inter-area
 correlation hits a target (0.5 by default). Counts are Poisson(E exp(phi)).
+On the lattice C is stationary, so phi is the corner window of a field drawn
+by FFT on a P x P torus that C wraps onto (Wood & Chan 1994). P doubles from
+twice the longer side until no torus eigenvalue is below -1e-8 times the
+largest; the negative ones left are zeroed.
 The single dissimilarity metric is drawn per border as |N(1, 0.5^2)| off the
 true boundaries and |N(1 + k2, 0.5^2)| on them, then standardized to unit
 standard deviation over borders like any other metric.
@@ -31,9 +35,7 @@ from .mcmc import ChainConfig, ObservedData, run_chains, run_tasks
 from .rng import REPLICATE, derive_rng
 
 RANGE_CAP_FACTOR = 1e9
-# The surface is a dense n x n Matern Cholesky: at this many areas (a 64x64
-# lattice) setting it up peaks near 0.5 GB of memory.
-MAX_SURFACE_AREAS = 4096
+MAX_TORUS_SIDE = 2048   # one complex FFT of it takes 64 MB
 
 
 def lattice_graph(nrows: int, ncols: int, with_polygons: bool = False) -> AreaGraph:
@@ -52,8 +54,7 @@ def lattice_graph(nrows: int, ncols: int, with_polygons: bool = False) -> AreaGr
                 borders.append((k, k + 1))
             if r + 1 < nrows:
                 borders.append((k, (r + 1) * ncols + c))
-    centroids = np.array([(r, c) for r in range(nrows) for c in range(ncols)],
-                         dtype=float)
+    centroids = np.column_stack(np.divmod(np.arange(nrows * ncols), ncols)).astype(float)
     polygons = None
     if with_polygons:
         polygons = []
@@ -121,27 +122,12 @@ def matern_correlation(d, range_: float, kappa: float = 2.5):
         raise ValidationError("range must be positive")
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
-    d = np.array(d, dtype=float)   # a copy: _matern writes over it
+    d = np.asarray(d, dtype=float)
     if (d < 0).any():
         raise ValidationError("distances must be non-negative")
-    out = _matern(d, range_, kappa)
-    return float(out) if out.ndim == 0 else out
-
-
-def _matern(d: np.ndarray, range_: float, kappa: float) -> np.ndarray:
-    """Matern correlation at the float distances d; for kappa = 2.5 it is
-    written over d, with at most two more arrays of d's size alive at once."""
     if kappa == 2.5:
-        d *= math.sqrt(5.0)
-        d /= range_                                     # a
-        e = np.negative(d, out=np.empty_like(d))
-        np.exp(e, out=e)                                # exp(-a)
-        t = d * d
-        t /= 3.0                                        # a^2 / 3
-        d += 1.0
-        d += t                                          # 1 + a + a^2 / 3
-        d *= e
-        out = d
+        a = math.sqrt(5.0) * d / range_
+        out = (1.0 + a + a * a / 3.0) * np.exp(-a)
     else:
         from scipy.special import gamma as gamma_fn
         from scipy.special import kv
@@ -152,31 +138,31 @@ def _matern(d: np.ndarray, range_: float, kappa: float) -> np.ndarray:
                 a > 0.0,
                 (2.0 ** (1.0 - kappa) / gamma_fn(kappa)) * a ** kappa * kv(kappa, a),
                 1.0)
-    return np.clip(out, 0.0, 1.0, out=out)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
+def calibrate_range(nrows: int, ncols: int, target_median: float = 0.5,
                     kappa: float = 2.5) -> float:
-    """Bisection for the Matern range whose median all-pairs correlation
-    equals the target within 1e-6. Correlation is monotone increasing in the
-    range, so convergence is guaranteed below the cap."""
-    from scipy.spatial.distance import pdist
-
-    centroids = np.asarray(centroids, dtype=float)
-    if centroids.shape[0] < 2:
-        raise ValidationError("at least two centroids required")
+    """Bisection for the Matern range whose median correlation over the area
+    pairs of an nrows x ncols lattice equals the target within 1e-6. It rises
+    with the range, so convergence is guaranteed below the cap."""
+    if nrows * ncols < 2:
+        raise ValidationError("at least two areas required")
     if not 0.0 < target_median < 1.0:
         raise ValidationError("target median correlation must be in (0, 1)")
-    dists = pdist(centroids)
-    dists = dists[dists > 0]
-    if dists.size == 0:
-        raise ValidationError("all centroids coincide; cannot calibrate a range")
+    # offset (dr, dc) != 0 joins (nrows - dr)(ncols - dc) pairs, (dr, -dc) as many
+    dr, dc = np.divmod(np.arange(1, nrows * ncols), ncols)
+    counts = (nrows - dr) * (ncols - dc) * (1 + (dr * dc > 0))
+    dists = np.sqrt(dr * dr + dc * dc, dtype=float)
+    order = np.argsort(dists)
+    ends = np.cumsum(counts[order])
     # correlation never increases with distance, so the median correlation
     # is the correlation at the middle distance, or the mean of it at the
     # two middle ones: the same float as the median over all pairs
-    half = dists.size // 2
-    kth = [half] if dists.size % 2 else [half - 1, half]
-    middle = np.partition(dists, kth)[kth]
+    half = int(ends[-1]) // 2
+    kth = [half] if ends[-1] % 2 else [half - 1, half]
+    middle = dists[order[np.searchsorted(ends, kth, side="right")]]
     median = lambda r: float(np.median(matern_correlation(middle, r, kappa)))
     lo = hi = float(np.median(middle))
     cap = float(dists.max()) * RANGE_CAP_FACTOR
@@ -200,6 +186,16 @@ def calibrate_range(centroids: np.ndarray, target_median: float = 0.5,
         else:
             hi = mid
     raise NumericError("range calibration did not converge")
+
+
+def _lattice_shape(graph: AreaGraph) -> tuple:
+    """(nrows, ncols) of a graph whose centroids are lattice_graph's grid."""
+    xy = graph.centroids
+    ncols = 0 if xy is None or xy.shape != (graph.n, 2) else int(np.sum(xy[:, 0] == 0))
+    if ncols == 0 or graph.n % ncols or not np.array_equal(
+            xy, np.column_stack(np.divmod(np.arange(graph.n), ncols))):
+        raise ValidationError("graph centroids are not a full lattice_graph grid")
+    return graph.n // ncols, ncols
 
 
 @dataclass(frozen=True)
@@ -242,13 +238,11 @@ class SimConfig:
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")
-        if self.graph.centroids is None:
-            raise ValidationError("graph needs centroids for surface generation")
-        if self.graph.n > MAX_SURFACE_AREAS:
-            raise ValidationError(
-                f"{self.graph.n} areas exceed the {MAX_SURFACE_AREAS} a dense "
-                "simulation surface allows: use a smaller lattice (--nrows/--ncols)")
-        E = np.broadcast_to(np.asarray(self.E, dtype=float), (self.graph.n,)).copy()
+        _lattice_shape(self.graph)
+        E = np.asarray(self.E, dtype=float)
+        if E.shape not in ((), (self.graph.n,)):
+            raise ValidationError("expected counts must be one value or one per area")
+        E = np.broadcast_to(E, (self.graph.n,)).copy()
         if (E <= 0).any() or not np.isfinite(E).all():
             raise ValidationError("expected counts must be positive and finite")
         object.__setattr__(self, "true_partition", labels)
@@ -260,21 +254,24 @@ def _prepare(config: SimConfig) -> dict:
     if plan is not None:
         return plan
     graph = config.graph
-    rng_val = calibrate_range(graph.centroids,
-                              config.target_median_correlation, config.kappa)
-    from scipy.spatial.distance import pdist, squareform
-    # no other n x n array is alive while the correlation is evaluated
-    corr = _matern(squareform(pdist(graph.centroids)), rng_val, config.kappa)
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        try:
-            chol = np.linalg.cholesky(corr + 1e-10 * np.eye(graph.n))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"correlation matrix not factorizable: {exc}") from exc
+    nrows, ncols = _lattice_shape(graph)
+    rng_val = calibrate_range(nrows, ncols, config.target_median_correlation,
+                              config.kappa)
+    side = 2 * max(nrows, ncols)
+    while side <= MAX_TORUS_SIDE:
+        offsets = np.minimum(np.arange(side), side - np.arange(side)) ** 2
+        dists = np.sqrt(np.add.outer(offsets, offsets), dtype=float)
+        eig = np.fft.fft2(matern_correlation(dists, rng_val, config.kappa)).real
+        if eig.min() >= -1e-8 * eig.max():
+            break
+        side *= 2
+    else:
+        raise NumericError(f"no torus of side up to {MAX_TORUS_SIDE} embeds the "
+                           f"correlation on {nrows}x{ncols}: lower --target-median-corr")
     plan = {
         "range": rng_val,
-        "chol": chol,
+        "shape": (nrows, ncols),
+        "spectrum": np.sqrt(np.clip(eig, 0.0, None)),
         "E": config.E,
         "mean": np.where(config.true_partition == 0, 0.0, config.k1),
         "true_boundary": true_boundary_mask(graph, config.true_partition),
@@ -286,7 +283,9 @@ def _prepare(config: SimConfig) -> dict:
 def gen_surface(config: SimConfig, rng: np.random.Generator):
     """Draw one log-risk surface; returns (phi_true, R_true)."""
     plan = _prepare(config)
-    phi = plan["mean"] + config.field_sd * (plan["chol"] @ rng.standard_normal(config.graph.n))
+    spectrum, (nrows, ncols) = plan["spectrum"], plan["shape"]
+    torus = np.fft.ifft2(spectrum * np.fft.fft2(rng.standard_normal(spectrum.shape)))
+    phi = plan["mean"] + config.field_sd * torus.real[:nrows, :ncols].ravel()
     return phi, np.exp(phi)
 
 

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.spatial.distance
 
 import womble
 from womble import io
@@ -572,7 +571,7 @@ class TestSimulateCommand:
         def no_calibration(*args, **kwargs):
             raise AssertionError("range calibrated before the input was checked")
 
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", no_calibration)
+        monkeypatch.setattr("womble.simulate.calibrate_range", no_calibration)
         g = lattice_graph(8, 8)
         lines = ["area_id,E"] + [f"{a},100" for a in g.area_ids]
         lines[4] = row
@@ -586,17 +585,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == f"VALIDATION: {ecsv}: {message}\n"
 
-    def test_oversized_lattice_rejected_before_surface(self, tmp_path, capsys,
-                                                      monkeypatch):
-        def no_dense_surface(*args, **kwargs):
-            raise AssertionError("dense surface built past the size cap")
-
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", no_dense_surface)
+    def test_lattice_above_4096_areas_runs(self, tmp_path):
+        out = tmp_path / "sim"
         rc = main(["simulate", "--nrows", "65", "--ncols", "64",
                    "--replicates", "1", "--chains", "1", "--burnin", "10",
-                   "--keep", "10", "--out", str(tmp_path / "sim")])
-        assert rc == 2
-        assert "--nrows/--ncols" in capsys.readouterr().err
+                   "--keep", "10", "--out", str(out)])
+        assert rc == 0
+        _, rows = io.read_table(out / "scorecard.csv")
+        assert len(rows) == 1
 
     def test_verbose_echoes_settings(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)
@@ -656,6 +652,22 @@ class TestRejectedCommandsWriteNothing:
                    "--keep", "10", "--out", str(out)] + flags)
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_zero_prior_bound(self, tmp_path, capsys, no_sampling):
+        # one area of 16 differs: at --max-boundary-fraction 0.5 the metric's
+        # quantile, and with it the prior bound, is zero
+        _, paths = write_dataset(tmp_path, metric=False)
+        lines = paths["areas"].read_text().splitlines()
+        lines = [lines[0] + ",cat"] + [f"{row},{int(k == 5)}"
+                                       for k, row in enumerate(lines[1:])]
+        paths["areas"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--out", str(out)]
+                  + FIT_FLAGS)
+        assert rc == 2
+        assert "quantile of metric 'cat'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diagnose_negative_seed(self, tmp_path, capsys):

@@ -49,7 +49,7 @@ class TestMatern:
             matern_correlation(1.0, 1.0, kappa=0.0)
 
     def test_in_place_form_matches_formula_and_spares_input(self):
-        # the in-place evaluation gives the bits of the one-line formula
+        # the closed form gives the bits of the one-line formula, d untouched
         g = lattice_graph(12, 12)
         d = squareform(pdist(g.centroids))
         before = d.copy()
@@ -75,14 +75,12 @@ class TestMatern:
 
 class TestCalibrateRange:
     def test_inverts_closed_form_example(self):
-        cents = np.array([[0.0, 0.0], [0.0, 1.0]])
-        r = calibrate_range(cents, target_median=MATERN_AT_RANGE)
+        r = calibrate_range(1, 2, target_median=MATERN_AT_RANGE)
         assert r == pytest.approx(1.0, abs=1e-4)
 
     def test_lattice_self_check(self):
         g = lattice_graph(16, 16)
-        r = calibrate_range(g.centroids, 0.5)
-        from scipy.spatial.distance import pdist
+        r = calibrate_range(16, 16, 0.5)
         med = np.median(matern_correlation(pdist(g.centroids), r))
         assert med == pytest.approx(0.5, abs=1e-6)
 
@@ -107,35 +105,27 @@ class TestCalibrateRange:
 
     @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("points", [
-        "4x4", "3x5", "5x17", "16x16", "random300", "random302"])
+        "4x4", "3x5", "5x17", "16x16", "1x2", "2x1", "1x7", "32x32"])
     def test_middle_distances_give_the_all_pairs_result(self, points, kappa):
-        # 3x5 and 302 random points have an odd number of pairs
-        if points.startswith("random"):
-            n = int(points[len("random"):])
-            cents = np.random.default_rng(n).uniform(0.0, 10.0, (n, 2))
-        else:
-            cents = lattice_graph(*map(int, points.split("x"))).centroids
+        # 3x5, 1x2 and 1x7 have an odd number of pairs
+        nrows, ncols = map(int, points.split("x"))
+        cents = lattice_graph(nrows, ncols).centroids
         for target in (0.3, 0.5):
-            assert (calibrate_range(cents, target, kappa)
+            assert (calibrate_range(nrows, ncols, target, kappa)
                     == self._all_pairs_calibration(cents, target, kappa))
 
     def test_unreachable_target_hits_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "RANGE_CAP_FACTOR", 2.0)
-        cents = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericError, match="cap"):
-            calibrate_range(cents, target_median=0.99)
+            calibrate_range(1, 2, target_median=0.99)
 
     def test_target_bounds_validated(self):
-        cents = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError):
-            calibrate_range(cents, target_median=1.0)
+            calibrate_range(1, 2, target_median=1.0)
         with pytest.raises(ValidationError):
-            calibrate_range(cents, target_median=0.0)
-
-    def test_coincident_centroids_rejected(self):
-        cents = np.zeros((3, 2))
-        with pytest.raises(ValidationError, match="coincide"):
-            calibrate_range(cents)
+            calibrate_range(1, 2, target_median=0.0)
+        with pytest.raises(ValidationError, match="two areas"):
+            calibrate_range(1, 1)
 
 
 class TestPartition:
@@ -216,31 +206,44 @@ class TestGenSurface:
         phi, r = gen_surface(cfg, rng)
         np.testing.assert_allclose(r, np.exp(phi))
 
-    def test_coincident_centroids_survive_one_jitter(self):
-        g = lattice_graph(3, 3)
-        cents = g.centroids.copy()
-        cents[1] = cents[0]  # exact duplicate: correlation matrix singular
-        g2 = sim.AreaGraph(9, g.borders, centroids=cents)
-        cfg = SimConfig(graph=g2, true_partition=np.zeros(9, dtype=int),
-                        k1=0.0, k2=0.0, field_sd=1.0, replicates=1, seed=0)
-        phi, _ = gen_surface(cfg, np.random.default_rng(0))
-        assert abs(phi[0] - phi[1]) < 1e-3
+    @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("shape", ["1x2", "3x5", "17x40", "32x32"])
+    def test_window_covariance_is_matern(self, shape, kappa):
+        # exact, no sampling: the torus field's covariance is
+        # ifft2(spectrum^2), and at every offset between two lattice areas,
+        # (dr, dc) and (dr, -dc), it must be the Matern correlation
+        nrows, ncols = map(int, shape.split("x"))
+        rows = np.arange(1 - nrows, nrows)
+        cols = np.arange(1 - ncols, ncols)
+        dist = np.hypot(rows[:, None], cols[None, :])
+        for target in (0.3, 0.5, 0.8):
+            cfg = SimConfig(graph=lattice_graph(nrows, ncols),
+                            true_partition=np.zeros(nrows * ncols, dtype=int),
+                            k1=0.0, k2=0.0, kappa=kappa,
+                            target_median_correlation=target)
+            plan = sim._prepare(cfg)
+            cov = np.fft.ifft2(plan["spectrum"] ** 2).real
+            np.testing.assert_allclose(
+                cov[np.ix_(rows, cols)],
+                matern_correlation(dist, plan["range"], kappa), rtol=0, atol=1e-6)
 
 
 class TestPrepare:
     def test_surface_setup_peak_memory(self):
-        # 32x32: distances, correlation and Cholesky factor are n x n float64;
-        # at most three such arrays (plus change) may be alive at once
-        g = lattice_graph(32, 32)
-        cfg = SimConfig(graph=g, true_partition=five_block_partition(32, 32),
+        # 64x64: the plan is set up in arrays the size of its P x P torus,
+        # at most a dozen of them alive at once, whatever the lattice's n^2
+        g = lattice_graph(64, 64)
+        cfg = SimConfig(graph=g, true_partition=five_block_partition(64, 64),
                         k1=0.4, k2=3.0)
         tracemalloc.start()
         try:
-            sim._prepare(cfg)
+            plan = sim._prepare(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * g.n ** 2
+        side = plan["spectrum"].shape[0]
+        assert side <= 8 * 64
+        assert peak <= 12 * 8 * side ** 2
 
 
 class TestGenDissimilarity:
@@ -359,6 +362,15 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match="centroids"):
             SimConfig(graph=sim.AreaGraph(9, g.borders),
                       true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
+        # the surface is drawn on a lattice_graph grid and no other
+        for cents in (g.centroids[::-1], np.zeros((9, 2)), g.centroids[:, ::-1] * 2,
+                      lattice_graph(2, 5).centroids[:9], np.zeros((9, 0)), np.arange(9.0)):
+            with pytest.raises(ValidationError, match="lattice_graph grid"):
+                SimConfig(graph=sim.AreaGraph(9, g.borders, centroids=cents),
+                          true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
+        with pytest.raises(ValidationError, match="one per area"):
+            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+                      k1=0.1, k2=0.0, E=np.ones(4))
         with pytest.raises(ValidationError, match="expected counts"):
             SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
                       k1=0.1, k2=0.0, E=np.r_[np.ones(8), np.nan])
