@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import io, simulate
 from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
                        classify_boundaries, effect_interval, interval_verdict)
 from .diagnostics import moran_permutation_test, pearson_residuals
@@ -288,9 +288,12 @@ def cmd_simulate(args) -> int:
                          kappa=args.kappa,
                          target_median_correlation=args.target_median_corr,
                          field_sd=args.field_sd, E=expected,
-                         replicates=args.replicates, seed=args.seed,
-                         workers=args.workers)
+                         replicates=args.replicates)
                for k1, k2 in itertools.product(k1s, k2s)]
+    # every cell shares one surface; set up here, a NumericError exits
+    # before --out exists. It goes through the module so that a wrapper on
+    # simulate._prepare (bench/traced.py) times the set-up.
+    simulate._prepare(configs[0])
     out = io.ensure_outdir(args.out)
     scores = []
     for config in configs:

@@ -8,7 +8,8 @@ correlation hits a target (0.5 by default). Counts are Poisson(E exp(phi)).
 On the lattice C is stationary, so phi is the corner window of a field drawn
 by FFT on a P x P torus that C wraps onto (Wood & Chan 1994). P doubles from
 twice the longer side until no torus eigenvalue is below -1e-8 times the
-largest; the negative ones left are zeroed.
+largest; the negative ones left are zeroed. The range and the spectrum
+depend on the lattice, kappa and the target alone: a run sets them up once.
 The single dissimilarity metric is drawn per border as |N(1, 0.5^2)| off the
 true boundaries and |N(1 + k2, 0.5^2)| on them, then standardized to unit
 standard deviation over borders like any other metric.
@@ -22,8 +23,8 @@ module (and the CLI) loads numpy alone.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
@@ -211,10 +212,6 @@ class SimConfig:
     field_sd: float = 0.2
     E: Union[float, np.ndarray] = 100.0
     replicates: int = 20
-    seed: int = 0
-    workers: int = 1
-    _plan: Optional[dict] = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self):
         # NaN fails no comparison, so finiteness is checked first
@@ -231,10 +228,6 @@ class SimConfig:
             raise ValidationError("field_sd must be positive")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")
@@ -250,10 +243,13 @@ class SimConfig:
 
 
 def _prepare(config: SimConfig) -> dict:
-    plan = config._plan
-    if plan is not None:
-        return plan
+    """The surface's range, lattice shape and square-rooted torus spectrum,
+    set up once per (graph, kappa, target) and kept on the graph."""
     graph = config.graph
+    key = ("surface", config.kappa, config.target_median_correlation)
+    surface = graph._cache.get(key)
+    if surface is not None:
+        return surface
     nrows, ncols = _lattice_shape(graph)
     rng_val = calibrate_range(nrows, ncols, config.target_median_correlation,
                               config.kappa)
@@ -268,24 +264,19 @@ def _prepare(config: SimConfig) -> dict:
     else:
         raise NumericError(f"no torus of side up to {MAX_TORUS_SIDE} embeds the "
                            f"correlation on {nrows}x{ncols}: lower --target-median-corr")
-    plan = {
-        "range": rng_val,
-        "shape": (nrows, ncols),
-        "spectrum": np.sqrt(np.clip(eig, 0.0, None)),
-        "E": config.E,
-        "mean": np.where(config.true_partition == 0, 0.0, config.k1),
-        "true_boundary": true_boundary_mask(graph, config.true_partition),
-    }
-    object.__setattr__(config, "_plan", plan)
-    return plan
+    surface = {"range": rng_val, "shape": (nrows, ncols),
+               "spectrum": np.sqrt(np.clip(eig, 0.0, None))}
+    graph._cache[key] = surface
+    return surface
 
 
 def gen_surface(config: SimConfig, rng: np.random.Generator):
     """Draw one log-risk surface; returns (phi_true, R_true)."""
-    plan = _prepare(config)
-    spectrum, (nrows, ncols) = plan["spectrum"], plan["shape"]
+    surface = _prepare(config)
+    spectrum, (nrows, ncols) = surface["spectrum"], surface["shape"]
     torus = np.fft.ifft2(spectrum * np.fft.fft2(rng.standard_normal(spectrum.shape)))
-    phi = plan["mean"] + config.field_sd * torus.real[:nrows, :ncols].ravel()
+    mean = np.where(config.true_partition == 0, 0.0, config.k1)
+    phi = mean + config.field_sd * torus.real[:nrows, :ncols].ravel()
     return phi, np.exp(phi)
 
 
@@ -293,9 +284,8 @@ def gen_dissimilarity(config: SimConfig, rng: np.random.Generator) -> np.ndarray
     """Raw border metric draws: |N(1, 0.5^2)| off-boundary, |N(1+k2, 0.5^2)|
     on-boundary. Standardization to unit SD happens when the values are turned
     into DissimilarityData."""
-    plan = _prepare(config)
-    means = np.where(plan["true_boundary"], 1.0 + config.k2, 1.0)
-    return np.abs(rng.normal(means, 0.5))
+    tb = true_boundary_mask(config.graph, config.true_partition)
+    return np.abs(rng.normal(np.where(tb, 1.0 + config.k2, 1.0), 0.5))
 
 
 def gen_counts(R_true: np.ndarray, E: np.ndarray,
@@ -333,22 +323,19 @@ class SimScore:
 
 def _replicate_result(config: SimConfig, chain_config: ChainConfig,
                       rep: int) -> dict:
-    plan = _prepare(config)
-    data_rng = derive_rng(config.seed, REPLICATE, rep, 0)
+    data_rng = derive_rng(chain_config.seed, REPLICATE, rep, 0)
     chain_seed = int(np.random.SeedSequence(
-        config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
+        chain_config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
     phi_true, r_true = gen_surface(config, data_rng)
     raw = gen_dissimilarity(config, data_rng)
-    y = gen_counts(r_true, plan["E"], data_rng)
+    y = gen_counts(r_true, config.E, data_rng)
     dis = DissimilarityData.from_border_values(config.graph, raw,
                                                metric_names=("sim_metric",))
-    data = ObservedData(y=y, E=plan["E"])
+    data = ObservedData(y=y, E=config.E)
     cfg = replace(chain_config, seed=chain_seed, workers=1)
     samples = run_chains(data, config.graph, dis, cfg)
     bset = classify_boundaries(samples)
-    tb = plan["true_boundary"]
-    if not tb.any() or tb.all():
-        raise ValidationError("partition must yield both boundaries and non-boundaries")
+    tb = true_boundary_mask(config.graph, config.true_partition)
     ba = 100.0 * float(np.mean(bset.is_boundary[tb]))
     nba = 100.0 * float(np.mean(~bset.is_boundary[~tb]))
     r_hat = samples.risk_median()
@@ -366,20 +353,23 @@ def _replicate_result(config: SimConfig, chain_config: ChainConfig,
 def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     """Generate, fit, and score `config.replicates` independent replicates.
 
-    Replicates derive their streams from (seed, replicate index) and run in
-    a pool of `config.workers` processes; the chains of one replicate run
-    without a pool, whatever `chain_config.workers` says. Results are
-    identical either way.
+    Replicates derive their streams from (`chain_config.seed`, replicate
+    index) and run in a pool of `chain_config.workers` processes; the chains
+    of one replicate run without a pool. Results are identical either way.
+    Cells on one graph with the same kappa and target share one surface.
     """
-    # built and imported before the pool forks: both plans travel to every
-    # task inside the pickled config, and each replicate's ObservedData
-    # needs scipy.special for ln(y!)
+    tb = true_boundary_mask(config.graph, config.true_partition)
+    if not tb.any() or tb.all():
+        raise ValidationError("partition must yield both boundaries and non-boundaries")
+    # built and imported before the pool forks: the surface and band plans
+    # travel to every task inside the pickled graph, and each replicate's
+    # ObservedData needs scipy.special for ln(y!)
     _prepare(config)
     _band_plan(config.graph)
     import scipy.special  # noqa: F401
     results = run_tasks(_replicate_result,
                         [(config, chain_config, r) for r in range(config.replicates)],
-                        config.workers)
+                        chain_config.workers)
 
     def col(name):
         return np.array([r[name] for r in results], dtype=float)

@@ -146,13 +146,12 @@ def test_criterion_2_adjacency_model():
 def test_criterion_3_simulation_scorecard():
     graph = lattice_graph(16, 16)
     labels = five_block_partition(16, 16)
-    chain_cfg = ChainConfig(n_chains=2, burn_in=5000, keep=2000, seed=0)
 
     def cell(k1, k2, seed):
         cfg = SimConfig(graph=graph, true_partition=labels, k1=k1, k2=k2,
-                        field_sd=0.2, E=100.0, replicates=20, seed=seed,
-                        workers=2)
-        return run_study(cfg, chain_cfg)
+                        field_sd=0.2, E=100.0, replicates=20)
+        return run_study(cfg, ChainConfig(n_chains=2, burn_in=5000, keep=2000,
+                                          seed=seed, workers=2))
 
     t0 = time.perf_counter()
     s_main = cell(0.4, 3.0, 100)
@@ -254,15 +253,14 @@ def test_criterion_4_sampler_validity():
     graph16 = lattice_graph(16, 16)
     labels = five_block_partition(16, 16)
     cfg = SimConfig(graph=graph16, true_partition=labels, k1=0.4, k2=3.0,
-                    field_sd=0.2, E=100.0, replicates=1, seed=9)
-    from womble.simulate import _prepare, gen_counts, gen_dissimilarity, gen_surface
-    plan = _prepare(cfg)
+                    field_sd=0.2, E=100.0, replicates=1)
+    from womble.simulate import gen_counts, gen_dissimilarity, gen_surface
     rng_d = np.random.default_rng(909)
     _, r_true = gen_surface(cfg, rng_d)
     raw = gen_dissimilarity(cfg, rng_d)
-    y = gen_counts(r_true, plan["E"], rng_d)
+    y = gen_counts(r_true, cfg.E, rng_d)
     dis = DissimilarityData.from_border_values(graph16, raw)
-    data = ObservedData(y=y.astype(float), E=plan["E"])
+    data = ObservedData(y=y.astype(float), E=cfg.E)
     samples = run_chains(data, graph16, dis,
                          ChainConfig(n_chains=2, burn_in=5000, keep=2000, seed=17))
     gr_mu = gelman_rubin(samples.mu)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import womble
-from womble import io
+from womble import NumericError, io
 from womble.simulate import lattice_graph
 from womble.cli import main
 
@@ -289,7 +289,7 @@ class TestEffectVerdict:
         g = lattice_graph(8, 8)
         labels = five_block_partition(8, 8)
         cfg = SimConfig(graph=g, true_partition=labels, k1=0.4, k2=3.0,
-                        field_sd=0.2, E=100.0, replicates=1, seed=0)
+                        field_sd=0.2, E=100.0, replicates=1)
         rng = np.random.default_rng(31)
         _, risk = gen_surface(cfg, rng)
         y = rng.poisson(100.0 * risk)
@@ -498,6 +498,35 @@ class TestSimulateCommand:
         _, rows = io.read_table(out / "scorecard.csv")
         assert [(r["k1"], r["k2"]) for r in rows] == [("0.2", "3.0"), ("0.4", "3.0")]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cells_share_one_surface(self, tmp_path, monkeypatch, workers):
+        # the range is calibrated once per run, in no pool process, and each
+        # cell's replicates are those of a run of that cell alone
+        import womble.simulate as sim
+
+        log = tmp_path / "calibrations"
+        calibrate = sim.calibrate_range
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr("womble.simulate.calibrate_range", counted)
+        flags = ["--nrows", "8", "--ncols", "8", "--replicates", "2",
+                 "--chains", "1", "--burnin", "60", "--keep", "40",
+                 "--seed", "3", "--workers", workers]
+        out = tmp_path / "grid"
+        assert main(["simulate", "--k1", "0.2,0.4", "--k2", "0,3",
+                     "--out", str(out)] + flags) == 0
+        assert log.read_text().split() == [str(os.getpid())]
+        for k1, k2 in [("0.2", "0"), ("0.2", "3"), ("0.4", "0"), ("0.4", "3")]:
+            alone = tmp_path / f"alone_{k1}_{k2}"
+            assert main(["simulate", "--k1", k1, "--k2", k2,
+                         "--out", str(alone)] + flags) == 0
+            name = f"replicates_k1_{k1}_k2_{k2}.csv"
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
     def test_expected_csv_per_area(self, tmp_path):
         g = lattice_graph(8, 8)
         ecsv = tmp_path / "expected.csv"
@@ -606,7 +635,7 @@ class TestSimulateCommand:
 
 
 class TestRejectedCommandsWriteNothing:
-    """A command that exits 2 or 3 creates no --out directory."""
+    """A command that exits 2, 3 or 4 creates no --out directory."""
 
     @pytest.mark.parametrize("command, flags, code, named", [
         ("fit", ["--chains", "0"], 2, "n_chains must be >= 1"),
@@ -652,6 +681,28 @@ class TestRejectedCommandsWriteNothing:
                    "--keep", "10", "--out", str(out)] + flags)
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure", ["torus", "range cap"])
+    def test_simulate_surface_setup_fails(self, tmp_path, capsys, monkeypatch,
+                                          failure):
+        if failure == "torus":
+            # the 8x8 surface needs a torus of side 64 at the defaults
+            monkeypatch.setattr("womble.simulate.MAX_TORUS_SIDE", 16)
+            named = "--target-median-corr"
+        else:
+            def capped(*args, **kwargs):
+                raise NumericError("range exceeded cap 1e+10")
+
+            monkeypatch.setattr("womble.simulate.calibrate_range", capped)
+            named = "NUMERIC: range exceeded cap 1e+10"
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--nrows", "8", "--ncols", "8",
+                   "--replicates", "1", "--chains", "1", "--burnin", "10",
+                   "--keep", "10", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("NUMERIC:") and named in err
         assert not out.exists()
 
     def test_fit_zero_prior_bound(self, tmp_path, capsys, no_sampling):

@@ -833,8 +833,9 @@ class TestBandPlanBeforeFork:
     def test_run_study(self, plan_pids):
         g = lattice_graph(8, 8)
         cfg = SimConfig(graph=g, true_partition=five_block_partition(8, 8),
-                        k1=0.4, k2=3.0, replicates=2, seed=1, workers=2)
-        run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10))
+                        k1=0.4, k2=3.0, replicates=2)
+        run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10, seed=1,
+                                   workers=2))
         assert plan_pids() == [str(os.getpid())]
 
 
@@ -950,7 +951,7 @@ class TestDic:
         cut = build_graph(np.zeros((64, 64), dtype=int))
         labels = np.zeros(64, dtype=int)
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.0, k2=0.0,
-                            field_sd=0.3, E=100.0, replicates=1, seed=0)
+                            field_sd=0.3, E=100.0, replicates=1)
         wins = 0
         n_rep = 20
         for rep in range(n_rep):
@@ -1044,7 +1045,7 @@ class TestAlphaConcentration:
         g = lattice_graph(8, 8)
         labels = five_block_partition(8, 8)
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.4, k2=3.0,
-                            field_sd=0.2, E=100.0, replicates=1, seed=0)
+                            field_sd=0.2, E=100.0, replicates=1)
         rng = np.random.default_rng(5)
         phi, r_true = gen_surface(cfg_sim, rng)
         raw = gen_dissimilarity(cfg_sim, rng)

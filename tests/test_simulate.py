@@ -153,7 +153,7 @@ def small_config(**kw):
     labels = np.zeros(36, dtype=int)
     labels[[14, 15, 20, 21]] = 1  # one interior 2x2 block
     defaults = dict(graph=g, true_partition=labels, k1=0.3, k2=3.0,
-                    field_sd=0.2, E=100.0, replicates=2, seed=0)
+                    field_sd=0.2, E=100.0, replicates=2)
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -249,7 +249,7 @@ class TestPrepare:
 class TestGenDissimilarity:
     def test_boundary_mean_offset(self):
         cfg = small_config(k2=3.0)
-        tb = sim._prepare(cfg)["true_boundary"]
+        tb = true_boundary_mask(cfg.graph, cfg.true_partition)
         reps = 300
         vals = []
         for r in range(reps):
@@ -261,7 +261,7 @@ class TestGenDissimilarity:
 
     def test_k2_zero_identical_distributions(self):
         cfg = small_config(k2=0.0)
-        tb = sim._prepare(cfg)["true_boundary"]
+        tb = true_boundary_mask(cfg.graph, cfg.true_partition)
         rng = np.random.default_rng(1)
         on, off = [], []
         for _ in range(300):
@@ -277,7 +277,7 @@ class TestGenDissimilarity:
         overlap = norm.cdf(-3.0 / np.sqrt(0.5))
         assert overlap == pytest.approx(1.1e-5, rel=0.05)
         cfg = small_config(k2=3.0)
-        tb = sim._prepare(cfg)["true_boundary"]
+        tb = true_boundary_mask(cfg.graph, cfg.true_partition)
         rng = np.random.default_rng(2)
         crossings = 0
         total = 0
@@ -306,8 +306,9 @@ class TestGenCounts:
 
 
 class TestRunStudy:
-    def _chain_cfg(self):
-        return ChainConfig(n_chains=1, burn_in=300, keep=200, seed=0)
+    def _chain_cfg(self, workers=1):
+        return ChainConfig(n_chains=1, burn_in=300, keep=200, seed=0,
+                           workers=workers)
 
     def test_scorecard_identities_and_determinism(self):
         cfg = small_config(replicates=2)
@@ -317,7 +318,7 @@ class TestRunStudy:
         assert s1.rmse_pct == s2.rmse_pct
         assert 0.0 <= s1.ba <= 100.0 and 0.0 <= s1.nba <= 100.0
         per = s1.per_replicate
-        tb = sim._prepare(cfg)["true_boundary"]
+        tb = true_boundary_mask(cfg.graph, cfg.true_partition)
         for i in range(cfg.replicates):
             missed = 100.0 - per["ba"][i]
             false_pos = 100.0 - per["nba"][i]
@@ -328,20 +329,25 @@ class TestRunStudy:
                 round(per["ba"][i] / 100.0 * n_true), abs=1e-9)
 
     def test_worker_pool_matches_sequential(self):
-        cfg1 = small_config(replicates=2, workers=1)
-        cfg2 = small_config(replicates=2, workers=2)
-        s1 = run_study(cfg1, self._chain_cfg())
-        s2 = run_study(cfg2, self._chain_cfg())
+        cfg1 = small_config(replicates=2)
+        cfg2 = small_config(replicates=2)
+        s1 = run_study(cfg1, self._chain_cfg(workers=1))
+        s2 = run_study(cfg2, self._chain_cfg(workers=2))
         np.testing.assert_array_equal(s1.per_replicate["ba"],
                                       s2.per_replicate["ba"])
         np.testing.assert_array_equal(s1.per_replicate["rmse_pct"],
                                       s2.per_replicate["rmse_pct"])
 
-    def test_all_one_partition_rejected(self):
+    def test_all_one_partition_rejected(self, monkeypatch):
+        # rejected once, before the pool starts: no chain runs
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran before the partition was checked")
+
+        monkeypatch.setattr("womble.simulate.run_chains", no_chains)
         cfg = small_config()
         bad = SimConfig(graph=cfg.graph,
                         true_partition=np.zeros(36, dtype=int),
-                        k1=0.1, k2=1.0, replicates=1, seed=0)
+                        k1=0.1, k2=1.0, replicates=1)
         with pytest.raises(ValidationError, match="boundaries"):
             run_study(bad, self._chain_cfg())
 
@@ -353,12 +359,6 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             SimConfig(graph=g, true_partition=np.zeros(4, dtype=int),
                       k1=0.1, k2=0.0)
-        with pytest.raises(ValidationError, match="workers must be >= 1"):
-            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
-                      k1=0.1, k2=0.0, workers=0)
-        with pytest.raises(ValidationError, match="seed must be >= 0"):
-            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
-                      k1=0.1, k2=0.0, seed=-1)
         with pytest.raises(ValidationError, match="centroids"):
             SimConfig(graph=sim.AreaGraph(9, g.borders),
                       true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
