@@ -17,7 +17,7 @@ VERTEX_DECIMALS = 9
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """Per-border boundary classification from the pooled w trace.
+    """Per-border boundary classification from the pooled w draws.
 
     A border is a boundary iff the posterior median of its w indicator is 0;
     exact ties (w = 1 in exactly half the draws) resolve to w = 1, i.e. no
@@ -40,11 +40,15 @@ class BoundarySet:
 
 
 def classify_boundaries(samples: PosteriorSamples) -> BoundarySet:
-    """Classify each border from the posterior median of w, chains pooled."""
-    w = samples.pooled("w")
-    if w.shape[0] == 0:
+    """Classify each border from the posterior median of w, chains pooled.
+
+    w_mean is the pooled count of draws that keep a border over the number
+    of draws: the float mean of the 0/1 trace, bit for bit, since both sum
+    exactly."""
+    draws = samples.mu.size
+    if draws == 0:
         raise ValidationError("empty w trace")
-    w_mean = w.mean(axis=0)
+    w_mean = samples.w_counts.sum(axis=0) / draws
     w_median = (w_mean >= 0.5).astype(np.uint8)
     return BoundarySet(graph=samples.graph, w_median=w_median, w_mean=w_mean,
                        is_boundary=w_median == 0)

@@ -1,7 +1,9 @@
 """File formats: areas/adjacency CSV input, GeoJSON geometry, result writers.
 
 Numeric output uses repr() of Python floats: full double precision, '.'
-decimal separator, locale-independent, and byte-stable across reruns.
+decimal separator, locale-independent, and byte-stable across reruns. The
+writers turn whole columns into Python values (bools become ints), which
+csv formats with str(), the same as repr() for a float.
 """
 
 import csv
@@ -17,20 +19,26 @@ from .graph import AreaGraph
 from .mcmc import DicResult, PosteriorSamples, effective_sample_size
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _py(a):
+    """An array, or a scalar, as Python ints (from bools and integers) or
+    floats: a list, or one value."""
+    a = np.asarray(a)
+    return a.astype(np.int64 if a.dtype.kind in "biu" else float).tolist()
 
 
 def _write_rows(path, header, rows):
+    """Write `rows` (an iterable of rows of str, int and float cells)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        writer.writerows(rows)
+
+
+def _border_ids(graph: AreaGraph):
+    """The two area ids of each border, as two lists."""
+    ids = graph.area_ids
+    return ([ids[k] for k in graph.borders[:, 0].tolist()],
+            [ids[j] for j in graph.borders[:, 1].tolist()])
 
 
 def read_table(path):
@@ -176,49 +184,47 @@ def write_posterior_summary(samples: PosteriorSamples, path):
     for name, arr in zip(names, series):
         for c in range(arr.shape[0]):
             x = arr[c]
-            rows.append([name, str(c), np.median(x), x.mean(),
-                         np.percentile(x, 2.5), np.percentile(x, 97.5),
-                         effective_sample_size(x[None, :])])
+            rows.append([name, str(c), *map(_py, (
+                np.median(x), x.mean(), np.percentile(x, 2.5),
+                np.percentile(x, 97.5), effective_sample_size(x[None, :])))])
         pooled = arr.reshape(-1)
-        rows.append([name, "all", np.median(pooled), pooled.mean(),
-                     np.percentile(pooled, 2.5), np.percentile(pooled, 97.5),
-                     effective_sample_size(arr)])
+        rows.append([name, "all", *map(_py, (
+            np.median(pooled), pooled.mean(), np.percentile(pooled, 2.5),
+            np.percentile(pooled, 97.5), effective_sample_size(arr)))])
     _write_rows(path, ["param", "chain", "median", "mean", "ci2.5", "ci97.5", "ess"],
                 rows)
 
 
 def write_risk_csv(area_ids, med, lo, hi, path):
-    rows = [[aid, med[k], lo[k], hi[k]] for k, aid in enumerate(area_ids)]
-    _write_rows(path, ["area_id", "R_median", "R_ci2.5", "R_ci97.5"], rows)
+    _write_rows(path, ["area_id", "R_median", "R_ci2.5", "R_ci97.5"],
+                zip(area_ids, _py(med), _py(lo), _py(hi)))
 
 
 def write_boundary_csv(bset: BoundarySet, blv_values, path):
-    graph = bset.graph
-    rows = []
-    for b, (k, j) in enumerate(graph.borders):
-        rows.append([graph.area_ids[k], graph.area_ids[j],
-                     int(bset.w_median[b]), bset.w_mean[b],
-                     bool(bset.is_boundary[b]), blv_values[b]])
     _write_rows(path, ["area_id_1", "area_id_2", "w_median", "w_mean",
-                       "is_boundary", "blv"], rows)
+                       "is_boundary", "blv"],
+                zip(*_border_ids(bset.graph), _py(bset.w_median),
+                    _py(bset.w_mean), _py(bset.is_boundary),
+                    _py(blv_values)))
 
 
 def write_effects_csv(rows, path):
     """rows: (metric, estimate, lo, hi, alpha_min, verdict)."""
     _write_rows(path, ["metric", "estimate", "ci2.5", "ci97.5", "alpha_min",
                        "verdict"],
-                [[m, e, lo, hi, am, v] for m, e, lo, hi, am, v in rows])
+                [[m, *map(_py, (e, lo, hi, am)), v]
+                 for m, e, lo, hi, am, v in rows])
 
 
 def write_dic_csv(res: DicResult, path):
     _write_rows(path, ["dic", "p_d", "mean_deviance"],
-                [[res.dic, res.p_d, res.mean_deviance]])
+                [list(map(_py, (res.dic, res.p_d, res.mean_deviance)))])
 
 
 def write_residuals_csv(area_ids, y, E, r_median, residuals, path):
-    rows = [[aid, int(y[k]), E[k], r_median[k], residuals[k]]
-            for k, aid in enumerate(area_ids)]
-    _write_rows(path, ["area_id", "y", "E", "R_median", "residual"], rows)
+    _write_rows(path, ["area_id", "y", "E", "R_median", "residual"],
+                zip(area_ids, _py(np.asarray(y).astype(np.int64)), _py(E),
+                    _py(r_median), _py(residuals)))
 
 
 def read_residuals_csv(path):
@@ -243,43 +249,37 @@ def read_residuals_csv(path):
 
 def write_moran_csv(result, path):
     _write_rows(path, ["I", "p_value", "n_permutations", "residual_type"],
-                [[result.I, result.p_value, int(result.n_permutations),
-                  "pearson"]])
+                [[_py(result.I), _py(result.p_value),
+                  int(result.n_permutations), "pearson"]])
 
 
 def write_blv_csv(res, path, rule_a_flags=None, rule_b_flags=None):
-    graph = res.graph
     header = ["area_id_1", "area_id_2", "blv"]
-    if rule_a_flags is not None:
-        header.append("rule_a")
-    if rule_b_flags is not None:
-        header.append("rule_b")
-    rows = []
-    for b, (k, j) in enumerate(graph.borders):
-        row = [graph.area_ids[k], graph.area_ids[j], res.values[b]]
-        if rule_a_flags is not None:
-            row.append(bool(rule_a_flags[b]))
-        if rule_b_flags is not None:
-            row.append(bool(rule_b_flags[b]))
-        rows.append(row)
-    _write_rows(path, header, rows)
+    columns = [*_border_ids(res.graph), _py(res.values)]
+    for name, flags in (("rule_a", rule_a_flags), ("rule_b", rule_b_flags)):
+        if flags is not None:
+            header.append(name)
+            columns.append(_py(np.asarray(flags, dtype=bool)))
+    _write_rows(path, header, zip(*columns))
 
 
 def write_scorecard_csv(scores, path):
     header = ["k1", "k2", "replicates", "ba", "nba", "bias_pct", "rmse_pct",
               "ba_se", "nba_se", "bias_se", "rmse_se"]
-    rows = [[s.k1, s.k2, int(s.replicates), s.ba, s.nba, s.bias_pct, s.rmse_pct,
-             s.ba_se, s.nba_se, s.bias_se, s.rmse_se] for s in scores]
+    rows = [[_py(s.k1), _py(s.k2), int(s.replicates),
+             *map(_py, (s.ba, s.nba, s.bias_pct, s.rmse_pct,
+                        s.ba_se, s.nba_se, s.bias_se, s.rmse_se))]
+            for s in scores]
     _write_rows(path, header, rows)
 
 
 def write_replicates_csv(score, path):
     per = score.per_replicate
     header = ["replicate", "ba", "nba", "bias_pct", "rmse_pct", "boundary_count"]
-    rows = [[int(per["replicate"][i]), per["ba"][i], per["nba"][i],
-             per["bias_pct"][i], per["rmse_pct"][i],
-             int(per["boundary_count"][i])] for i in range(len(per["ba"]))]
-    _write_rows(path, header, rows)
+    _write_rows(path, header, zip(
+        _py(np.asarray(per["replicate"]).astype(np.int64)),
+        *(_py(per[k]) for k in ("ba", "nba", "bias_pct", "rmse_pct")),
+        _py(np.asarray(per["boundary_count"]).astype(np.int64))))
 
 
 def write_boundary_geojson(graph: AreaGraph, bset: BoundarySet, path):

@@ -44,19 +44,28 @@ Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state, so results are identical
 whether chains run sequentially or in a process pool. The graph's band plan
 (RCM ordering and scipy's banded Cholesky) and ln(y!) are built in the
-parent before the pool forks, so workers receive them pickled with the graph
-and the data, with the scipy modules they use already loaded. Retained phi
-goes to one temporary file under TMPDIR, each chain writing its own slice;
-the merged samples map it read-only, and the output stage reduces it a block
-of areas at a time (RISK_BLOCK_BYTES).
+parent before the pool forks; the pool's workers get the graph, the data and
+the settings once, through its initializer (inherited, not pickled, where
+the pool forks), with the scipy modules they use already loaded, and each
+task carries only its chain index.
+
+Retained phi and w go to one temporary file under TMPDIR, each chain writing
+its own slices: phi in buffers of a few megabytes of draws (RISK_BLOCK_BYTES),
+each stored area by area, then one row of w per retained draw. A chain
+returns only the number of retained draws in which each border is kept. The
+output stage reads phi back a block of areas at a time through a read-only
+descriptor, one read per chain and buffer, so no process holds all retained
+draws.
 """
 
+import errno
 import math
 import os
 import tempfile
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,8 +92,9 @@ LOGDET_MEMO_CAP = 4096
 # margin of the cut bound over the exact ratio, far above the rounding in
 # either log|Q|, so a bound rejection is one the exact test also makes
 CUT_BOUND_SLACK = 1e-6
-# temporary file of retained phi, (chains, draws, areas) float64, under TMPDIR
+# temporary file of retained phi and w under TMPDIR (see _DrawLayout)
 PHI_FILE_PREFIX = "womble-phi-"
+# a chain buffers at most this many bytes of retained phi per write, and
 # exp(phi) is reduced over blocks of areas of one to two times this many bytes
 RISK_BLOCK_BYTES = 2 << 20
 
@@ -356,20 +366,99 @@ class DicResult(NamedTuple):
     mean_deviance: float
 
 
+class _DrawLayout(NamedTuple):
+    """Where one run's retained draws lie in its temporary file.
+
+    Chain c's phi fills bytes [8n c m, 8n (c + 1) m) for m = `draws`, in
+    buffers of `block` draws (the last one may be shorter); a buffer of k
+    draws is stored area-major, as an (n, k) float64 array, so one area's k
+    draws are contiguous. The uint8 w rows, `borders` bytes each, follow
+    all of the phi, chain by chain and draw by draw."""
+
+    path: str
+    chains: int
+    draws: int     # retained per chain
+    n: int
+    borders: int
+    block: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.chains * self.draws * (8 * self.n + self.borders)
+
+    def phi_offset(self, chain: int, draw: int) -> int:
+        """Where the phi buffer that starts at `draw` of `chain` begins."""
+        return 8 * self.n * (chain * self.draws + draw)
+
+    def buffers(self, chain: int):
+        """(draws, byte offset) of each of `chain`'s phi buffers."""
+        for start in range(0, self.draws, self.block):
+            yield min(self.block, self.draws - start), self.phi_offset(chain, start)
+
+    def w_offset(self, chain: int, draw: int) -> int:
+        return (self.phi_offset(self.chains, 0)
+                + self.borders * (chain * self.draws + draw))
+
+
+def _pwrite(fd: int, a: np.ndarray, offset: int):
+    if os.pwrite(fd, a, offset) != a.nbytes:
+        raise OSError(errno.EIO, "short write to the retained draws file")
+
+
+class _PhiReader:
+    """Reads retained phi back from the (unlinked) draw file through its own
+    read-only descriptor, closed when the reader is released."""
+
+    def __init__(self, layout: _DrawLayout):
+        self.layout = layout
+        self.fd = os.open(layout.path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+
+    def __call__(self, areas: slice = slice(None)) -> np.ndarray:
+        """The pooled (draws, areas) phi of a slice of areas (step 1),
+        chains in order, from one read per chain and buffer."""
+        lay = self.layout
+        first, stop, _ = areas.indices(lay.n)
+        width = max(0, stop - first)
+        # each buffer's (areas, draws) part, one after another
+        staged = np.empty(lay.chains * lay.draws * width)
+        view, pos = memoryview(staged).cast("B"), 0
+        for c in range(lay.chains):
+            for k, offset in lay.buffers(c):
+                size = 8 * width * k
+                if os.preadv(self.fd, [view[pos:pos + size]], offset + 8 * first * k) != size:
+                    raise OSError(errno.EIO, "the retained draws file ends early")
+                pos += size
+        # per chain: the full buffers, then the partial one, made draw-major
+        out = np.empty((lay.chains * lay.draws, width))
+        n_full, rest = divmod(lay.draws, lay.block)
+        full = n_full * lay.block
+        for src, dst in zip(staged.reshape(lay.chains, -1),
+                            out.reshape(lay.chains, lay.draws, width)):
+            dst[:full].reshape(n_full, lay.block, width)[:] = (
+                src[:full * width].reshape(n_full, width, lay.block).transpose(0, 2, 1))
+            dst[full:] = src[full * width:].reshape(width, rest).T
+        return out
+
+
 @dataclass
 class PosteriorSamples:
-    """Thinned multi-chain draws plus the per-border w trace.
+    """Thinned multi-chain draws, with retained phi and w left on disk.
 
     Arrays are indexed (chain, draw, ...); pooled views flatten the first two
-    axes with chains kept contiguous. `run_chains` gives phi as a read-only
-    map of a temporary file that is already unlinked.
+    axes with chains kept contiguous. `run_chains` leaves phi and w in a
+    temporary file that is already unlinked: `phi_draws(areas)` reads the
+    pooled (draws, areas) phi of a slice of areas, and `w` maps the w trace
+    read-only for benchmarks; nothing in the package reads it, since
+    `w_counts` holds what boundary classification needs.
     """
 
-    phi: np.ndarray        # (C, m, n)
+    phi_draws: Callable[[slice], np.ndarray]
     mu: np.ndarray         # (C, m)
     tau2: np.ndarray       # (C, m)
     alpha: np.ndarray      # (C, m, q)
     w: np.ndarray          # (C, m, B) uint8
+    w_counts: np.ndarray   # (C, B) int64: retained draws that keep each border
     deviance: np.ndarray   # (C, m)
     acceptance: dict       # block -> (C, ...) post-burn-in acceptance rates
     graph: AreaGraph
@@ -386,16 +475,16 @@ class PosteriorSamples:
 
         numpy sums a one-area block pairwise but a wider one draw by draw,
         as it does the whole map, so blocks hold at least two areas."""
-        phi = self.phi.reshape(-1, self.phi.shape[2])
-        draws, n = phi.shape
+        draws, n = self.mu.size, self.graph.n
         n_blocks = max(1, n // max(2, RISK_BLOCK_BYTES // (8 * draws)))
         edges = [n * i // n_blocks for i in range(n_blocks + 1)]
         for start, stop in zip(edges, edges[1:]):
-            yield slice(start, stop), np.exp(phi[:, start:stop])
+            areas = slice(start, stop)
+            yield areas, np.exp(self.phi_draws(areas))
 
     def risk_median(self) -> np.ndarray:
         """Posterior median of each area's risk R_k."""
-        med = np.empty(self.phi.shape[2])
+        med = np.empty(self.graph.n)
         for areas, r in self._risk_blocks():
             # numpy reduces along rows several times faster, same values
             med[areas] = np.median(r.T.copy(), axis=1)
@@ -403,7 +492,7 @@ class PosteriorSamples:
 
     def risk_summary(self):
         """Posterior median, 2.5% and 97.5% points of each area's risk."""
-        med, lo, hi = (np.empty(self.phi.shape[2]) for _ in range(3))
+        med, lo, hi = (np.empty(self.graph.n) for _ in range(3))
         for areas, r in self._risk_blocks():
             r = r.T.copy()
             med[areas] = np.median(r, axis=1)
@@ -443,9 +532,10 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray, phi_path: str) -> dict:
-    """Run one chain, writing its retained phi into its (draws, n) slice of
-    the float64 file at `phi_path`; return the other draws."""
+               M: np.ndarray, layout: _DrawLayout) -> dict:
+    """Run one chain, writing its retained phi and w into its slices of the
+    draw file (see _DrawLayout); return the other draws and, per border, the
+    number of retained draws that keep it."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
     state = _initial_state(data, graph, dis, M, rng)
     n, b, q = graph.n, graph.n_borders, M.size
@@ -456,13 +546,12 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
     alpha_steps = np.exp(log_alpha_steps)
 
-    n_retained = config.keep // config.thin
-    out_phi = np.memmap(phi_path, dtype=np.float64, mode="r+",
-                        offset=8 * chain_idx * n_retained * n, shape=(n_retained, n))
+    n_retained, block = layout.draws, layout.block
+    phi_buffer = np.empty(n * block)
     out_mu = np.empty(n_retained)
     out_tau2 = np.empty(n_retained)
     out_alpha = np.empty((n_retained, q))
-    out_w = np.empty((n_retained, b), dtype=np.uint8)
+    w_counts = np.zeros(b, dtype=np.int64)
     out_dev = np.empty(n_retained)
     log_E = np.log(data.E)
 
@@ -471,41 +560,50 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
     batch = 0
     idx = 0
     burn_in, window, target = config.burn_in, ADAPT_WINDOW, ADAPT_TARGET
-    for it in range(burn_in + config.keep):
-        if it == burn_in:
-            hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
-        hits_phi += update_phi(state, data, phi_steps, rng)
-        update_mu(state, rng)
-        # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
-        quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
-        hits_tau += update_tau2(state, tau_step, rng, quad)
-        if q:
-            hits_alpha += update_alpha(state, dis, alpha_steps, M, rng, quad)
-        if it < burn_in:
-            if (it + 1) % window == 0:
-                batch += 1
-                delta = min(0.25, 1.0 / math.sqrt(batch))
-                log_phi_steps += np.where(hits_phi / window > target, delta, -delta)
-                np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
-                log_tau_step += delta if hits_tau / window > target else -delta
-                log_tau_step = min(max(log_tau_step, -15.0), 5.0)
-                log_alpha_steps += np.where(hits_alpha / window > target, delta, -delta)
-                np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
-                phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
-                alpha_steps = np.exp(log_alpha_steps)
+    with open(layout.path, "r+b", buffering=0) as fh:
+        fd = fh.fileno()
+        for it in range(burn_in + config.keep):
+            if it == burn_in:
                 hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
-        elif (it - burn_in + 1) % config.thin == 0 and idx < n_retained:
-            out_phi[idx] = state.phi
-            out_mu[idx] = state.mu
-            out_tau2[idx] = state.tau2
-            out_alpha[idx] = state.alpha
-            out_w[idx] = state.adj.w
-            out_dev[idx] = _deviance(data.y, log_E + state.phi,
-                                     data.E * np.exp(state.phi), data._lgamma_y)
-            idx += 1
+            hits_phi += update_phi(state, data, phi_steps, rng)
+            update_mu(state, rng)
+            # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
+            quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
+            hits_tau += update_tau2(state, tau_step, rng, quad)
+            if q:
+                hits_alpha += update_alpha(state, dis, alpha_steps, M, rng, quad)
+            if it < burn_in:
+                if (it + 1) % window == 0:
+                    batch += 1
+                    delta = min(0.25, 1.0 / math.sqrt(batch))
+                    log_phi_steps += np.where(hits_phi / window > target, delta, -delta)
+                    np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
+                    log_tau_step += delta if hits_tau / window > target else -delta
+                    log_tau_step = min(max(log_tau_step, -15.0), 5.0)
+                    log_alpha_steps += np.where(hits_alpha / window > target, delta, -delta)
+                    np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
+                    phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
+                    alpha_steps = np.exp(log_alpha_steps)
+                    hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
+            elif (it - burn_in + 1) % config.thin == 0 and idx < n_retained:
+                # the buffer holding draw idx, (n, k) area-major
+                j = idx % block
+                k = min(block, n_retained - idx + j)
+                buffered = phi_buffer[:n * k].reshape(n, k)
+                buffered[:, j] = state.phi
+                if j == k - 1:
+                    _pwrite(fd, buffered, layout.phi_offset(chain_idx, idx - j))
+                _pwrite(fd, state.adj.w, layout.w_offset(chain_idx, idx))
+                w_counts += state.adj.w
+                out_mu[idx] = state.mu
+                out_tau2[idx] = state.tau2
+                out_alpha[idx] = state.alpha
+                out_dev[idx] = _deviance(data.y, log_E + state.phi,
+                                         data.E * np.exp(state.phi), data._lgamma_y)
+                idx += 1
     return {
         "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
-        "w": out_w, "deviance": out_dev,
+        "w_counts": w_counts, "deviance": out_dev,
         "accept_phi": hits_phi / config.keep,
         "accept_tau2": hits_tau / config.keep,
         "accept_alpha": hits_alpha / config.keep,
@@ -523,10 +621,11 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     per-border w indicator is recorded at every retained iteration. Identical
     inputs produce identical output arrays, regardless of `workers`.
 
-    Retained phi is written to one temporary file of chains x (keep // thin)
-    x n float64 under TMPDIR, reserved before any chain starts (an OSError
-    if the disk cannot hold it). The file is unlinked before returning;
-    `phi` maps it read-only until the samples are released.
+    Retained phi and w are written to one temporary file under TMPDIR of
+    chains x (keep // thin) x (8 n + B) bytes, reserved before any chain
+    starts (an OSError if the disk cannot hold it). The file is unlinked
+    before returning; the samples read phi from it through `phi_draws` and
+    map w read-only until they are released.
 
     The graph's band plan is built here, before the pool forks (see the
     module docstring). `config` was checked when it was built.
@@ -536,25 +635,30 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     M = alpha_upper_bounds(dis, config.max_boundary_fraction)
     _band_plan(graph)
 
-    shape = (config.n_chains, config.keep // config.thin, graph.n)
-    nbytes = 8 * math.prod(shape)
+    n_draws = config.keep // config.thin
+    block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))
     with tempfile.NamedTemporaryFile(prefix=PHI_FILE_PREFIX) as fh:
-        # reserved up front, so a full disk fails here and not as a SIGBUS
-        # when a chain first writes to a page of the map
+        layout = _DrawLayout(fh.name, config.n_chains, n_draws, graph.n,
+                             graph.n_borders, block)
+        # reserved up front, so a full disk fails here and not part-way
+        # through a chain
         try:
-            os.posix_fallocate(fh.fileno(), 0, nbytes)
+            os.posix_fallocate(fh.fileno(), 0, layout.nbytes)
         except OSError as exc:
-            raise OSError(exc.errno, f"cannot reserve {nbytes} bytes for "
-                          f"retained phi (chains x keep // thin x areas x 8) "
-                          f"in {fh.name}: {exc.strerror}") from exc
-        results = run_tasks(_run_chain, [(c, data, graph, dis, config, M, fh.name)
-                                         for c in range(config.n_chains)],
-                            config.workers)
-        phi = np.memmap(fh.name, dtype=np.float64, mode="r", shape=shape)
+            raise OSError(exc.errno, f"cannot reserve {layout.nbytes} bytes "
+                          f"for retained draws (chains x keep // thin x "
+                          f"(8 x areas + borders)) in {fh.name}: "
+                          f"{exc.strerror}") from exc
+        results = run_tasks(_run_chain, (data, graph, dis, config, M, layout),
+                            config.n_chains, config.workers)
+        phi_draws = _PhiReader(layout)
+        w = np.memmap(fh.name, dtype=np.uint8, mode="r", offset=layout.w_offset(0, 0),
+                      shape=(config.n_chains, n_draws, graph.n_borders))
     stack = lambda key: np.stack([r[key] for r in results])
     return PosteriorSamples(
-        phi=phi, mu=stack("mu"), tau2=stack("tau2"),
-        alpha=stack("alpha"), w=stack("w"), deviance=stack("deviance"),
+        phi_draws=phi_draws, mu=stack("mu"), tau2=stack("tau2"),
+        alpha=stack("alpha"), w=w, w_counts=stack("w_counts"),
+        deviance=stack("deviance"),
         acceptance={b: stack("accept_" + b) for b in ("phi", "tau2", "alpha")},
         graph=graph, dis=dis)
 
@@ -566,15 +670,34 @@ def alpha_upper_bounds(dis: Optional[DissimilarityData],
                      for i in range(0 if dis is None else dis.q)])
 
 
-def run_tasks(fn, tasks: list, workers: int) -> list:
-    """[fn(*t) for t in tasks], in a pool of min(workers, tasks) processes
-    when that exceeds one; the results are the same."""
-    workers = min(workers, len(tasks))
+# (fn, shared arguments) of the pool that this process is a worker of; set
+# only in pool workers, by the pool's initializer
+_shared_task = None
+
+
+def _share_task(fn, args: tuple):
+    global _shared_task
+    _shared_task = fn, args
+
+
+def _run_shared_task(i: int):
+    fn, args = _shared_task
+    return fn(i, *args)
+
+
+def run_tasks(fn, args: tuple, n_tasks: int, workers: int) -> list:
+    """[fn(i, *args) for i in range(n_tasks)], in a pool of min(workers,
+    n_tasks) processes when that exceeds one; the results are the same.
+
+    The pool's workers receive fn and args once, through its initializer,
+    and each task carries only its index i."""
+    workers = min(workers, n_tasks)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, *t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_task,
+                                 initargs=(fn, args)) as pool:
+            futures = [pool.submit(_run_shared_task, i) for i in range(n_tasks)]
             return [f.result() for f in futures]
-    return [fn(*t) for t in tasks]
+    return [fn(i, *args) for i in range(n_tasks)]
 
 
 def _deviance(y, log_mean, mean, lgamma_y) -> float:
@@ -595,7 +718,7 @@ def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:
     if dev.size == 0:
         raise ValidationError("empty samples")
     mean_dev = float(dev.mean())
-    r_bar = np.empty(samples.phi.shape[2])
+    r_bar = np.empty(samples.graph.n)
     for areas, r in samples._risk_blocks():
         r_bar[areas] = r.mean(axis=0)
     d_hat = deviance_at(r_bar, data)

@@ -321,8 +321,8 @@ class SimScore:
     per_replicate: dict
 
 
-def _replicate_result(config: SimConfig, chain_config: ChainConfig,
-                      rep: int) -> dict:
+def _replicate_result(rep: int, config: SimConfig,
+                      chain_config: ChainConfig) -> dict:
     data_rng = derive_rng(chain_config.seed, REPLICATE, rep, 0)
     chain_seed = int(np.random.SeedSequence(
         chain_config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
@@ -362,14 +362,14 @@ def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     if not tb.any() or tb.all():
         raise ValidationError("partition must yield both boundaries and non-boundaries")
     # built and imported before the pool forks: the surface and band plans
-    # travel to every task inside the pickled graph, and each replicate's
-    # ObservedData needs scipy.special for ln(y!)
+    # reach every worker inside the graph, which each task shares rather
+    # than carries, and each replicate's ObservedData needs scipy.special
+    # for ln(y!)
     _prepare(config)
     _band_plan(config.graph)
     import scipy.special  # noqa: F401
-    results = run_tasks(_replicate_result,
-                        [(config, chain_config, r) for r in range(config.replicates)],
-                        chain_config.workers)
+    results = run_tasks(_replicate_result, (config, chain_config),
+                        config.replicates, chain_config.workers)
 
     def col(name):
         return np.array([r[name] for r in results], dtype=float)

@@ -19,8 +19,9 @@ def samples_with_w_trace(graph, w_draws):
     w = np.asarray(w_draws, dtype=np.uint8)[None, :, :]
     m = w.shape[1]
     return PosteriorSamples(
-        phi=np.zeros((1, m, graph.n)), mu=np.zeros((1, m)),
-        tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)), w=w,
+        phi_draws=lambda areas=slice(None): np.zeros((m, graph.n))[:, areas],
+        mu=np.zeros((1, m)), tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)),
+        w=w, w_counts=w.sum(axis=1, dtype=np.int64),
         deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None)
 
 
@@ -55,6 +56,20 @@ class TestClassifyBoundaries:
         bset = classify_boundaries(samples_with_w_trace(g, w))
         assert not bset.is_boundary[1]
         assert bset.w_median[1] == 1
+
+    def test_counts_give_the_trace_mean(self):
+        # w_mean from the kept counts equals the float mean of the 0/1 trace
+        # bit for bit, an exact half-and-half tie and thirds included
+        g = lattice_graph(3, 3)
+        rng = np.random.default_rng(4)
+        w = rng.integers(0, 2, size=(30, g.n_borders)).astype(np.uint8)
+        w[:, 0] = np.arange(30) % 2
+        w[:, 1] = np.arange(30) % 3 == 0
+        samples = samples_with_w_trace(g, w)
+        bset = classify_boundaries(samples)
+        assert bset.w_mean[0] == 0.5
+        assert bset.w_mean.tobytes() == samples.pooled("w").mean(axis=0).tobytes()
+        assert not bset.is_boundary[0] and bset.is_boundary[1]
 
     def test_empty_trace_rejected(self):
         g = lattice_graph(2, 2)

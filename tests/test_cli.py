@@ -261,6 +261,8 @@ class TestFit:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("IO:") and os.strerror(errno.ENOSPC) in err
+        # chains x keep // thin x (8 x areas + borders) on the 4x4 lattice
+        assert f"cannot reserve {2 * 100 * (8 * 16 + 24)} bytes" in err
         assert list(tmp.iterdir()) == []
 
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -367,18 +369,55 @@ class TestDiagnose:
         assert not fit_dir.exists()
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this womble."""
+    src = str(Path(womble.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def scipy_modules_after(code):
     """The scipy modules loaded once `code` has run in a fresh interpreter:
     this one has loaded scipy for the tests already."""
-    src = str(Path(womble.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     probe = ("\nimport sys\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code + probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
+
+
+class TestOutputStageMemory:
+    """The output stage of `fit` reads retained phi a block of areas at a
+    time: in a fresh process, its peak RSS grows over `_fit_outputs` by far
+    less than the retained phi, 2 chains x 4000 draws x 1024 areas x 8 B."""
+
+    PROBE = (
+        "import resource, sys\n"
+        "from womble import cli\n"
+        "outputs = cli._fit_outputs\n"
+        "def measured(*args):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    bset = outputs(*args)\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print('output stage grew', 1024 * (after - before))\n"
+        "    return bset\n"
+        "cli._fit_outputs = measured\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+
+    def test_output_stage_holds_a_block_not_the_draws(self, tmp_path):
+        _, paths = write_dataset(tmp_path, 32, 32, metric=False)
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, "fit",
+             "--areas", str(paths["areas"]), "--adjacency", str(paths["adjacency"]),
+             "--chains", "2", "--burnin", "0", "--keep", "4000", "--workers", "2",
+             "--seed", "1", "--out", str(tmp_path / "out")],
+            env=fresh_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        grew = int(done.stdout.split("output stage grew ")[1].split()[0])
+        phi_bytes = 2 * 4000 * 1024 * 8
+        assert grew < phi_bytes / 2
 
 
 class TestStartupImports:

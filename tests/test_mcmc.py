@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import tempfile
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
@@ -11,7 +12,7 @@ from scipy.special import gammaln
 
 from oracles import dense_precision, poisson_deviance
 from womble import (ChainConfig, NumericError, ObservedData, ValidationError,
-                    compute_border_metrics, run_chains)
+                    classify_boundaries, compute_border_metrics, run_chains)
 from womble import car, mcmc
 from womble.car import (CarParams, PrecisionStructure, build_precision,
                         log_density_phi, precision_quadform)
@@ -291,13 +292,39 @@ def ref_run_chain(c, data, graph, dis, config, M):
     return out
 
 
-def assert_matches_reference(samples, data, graph, dis, config):
+DRAWS = ("phi", "mu", "tau2", "alpha", "w", "w_counts", "deviance")
+
+
+def draws_of(samples, name):
+    """One of DRAWS, indexed (chain, draw, ...) or, for w_counts, (chain,
+    border); phi is read back through the samples' reader."""
+    if name == "phi":
+        return samples.phi_draws().reshape(*samples.mu.shape, -1)
+    return getattr(samples, name)
+
+
+def assert_same_draws(s1, s2):
+    for name in DRAWS:
+        a, b = draws_of(s1, name), draws_of(s2, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def reference_draws(data, graph, dis, config):
+    """ref_run_chain's draws of every chain, stacked as run_chains returns
+    them, with the w counts summed from the reference w trace."""
     M = np.array([alpha_prior_upper(dis, i, config.max_boundary_fraction)
                   for i in range(0 if dis is None else dis.q)])
     ref = [ref_run_chain(c, data, graph, dis, config, M) for c in range(config.n_chains)]
-    for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
+    for r in ref:
+        r["w_counts"] = r["w"].sum(axis=0, dtype=np.int64)
+    return ref
+
+
+def assert_matches_reference(samples, data, graph, dis, config):
+    ref = reference_draws(data, graph, dis, config)
+    for name in DRAWS:
         expected = np.stack([r[name] for r in ref])
-        assert getattr(samples, name).tobytes() == expected.tobytes(), name
+        assert draws_of(samples, name).tobytes() == expected.tobytes(), name
     for block in ("phi", "tau2", "alpha"):
         expected = np.array([r["accept_" + block] for r in ref])
         assert samples.acceptance[block].tobytes() == expected.tobytes(), block
@@ -607,15 +634,14 @@ class TestRunChains:
         g, data, dis = self._tiny_inputs()
         cfg = ChainConfig(n_chains=1, burn_in=50, keep=40, thin=4, seed=1)
         samples = run_chains(data, g, dis, cfg)
-        assert samples.phi.shape == (1, 10, 16)
+        assert draws_of(samples, "phi").shape == (1, 10, 16)
 
     def test_determinism(self):
         g, data, dis = self._tiny_inputs()
         cfg = ChainConfig(n_chains=2, burn_in=100, keep=50, seed=7)
         s1 = run_chains(data, g, dis, cfg)
         s2 = run_chains(data, g, dis, cfg)
-        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
-            np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+        assert_same_draws(s1, s2)
 
     def test_worker_pool_matches_sequential(self):
         g, data, dis = self._tiny_inputs()
@@ -623,8 +649,7 @@ class TestRunChains:
         cfg2 = ChainConfig(n_chains=2, burn_in=60, keep=30, seed=3, workers=2)
         s1 = run_chains(data, g, dis, cfg1)
         s2 = run_chains(data, g, dis, cfg2)
-        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
-            np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+        assert_same_draws(s1, s2)
 
     def test_logdet_memo_leaves_draws_unchanged(self, monkeypatch):
         # q = 2; with the cap at 0 every lookup misses and Q is refactorized
@@ -646,8 +671,7 @@ class TestRunChains:
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
         fresh = run_chains(data, g, dis, cfg)
         assert with_memo < len(calls) - with_memo
-        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
-            np.testing.assert_array_equal(getattr(memo, name), getattr(fresh, name))
+        assert_same_draws(memo, fresh)
 
     def test_q2_lattice_matches_reference(self):
         # burn-in not a multiple of the adaptation window, and thinning
@@ -682,9 +706,7 @@ class TestRunChains:
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
         unbounded = run_chains(data, g, dis, cfg)
         assert 0 < bounded < len(calls) - bounded
-        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
-            np.testing.assert_array_equal(getattr(samples, name),
-                                          getattr(unbounded, name))
+        assert_same_draws(samples, unbounded)
         assert_matches_reference(samples, data, g, dis, cfg)
 
     def test_metric_free_matches_reference(self):
@@ -724,6 +746,19 @@ class TestRunChains:
             expected = evaluate_w(g, dis, alpha[i]).w
             np.testing.assert_array_equal(w[i], expected)
 
+    def test_w_counts_give_the_trace_mean(self):
+        # three chains of 25 draws: w_mean is the float mean of the pooled
+        # trace, bit for bit
+        g, data, dis = self._tiny_inputs(seed=3)
+        cfg = ChainConfig(n_chains=3, burn_in=100, keep=25, seed=12)
+        samples = run_chains(data, g, dis, cfg)
+        w = samples.pooled("w")
+        assert 0 < w.sum() < w.size
+        np.testing.assert_array_equal(samples.w_counts,
+                                      samples.w.sum(axis=1, dtype=np.int64))
+        bset = classify_boundaries(samples)
+        assert bset.w_mean.tobytes() == w.mean(axis=0).tobytes()
+
     def test_no_metrics_keeps_every_border(self):
         g, data, _ = self._tiny_inputs()
         cfg = ChainConfig(n_chains=2, burn_in=50, keep=20, seed=5)
@@ -758,15 +793,17 @@ class TestRunChains:
 
 class TestPoolSize:
     """run_tasks opens no more processes than it has tasks; a fake pool
-    records its size and runs the tasks inline, so no process starts."""
+    records its size and its tasks, and runs its initializer and the tasks
+    inline, so no process starts."""
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
+    def pool(self, monkeypatch):
+        record = {"sizes": [], "tasks": []}
 
         class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                record["sizes"].append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -775,30 +812,53 @@ class TestPoolSize:
                 return False
 
             def submit(self, fn, *args):
+                record["tasks"].append(pickle.dumps((fn, args)))
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
         monkeypatch.setattr(mcmc, "ProcessPoolExecutor", InlinePool)
-        return sizes
+        monkeypatch.setattr(mcmc, "_shared_task", None)
+        return record
 
     @pytest.mark.parametrize("workers, n_tasks, pools", [
         (32, 2, [2]), (2, 5, [2]), (32, 1, []), (1, 3, []),
     ])
-    def test_pool_is_sized_to_the_tasks(self, pool_sizes, workers, n_tasks,
-                                        pools):
-        tasks = [(t, 2) for t in range(n_tasks)]
-        assert mcmc.run_tasks(pow, tasks, workers) == [t * t for t in range(n_tasks)]
-        assert pool_sizes == pools
+    def test_pool_is_sized_to_the_tasks(self, pool, workers, n_tasks, pools):
+        assert mcmc.run_tasks(pow, (2,), n_tasks, workers) == [t * t for t in range(n_tasks)]
+        assert pool["sizes"] == pools
 
-    def test_two_chains_open_two_workers(self, pool_sizes):
+    def test_two_chains_open_two_workers(self, pool):
         g, data, dis = TestRunChains()._tiny_inputs()
         cfg = ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1, workers=32)
         pooled = run_chains(data, g, dis, cfg)
         alone = run_chains(data, g, dis, replace(cfg, workers=1))
-        assert pool_sizes == [2]
-        for name in ("phi", "mu", "tau2", "alpha", "w", "deviance"):
-            np.testing.assert_array_equal(getattr(pooled, name), getattr(alone, name))
+        assert pool["sizes"] == [2]
+        assert_same_draws(pooled, alone)
+
+    def _assert_tasks_carry_only_an_index(self, tasks, n_tasks):
+        assert len(tasks) == n_tasks
+        for i, task in enumerate(tasks):
+            assert pickle.loads(task) == (mcmc._run_shared_task, (i,))
+            assert len(task) < 100
+
+    def test_chains_share_the_graph(self, pool):
+        g, data, dis = TestRunChains()._tiny_inputs()
+        cfg = ChainConfig(n_chains=3, burn_in=20, keep=10, seed=1, workers=2)
+        pooled = run_chains(data, g, dis, cfg)
+        self._assert_tasks_carry_only_an_index(pool["tasks"], 3)
+        assert_same_draws(pooled, run_chains(data, g, dis, replace(cfg, workers=1)))
+
+    def test_replicates_share_the_graph(self, pool):
+        g = lattice_graph(8, 8)
+        cfg = SimConfig(graph=g, true_partition=five_block_partition(8, 8),
+                        k1=0.4, k2=3.0, replicates=3)
+        chains = ChainConfig(n_chains=1, burn_in=20, keep=10, seed=1, workers=2)
+        pooled = run_study(cfg, chains)
+        self._assert_tasks_carry_only_an_index(pool["tasks"], 3)
+        alone = run_study(cfg, replace(chains, workers=1))
+        for name, value in pooled.per_replicate.items():
+            assert value.tobytes() == alone.per_replicate[name].tobytes(), name
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
@@ -840,11 +900,46 @@ class TestBandPlanBeforeFork:
 
 
 class TestRetainedPhi:
-    """Retained phi lives in one temporary file; the output stage reduces it
-    a block of areas at a time."""
+    """Retained phi and w live in one temporary file; the output stage reads
+    phi back a block of areas at a time."""
 
     def _inputs(self):
         return TestRunChains()._tiny_inputs(seed=5)
+
+    @pytest.mark.parametrize("n_chains, keep, thin, budget, buffers", [
+        (2, 30, 3, 8 * 16 * 4, 3),   # buffers of 4, 4 and 2 draws; 5 blocks
+        (1, 12, 1, 8 * 16 * 5, 3),   # buffers of 5, 5 and 2; 2 blocks
+        (3, 8, 1, 8 * 16, 8),        # one draw per buffer; 8 blocks
+        (2, 10, 1, 1 << 30, 1),      # one buffer per chain; one block
+        (2, 30, 1, 8 * 60, 10),      # one-area blocks widened to two
+    ])
+    def test_reader_matches_row_major_reference(self, monkeypatch, n_chains,
+                                                keep, thin, budget, buffers):
+        g, data, dis = self._inputs()
+        monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", budget)
+        cfg = ChainConfig(n_chains=n_chains, burn_in=20, keep=keep, thin=thin,
+                          seed=2)
+        samples = run_chains(data, g, dis, cfg)
+        # the old layout: (chains, draws, areas) row-major, read in one shot
+        expected = np.stack([r["phi"] for r in reference_draws(data, g, dis, cfg)])
+        expected = expected.reshape(-1, g.n)
+        reads = []
+        preadv = os.preadv
+
+        def counting(*args):
+            reads.append(1)
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", counting)
+        assert samples.phi_draws().tobytes() == expected.tobytes()
+        assert len(reads) == n_chains * buffers
+        blocks = [areas for areas, _ in samples._risk_blocks()]
+        assert all(a.stop - a.start >= 2 for a in blocks)
+        assert blocks[0].start == 0 and blocks[-1].stop == g.n
+        assert [a.start for a in blocks[1:]] == [a.stop for a in blocks[:-1]]
+        for areas in blocks + [slice(3, 11), slice(15, 16)]:
+            got = samples.phi_draws(areas)
+            assert got.tobytes() == np.ascontiguousarray(expected[:, areas]).tobytes()
 
     @pytest.mark.parametrize("n_chains, keep, width", [
         (2, 30, 3),      # 16 areas in blocks of 3, 3, 3, 3 and 4
@@ -860,7 +955,7 @@ class TestRetainedPhi:
             monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * draws * width)
         samples = run_chains(data, g, dis, ChainConfig(
             n_chains=n_chains, burn_in=40, keep=keep, seed=2))
-        pooled = np.array(samples.phi).reshape(draws, g.n)
+        pooled = samples.phi_draws()
         by_area = np.exp(pooled.T.copy())
         expected = (np.median(by_area, axis=1),
                     np.percentile(by_area, 2.5, axis=1),
@@ -874,12 +969,17 @@ class TestRetainedPhi:
         assert dic(samples, data) == (mean_dev + p_d, p_d, mean_dev)
 
     def test_phi_is_read_only(self):
+        # each read is a fresh array, through a descriptor that cannot write
         g, data, dis = self._inputs()
         samples = run_chains(data, g, dis, ChainConfig(n_chains=1, burn_in=20,
                                                        keep=10, seed=1))
-        assert not samples.phi.flags.writeable
-        with pytest.raises(ValueError):
-            samples.phi[0, 0, 0] = 1.0
+        first = samples.phi_draws()
+        again = first.copy()
+        first[:] = 1.0
+        assert samples.phi_draws().tobytes() == again.tobytes()
+        with pytest.raises(OSError):
+            os.write(samples.phi_draws.fd, b"1")
+        assert not samples.w.flags.writeable
 
     def test_file_is_removed_after_a_run(self, tmp_path, monkeypatch):
         g, data, dis = self._inputs()
@@ -888,7 +988,7 @@ class TestRetainedPhi:
         chain = mcmc._run_chain
 
         def recording(*args):
-            path = Path(args[-1])
+            path = Path(args[-1].path)
             seen.append(path.parent == tmp_path and path.exists()
                         and path.name.startswith(mcmc.PHI_FILE_PREFIX))
             return chain(*args)
@@ -898,8 +998,8 @@ class TestRetainedPhi:
                                                        keep=10, seed=1))
         assert seen == [True, True]
         assert list(tmp_path.iterdir()) == []
-        # the unlinked file stays readable through the samples' map
-        assert np.isfinite(samples.phi).all()
+        # the unlinked file stays readable through the samples' reader
+        assert np.isfinite(samples.phi_draws()).all()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_file_is_removed_when_a_chain_raises(self, tmp_path, monkeypatch,
@@ -913,6 +1013,19 @@ class TestRetainedPhi:
         with pytest.raises(NumericError, match="100 re-draws"):
             run_chains(data, g, None, cfg)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_runs_leave_no_descriptor_open(self):
+        g, data, dis = self._inputs()
+        cfg = ChainConfig(n_chains=2, burn_in=5, keep=4, seed=1)
+        run_chains(data, g, dis, cfg).risk_summary()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            samples = run_chains(data, g, dis, cfg)
+            samples.risk_summary()
+        del samples
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestDic:
@@ -1008,7 +1121,7 @@ class TestDisconnectedGraph:
         samples = run_chains(data, g, dis,
                              ChainConfig(n_chains=1, burn_in=200, keep=100,
                                          seed=1))
-        assert samples.phi.shape == (1, 100, 9)
+        assert draws_of(samples, "phi").shape == (1, 100, 9)
 
 
 class TestInitialization:
