@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import AreaGraph
-from .mcmc import PosteriorSamples
+from .mcmc import PosteriorSamples, median_interval
 
 SUBSTANTIAL = "substantial"
 NO_EFFECT = "no-effect"
@@ -96,16 +96,6 @@ def blv_rule_b(res: BlvResult, c2: float) -> np.ndarray:
     return flags
 
 
-def effect_interval(alpha_samples: np.ndarray) -> tuple:
-    """Equal-tailed 95% credible interval (2.5 / 97.5 percentiles) of one
-    metric's posterior draws."""
-    a = np.asarray(alpha_samples, dtype=float)
-    if a.size < 2:
-        raise ValidationError("at least 2 samples required")
-    lo, hi = np.percentile(a, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
 def interval_verdict(lo: float, hi: float, alpha_min_i: float) -> str:
     """An effect interval against the no-effect threshold: entirely below ->
     "no-effect", entirely above -> "substantial", otherwise "inconclusive"."""
@@ -118,8 +108,11 @@ def interval_verdict(lo: float, hi: float, alpha_min_i: float) -> str:
 
 def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
     """Effect verdict for one metric from its posterior draws: the verdict
-    of its effect_interval."""
-    return interval_verdict(*effect_interval(alpha_samples), alpha_min_i)
+    of their equal-tailed 95% interval."""
+    a = np.asarray(alpha_samples, dtype=float)
+    if a.size < 2:
+        raise ValidationError("at least 2 samples required")
+    return interval_verdict(*median_interval(a)[1:], alpha_min_i)
 
 
 def boundary_segments(graph: AreaGraph, border_indices) -> list:

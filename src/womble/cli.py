@@ -19,11 +19,12 @@ import numpy as np
 
 from . import io, simulate
 from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
-                       classify_boundaries, effect_interval, interval_verdict)
+                       classify_boundaries, interval_verdict)
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
 from .graph import alpha_min, build_graph, compute_border_metrics
-from .mcmc import ChainConfig, ObservedData, alpha_upper_bounds, dic, run_chains
+from .mcmc import (ChainConfig, ObservedData, alpha_upper_bounds, dic,
+                   median_interval, run_chains)
 from .simulate import SimConfig, five_block_partition, lattice_graph, run_study
 
 
@@ -166,23 +167,19 @@ def _load_graph(args, area_ids):
 
 def _fit_outputs(out, samples, data, graph, dis):
     io.write_posterior_summary(samples, out / "posterior_summary.csv")
-    r_med, r_lo, r_hi = samples.risk_summary()
-    io.write_risk_csv(graph.area_ids, r_med, r_lo, r_hi, out / "risk.csv")
+    risk = samples.risk_summary()
+    io.write_risk_csv(graph.area_ids, risk.median, risk.lo, risk.hi, out / "risk.csv")
     bset = classify_boundaries(samples)
-    io.write_boundary_csv(bset, blv(r_med, graph).values, out / "boundary.csv")
+    io.write_boundary_csv(bset, blv(risk.median, graph).values, out / "boundary.csv")
     if dis is not None:
-        rows = []
-        pooled_alpha = samples.pooled("alpha")
-        for i, name in enumerate(dis.metric_names):
-            a = pooled_alpha[:, i]
-            am = alpha_min(dis, i)
-            lo, hi = effect_interval(a)
-            rows.append([name, float(np.median(a)), lo, hi, am,
-                         interval_verdict(lo, hi, am)])
-        io.write_effects_csv(rows, out / "effects.csv")
-    io.write_dic_csv(dic(samples, data), out / "dic.csv")
-    resid = pearson_residuals(data.y, data.E, r_med)
-    io.write_residuals_csv(graph.area_ids, data.y, data.E, r_med, resid,
+        # (metric, median, lo, hi, alpha_min) per metric, then its verdict
+        rows = zip(dis.metric_names, *median_interval(samples.pooled("alpha").T),
+                   [alpha_min(dis, i) for i in range(dis.q)])
+        io.write_effects_csv([[*r, interval_verdict(*r[2:])] for r in rows],
+                             out / "effects.csv")
+    io.write_dic_csv(dic(samples.pooled("deviance"), risk.mean, data), out / "dic.csv")
+    resid = pearson_residuals(data.y, data.E, risk.median)
+    io.write_residuals_csv(graph.area_ids, data.y, data.E, risk.median, resid,
                            out / "residuals.csv")
     if graph.polygons is not None:
         io.write_boundary_geojson(graph, bset, out / "boundary_overlay.geojson")
@@ -266,7 +263,7 @@ def _number(kind, text: str, name: str):
 def _run_blv_baseline(out, data, graph, config, rules):
     # baseline smoother: without metrics the model keeps every border
     samples = run_chains(data, graph, None, config)
-    res = blv(samples.risk_median(), graph)
+    res = blv(samples.risk_summary().median, graph)
     fa = blv_rule_a(res, rules["c1"]) if "c1" in rules else None
     fb = blv_rule_b(res, rules["c2"]) if "c2" in rules else None
     io.write_blv_csv(res, out / "blv.csv", rule_a_flags=fa, rule_b_flags=fb)
@@ -290,23 +287,29 @@ def cmd_simulate(args) -> int:
                          field_sd=args.field_sd, E=expected,
                          replicates=args.replicates)
                for k1, k2 in itertools.product(k1s, k2s)]
+    cells = {}   # detail file name -> (k1, k2); :g keeps 6 significant digits
+    for k1, k2 in itertools.product(k1s, k2s):
+        detail = f"replicates_k1_{k1:g}_k2_{k2:g}.csv"
+        if detail in cells:
+            raise ValidationError(f"cells (k1, k2) = {cells[detail]} and "
+                                  f"{(k1, k2)} would both write {detail}")
+        cells[detail] = k1, k2
     # every cell shares one surface; set up here, a NumericError exits
     # before --out exists. It goes through the module so that a wrapper on
     # simulate._prepare (bench/traced.py) times the set-up.
     simulate._prepare(configs[0])
     out = io.ensure_outdir(args.out)
     scores = []
-    for config in configs:
+    for detail, config in zip(cells, configs):
         k1, k2 = config.k1, config.k2
         if args.verbose:
             print(f"simulate: cell k1={k1:g} k2={k2:g} "
                   f"lattice={args.nrows}x{args.ncols} reps={args.replicates}")
         score = run_study(config, chain_cfg)
         scores.append(score)
-        detail = out / f"replicates_k1_{k1:g}_k2_{k2:g}.csv"
-        io.write_replicates_csv(score, detail)
+        io.write_replicates_csv(score, out / detail)
         if args.verbose:
-            print(f"simulate: wrote {detail}")
+            print(f"simulate: wrote {out / detail}")
         print(f"simulate: k1={k1:g} k2={k2:g} BA={score.ba:.2f} NBA={score.nba:.2f}")
     io.write_scorecard_csv(scores, out / "scorecard.csv")
     return 0

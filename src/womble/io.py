@@ -16,7 +16,8 @@ import numpy as np
 from .boundary import BoundarySet, boundary_segments
 from .errors import ValidationError
 from .graph import AreaGraph
-from .mcmc import DicResult, PosteriorSamples, effective_sample_size
+from .mcmc import (DicResult, PosteriorSamples, effective_sample_size,
+                   median_interval)
 
 
 def _py(a):
@@ -58,7 +59,8 @@ def read_areas_csv(path, metric_columns=None):
 
     Returns (area_ids, y, E, metrics) with metrics an ordered dict of
     column name -> float array. `metric_columns` selects and orders a subset;
-    a missing selected column is a validation error.
+    a missing selected column, or one that is selected or present twice, is a
+    validation error.
     """
     header, rows = read_table(path)
     if len(header) < 3 or header[:3] != ["area_id", "y", "E"]:
@@ -73,6 +75,10 @@ def read_areas_csv(path, metric_columns=None):
         for c in selected:
             if c not in available:
                 raise ValidationError(f"{path}: metric column {c!r} not present")
+    wanted = ["area_id", "y", "E"] + selected
+    for i, c in enumerate(wanted):
+        if c in wanted[:i] or header.count(c) > 1:
+            raise ValidationError(f"{path}: column {c!r} is named twice")
     ids, y, E = [], [], []
     metrics = {c: [] for c in selected}
     for i, row in enumerate(rows):
@@ -172,25 +178,18 @@ def read_geojson_polygons(path, area_ids):
 
 def write_posterior_summary(samples: PosteriorSamples, path):
     """`param,chain,median,mean,ci2.5,ci97.5,ess`, per chain plus pooled."""
-    names = ["mu", "tau2"]
-    series = [samples.mu, samples.tau2]
-    if samples.dis is not None:
-        for i, mname in enumerate(samples.dis.metric_names):
-            names.append(f"alpha_{mname}")
-            series.append(samples.alpha[:, :, i])
-    names.append("deviance")
-    series.append(samples.deviance)
+    metrics = samples.dis.metric_names if samples.dis is not None else ()
+    series = [("mu", samples.mu), ("tau2", samples.tau2),
+              *((f"alpha_{m}", samples.alpha[:, :, i]) for i, m in enumerate(metrics)),
+              ("deviance", samples.deviance)]
     rows = []
-    for name, arr in zip(names, series):
-        for c in range(arr.shape[0]):
-            x = arr[c]
-            rows.append([name, str(c), *map(_py, (
-                np.median(x), x.mean(), np.percentile(x, 2.5),
-                np.percentile(x, 97.5), effective_sample_size(x[None, :])))])
-        pooled = arr.reshape(-1)
-        rows.append([name, "all", *map(_py, (
-            np.median(pooled), pooled.mean(), np.percentile(pooled, 2.5),
-            np.percentile(pooled, 97.5), effective_sample_size(arr)))])
+    for name, arr in series:
+        # (chain, draws, what the ESS is taken over): each chain, then pooled
+        for chain, x, by_chain in [*((str(c), x, x[None, :]) for c, x in enumerate(arr)),
+                                   ("all", arr.reshape(-1), arr)]:
+            med, lo, hi = median_interval(x)
+            rows.append([name, chain, *map(_py, (
+                med, x.mean(), lo, hi, effective_sample_size(by_chain)))])
     _write_rows(path, ["param", "chain", "median", "mean", "ci2.5", "ci97.5", "ess"],
                 rows)
 

@@ -52,10 +52,11 @@ task carries only its chain index.
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices: phi in buffers of a few megabytes of draws (RISK_BLOCK_BYTES),
 each stored area by area, then one row of w per retained draw. A chain
-returns only the number of retained draws in which each border is kept. The
-output stage reads phi back a block of areas at a time through a read-only
-descriptor, one read per chain and buffer, so no process holds all retained
-draws.
+returns only the number of retained draws in which each border is kept.
+PosteriorSamples.risk_summary is the one reader of phi: in one pass it reads
+a block of areas at a time through a read-only descriptor, one read per
+chain and buffer, and returns the risk medians, intervals and the posterior
+mean of R that dic takes, so no process holds all retained draws.
 """
 
 import errno
@@ -366,6 +367,22 @@ class DicResult(NamedTuple):
     mean_deviance: float
 
 
+class RiskSummary(NamedTuple):
+    """Per area: posterior median, 2.5% and 97.5% points, and mean of R_k."""
+
+    median: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    mean: np.ndarray
+
+
+def median_interval(x: np.ndarray) -> tuple:
+    """(median, 2.5% point, 97.5% point) of draws along the last axis: the
+    posterior median and equal-tailed 95% interval."""
+    lo, hi = np.percentile(x, [2.5, 97.5], axis=-1)
+    return np.median(x, axis=-1), lo, hi
+
+
 class _DrawLayout(NamedTuple):
     """Where one run's retained draws lie in its temporary file.
 
@@ -469,36 +486,25 @@ class PosteriorSamples:
         a = getattr(self, name)
         return a.reshape(-1, *a.shape[2:])
 
-    def _risk_blocks(self):
-        """Yield (areas, exp(phi)) over blocks of areas: a slice and the
-        pooled (draws, areas) risk draws, one to two RISK_BLOCK_BYTES each.
+    def risk_summary(self) -> RiskSummary:
+        """Posterior summaries of each area's risk R_k = exp(phi_k), from one
+        read of retained phi in blocks of areas of one to two
+        RISK_BLOCK_BYTES each.
 
         numpy sums a one-area block pairwise but a wider one draw by draw,
         as it does the whole map, so blocks hold at least two areas."""
         draws, n = self.mu.size, self.graph.n
         n_blocks = max(1, n // max(2, RISK_BLOCK_BYTES // (8 * draws)))
         edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+        out = RiskSummary(*(np.empty(n) for _ in RiskSummary._fields))
         for start, stop in zip(edges, edges[1:]):
             areas = slice(start, stop)
-            yield areas, np.exp(self.phi_draws(areas))
-
-    def risk_median(self) -> np.ndarray:
-        """Posterior median of each area's risk R_k."""
-        med = np.empty(self.graph.n)
-        for areas, r in self._risk_blocks():
+            r = np.exp(self.phi_draws(areas))
+            out.mean[areas] = r.mean(axis=0)
             # numpy reduces along rows several times faster, same values
-            med[areas] = np.median(r.T.copy(), axis=1)
-        return med
-
-    def risk_summary(self):
-        """Posterior median, 2.5% and 97.5% points of each area's risk."""
-        med, lo, hi = (np.empty(self.graph.n) for _ in range(3))
-        for areas, r in self._risk_blocks():
             r = r.T.copy()
-            med[areas] = np.median(r, axis=1)
-            lo[areas] = np.percentile(r, 2.5, axis=1)
-            hi[areas] = np.percentile(r, 97.5, axis=1)
-        return med, lo, hi
+            out.median[areas], out.lo[areas], out.hi[areas] = median_interval(r)
+        return out
 
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
@@ -711,18 +717,14 @@ def deviance_at(r_hat: np.ndarray, data: ObservedData) -> float:
     return _deviance(data.y, np.log(mean), mean, data._lgamma_y)
 
 
-def dic(samples: PosteriorSamples, data: ObservedData) -> DicResult:
-    """Deviance information criterion with the plug-in evaluated at the
-    posterior mean of R_k (risk scale, not phi scale)."""
-    dev = samples.pooled("deviance")
-    if dev.size == 0:
+def dic(deviance: np.ndarray, r_mean: np.ndarray, data: ObservedData) -> DicResult:
+    """Deviance information criterion from the pooled deviance draws, with
+    the plug-in evaluated at the posterior mean of R_k (risk scale, not phi
+    scale; PosteriorSamples.risk_summary().mean)."""
+    if deviance.size == 0:
         raise ValidationError("empty samples")
-    mean_dev = float(dev.mean())
-    r_bar = np.empty(samples.graph.n)
-    for areas, r in samples._risk_blocks():
-        r_bar[areas] = r.mean(axis=0)
-    d_hat = deviance_at(r_bar, data)
-    p_d = mean_dev - d_hat
+    mean_dev = float(deviance.mean())
+    p_d = mean_dev - deviance_at(r_mean, data)
     return DicResult(dic=mean_dev + p_d, p_d=p_d, mean_deviance=mean_dev)
 
 

@@ -338,7 +338,7 @@ def _replicate_result(rep: int, config: SimConfig,
     tb = true_boundary_mask(config.graph, config.true_partition)
     ba = 100.0 * float(np.mean(bset.is_boundary[tb]))
     nba = 100.0 * float(np.mean(~bset.is_boundary[~tb]))
-    r_hat = samples.risk_median()
+    r_hat = samples.risk_summary().median
     rel = (r_hat - r_true) / r_true
     return {
         "replicate": rep,

@@ -420,6 +420,31 @@ class TestOutputStageMemory:
         assert grew < phi_bytes / 2
 
 
+class TestRetainedPhiReadOnce:
+    def test_fit_reads_each_block_of_phi_once(self, tmp_path, monkeypatch):
+        # 16 areas, 2 chains x 30 draws: with a budget of four draws of the
+        # map, each chain writes 8 buffers and the output stage reduces 8
+        # blocks of 2 areas, one read per block, chain and buffer
+        from womble import mcmc
+
+        monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * 16 * 4)
+        _, paths = write_dataset(tmp_path)
+        reads = []
+        preadv = os.preadv
+
+        def counting(*args):
+            reads.append(1)
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", counting)
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--chains", "2", "--burnin", "20", "--keep", "30",
+                   "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(reads) == 8 * 2 * 8
+
+
 class TestStartupImports:
     """Importing womble and running diagnose load numpy but not scipy; the
     commands that sample import it where they use it."""
@@ -536,6 +561,25 @@ class TestSimulateCommand:
         assert rc == 0
         _, rows = io.read_table(out / "scorecard.csv")
         assert [(r["k1"], r["k2"]) for r in rows] == [("0.2", "3.0"), ("0.4", "3.0")]
+
+    @pytest.mark.parametrize("k1, named", [
+        ("0.4,0.4", "(0.4, 3.0) and (0.4, 3.0)"),
+        ("0.4,0.4000001", "(0.4, 3.0) and (0.4000001, 3.0)"),
+    ])
+    def test_cells_sharing_a_detail_file_rejected(self, tmp_path, capsys,
+                                                  monkeypatch, k1, named):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("surface set up before the cells were checked")
+
+        monkeypatch.setattr("womble.simulate._prepare", no_setup)
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--k1", k1, "--k2", "3", "--nrows", "8",
+                   "--ncols", "8", "--replicates", "1", "--chains", "1",
+                   "--burnin", "10", "--keep", "10", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "replicates_k1_0.4_k2_3.csv" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_cells_share_one_surface(self, tmp_path, monkeypatch, workers):

@@ -65,6 +65,25 @@ class TestAreasReader:
         assert list(metrics) == ["m2", "m1"]
         np.testing.assert_allclose(metrics["m2"], [1.5, 1.8])
 
+    @pytest.mark.parametrize("header, selected", [
+        ("area_id,y,E,m1,m2", ["m1", "m1"]),    # --metrics m1,m1
+        ("area_id,y,E,m1,m1", None),            # every column, one named twice
+        ("area_id,y,E,m1,m1", ["m1"]),          # the selected one is ambiguous
+        ("area_id,y,E,y,m1", None),             # a metric named like the counts
+    ])
+    def test_column_named_twice_rejected(self, tmp_path, header, selected):
+        p = tmp_path / "areas.csv"
+        p.write_text(header + "\na,1,2,0.5,1.5\nb,2,3,0.7,1.8\n")
+        name = (selected or header.split(",")[3:])[0]
+        with pytest.raises(ValidationError, match=f"column '{name}' is named twice"):
+            io.read_areas_csv(p, selected)
+
+    def test_unselected_column_may_repeat(self, tmp_path):
+        p = tmp_path / "areas.csv"
+        p.write_text("area_id,y,E,m1,x,x\na,1,2,0.5,1,2\nb,2,3,0.7,3,4\n")
+        _, _, _, metrics = io.read_areas_csv(p, ["m1"])
+        assert list(metrics) == ["m1"]
+
 
 class TestSummaryWriter:
     def test_metric_free_fit_has_no_alpha_rows(self, tmp_path):

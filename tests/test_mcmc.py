@@ -933,7 +933,16 @@ class TestRetainedPhi:
         monkeypatch.setattr(os, "preadv", counting)
         assert samples.phi_draws().tobytes() == expected.tobytes()
         assert len(reads) == n_chains * buffers
-        blocks = [areas for areas, _ in samples._risk_blocks()]
+        blocks = []
+        read = samples.phi_draws
+
+        def recording(areas):
+            blocks.append(areas)
+            return read(areas)
+
+        samples.phi_draws = recording
+        samples.risk_summary()
+        samples.phi_draws = read
         assert all(a.stop - a.start >= 2 for a in blocks)
         assert blocks[0].start == 0 and blocks[-1].stop == g.n
         assert [a.start for a in blocks[1:]] == [a.stop for a in blocks[:-1]]
@@ -959,14 +968,15 @@ class TestRetainedPhi:
         by_area = np.exp(pooled.T.copy())
         expected = (np.median(by_area, axis=1),
                     np.percentile(by_area, 2.5, axis=1),
-                    np.percentile(by_area, 97.5, axis=1))
+                    np.percentile(by_area, 97.5, axis=1),
+                    np.exp(pooled).mean(axis=0))
         got = samples.risk_summary()
         for e, a in zip(expected, got):
             assert a.tobytes() == e.tobytes()
-        assert samples.risk_median().tobytes() == expected[0].tobytes()
         mean_dev = float(samples.deviance.reshape(-1).mean())
-        p_d = mean_dev - deviance_at(np.exp(pooled).mean(axis=0), data)
-        assert dic(samples, data) == (mean_dev + p_d, p_d, mean_dev)
+        p_d = mean_dev - deviance_at(expected[3], data)
+        assert dic(samples.pooled("deviance"), got.mean, data) == (
+            mean_dev + p_d, p_d, mean_dev)
 
     def test_phi_is_read_only(self):
         # each read is a fresh array, through a descriptor that cannot write
@@ -1038,7 +1048,7 @@ class TestDic:
             g, rng.gamma(2.0, 1.0, g.n_borders))
         cfg = ChainConfig(n_chains=1, burn_in=20, keep=1, seed=4)
         samples = run_chains(data, g, dis, cfg)
-        res = dic(samples, data)
+        res = dic(samples.pooled("deviance"), samples.risk_summary().mean, data)
         assert res.p_d == pytest.approx(0.0, abs=1e-9)
         assert res.dic == pytest.approx(samples.deviance[0, 0], abs=1e-9)
 
@@ -1073,8 +1083,9 @@ class TestDic:
             y = gen_counts(r_true, np.full(64, 100.0), rng)
             data = ObservedData(y=y.astype(float), E=np.full(64, 100.0))
             cfg = ChainConfig(n_chains=1, burn_in=800, keep=600, seed=rep)
-            dic_true = dic(run_chains(data, g, None, cfg), data).dic
-            dic_cut = dic(run_chains(data, cut, None, cfg), data).dic
+            dic_true, dic_cut = (
+                dic(s.pooled("deviance"), s.risk_summary().mean, data).dic
+                for s in (run_chains(data, graph, None, cfg) for graph in (g, cut)))
             wins += dic_true < dic_cut
         assert wins >= 0.8 * n_rep
 
