@@ -12,8 +12,8 @@ under a reverse-Cuthill-McKee ordering. The ordering, bandwidth, and banded
 index layout depend only on the contiguity pattern, never on which borders
 are currently severed, so the symbolic work is done once per graph and each
 evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
-is a deterministic function of the assignment, which lets the sampler
-memoize it per chain (see :mod:`womble.mcmc`).
+is a deterministic function of the assignment, which lets the chains one
+process runs share one memo of it (see :func:`womble.mcmc._log_det`).
 
 `cut_bounds` gives, per border b, h_b = ln(1 - rho R_b) < 0, with R_b the
 border's resistance under Q with every border kept. Severing a set F of

@@ -20,16 +20,13 @@ Update scheme, one iteration:
 * alpha: component-wise truncated random-walk Metropolis. A proposal that
   leaves the border assignment unchanged is accepted outright (uniform prior,
   symmetric proposal, identical CAR density); otherwise the ratio uses the
-  full CAR density including (1/2) log|Q(alpha)|. Each chain memoizes log|Q|
-  by border assignment (at most LOGDET_MEMO_CAP entries, oldest evicted
-  first), so Q is factorized only for assignments the chain has not seen or
-  has evicted; a hit returns the float a refactorization would. A miss that
-  raises alpha_i only severs borders (z >= 0), so log|Q| changes by at most
-  the sum of their car.cut_bounds: when the proposal fails against that
-  bound (with CUT_BOUND_SLACK to spare), it is rejected unfactorized and not
-  remembered. The uniform is drawn before the memo lookup, where nothing
-  else draws, so every decision and draw is the one the full ratio makes.
-  The bounds are built in the chain's process at its first such miss.
+  full CAR density including (1/2) log|Q(alpha)|, from the memo that the
+  chains of one process share (_log_det). A miss that raises alpha_i only
+  severs borders (z >= 0), so log|Q| changes by at most the sum of their
+  car.cut_bounds: when the proposal fails against that bound (with
+  CUT_BOUND_SLACK to spare), it is rejected unfactorized and not remembered.
+  The uniform is drawn before the memo lookup, where nothing else draws, so
+  every decision and draw is the one the full ratio makes.
 
 Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
@@ -41,7 +38,8 @@ computes d^T Q d (d = phi - mu) once for the tau2 and alpha blocks; the phi
 sweep keeps its border weights and denominators until the assignment changes.
 
 Chains are independent: each derives its own random stream from
-(seed, chain index) and owns all mutable state, so results are identical
+(seed, chain index) and owns all mutable state but the log|Q| memo, whose
+entries are the same whichever chain made them, so results are identical
 whether chains run sequentially or in a process pool. The graph's band plan
 (RCM ordering and scipy's banded Cholesky) and ln(y!) are built in the
 parent before the pool forks; the pool's workers get the graph, the data and
@@ -88,7 +86,7 @@ ALPHA_STEP_FRACTION = 0.1
 # burn-in adaptation: batch length and target acceptance rate
 ADAPT_WINDOW = 100
 ADAPT_TARGET = 0.44
-# border assignments whose log|Q| one chain remembers; about B/8 bytes each
+# assignments whose log|Q| a process remembers per graph and rho; ~B/8 bytes each
 LOGDET_MEMO_CAP = 4096
 # margin of the cut bound over the exact ratio, far above the rounding in
 # either log|Q|, so a bound rejection is one the exact test also makes
@@ -173,13 +171,11 @@ class ModelState:
     `log_det` (log|Q| for `adj`). `params` gets and sets a validated CarParams."""
 
     def __init__(self, phi: np.ndarray, params: CarParams, adj: AdjacencyState,
-                 prec: PrecisionStructure):
+                 log_det: float):
         self.phi = phi
         self.params = params
         self.adj = adj
-        self.log_det = prec.log_det
-        # packed border assignment -> log|Q| at rho, in insertion order
-        self.logdet_memo = {}
+        self.log_det = log_det
         self.sweep = None  # update_phi's cached inputs, a _Sweep
 
     @property
@@ -190,12 +186,6 @@ class ModelState:
     def params(self, p: CarParams):
         self.mu, self.tau2, self.rho, self.alpha = p.mu, p.tau2, p.rho, p.alpha
 
-    def remember_log_det(self, key: bytes, log_det: float):
-        memo = self.logdet_memo
-        memo[key] = log_det
-        while len(memo) > LOGDET_MEMO_CAP:
-            del memo[next(iter(memo))]
-
     def log_post(self, data: ObservedData) -> float:
         """Joint log-posterior up to prior normalizing constants."""
         lp = log_density_phi(self.phi, self.params,
@@ -205,6 +195,23 @@ class ModelState:
         lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
                            - data.E * np.exp(self.phi)))
         return lp
+
+
+def _log_det_memo(graph: AreaGraph, rho: float) -> dict:
+    return graph._cache.setdefault(("log_det", rho), {})
+
+
+def _log_det(adj: AdjacencyState, rho: float) -> float:
+    """log|Q| of `adj` at rho from this process's memo on the graph (packed
+    assignment -> log|Q|, shared by all its chains), or else factorized and
+    remembered, the oldest of over LOGDET_MEMO_CAP entries evicted."""
+    memo = _log_det_memo(adj.graph, rho)
+    log_det = memo.get(adj.key)
+    if log_det is None:
+        log_det = memo[adj.key] = build_precision(adj, rho).log_det
+        while len(memo) > LOGDET_MEMO_CAP:
+            del memo[next(iter(memo))]
+    return log_det
 
 
 def _sweep_tables(graph: AreaGraph) -> list:
@@ -318,10 +325,10 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
 
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
-    other one is judged by a full CAR-density comparison, taking log|Q| from
-    the state's memo and factorizing Q only for an assignment not in it and,
-    when the proposal only severs borders, not already rejected by the cut
-    bound.
+    other one is judged by a full CAR-density comparison, with log|Q| from
+    _log_det, so Q is factorized only for an assignment this process has not
+    remembered and, when the proposal only severs borders, not already
+    rejected by the cut bound.
     `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
@@ -341,18 +348,13 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
         log_u = math.log(rng.random())
         quad_prop = precision_quadform(adj_prop, rho, d)
         quad_term = (quad_prop - quad) / (2.0 * tau2)
-        log_det = state.logdet_memo.get(adj_prop.key)
-        if log_det is None:
-            # z >= 0, so raising alpha_i only severs borders, and log|Q|
-            # changes by at most the sum of their cut bounds: when even that
-            # bound rejects, the exact ratio would reject too
-            if prop_i > state.alpha[i]:
-                cut = state.adj.w > adj_prop.w
-                bound = 0.5 * float(cut_bounds(graph, rho)[cut].sum()) - quad_term
-                if log_u >= bound + CUT_BOUND_SLACK:
-                    continue
-            log_det = build_precision(adj_prop, rho).log_det
-            state.remember_log_det(adj_prop.key, log_det)
+        # a miss that raises alpha_i only severs borders (z >= 0): try the bound
+        if prop_i > state.alpha[i] and adj_prop.key not in _log_det_memo(graph, rho):
+            cut = state.adj.w > adj_prop.w
+            bound = 0.5 * float(cut_bounds(graph, rho)[cut].sum()) - quad_term
+            if log_u >= bound + CUT_BOUND_SLACK:
+                continue
+        log_det = _log_det(adj_prop, rho)
         delta = 0.5 * (log_det - state.log_det) - quad_term
         if log_u < delta:
             state.alpha, state.adj, state.log_det = alpha_prop, adj_prop, log_det
@@ -525,9 +527,7 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
         if tau2 == 0.0:
             continue
         params = CarParams(mu=mu, tau2=tau2, rho=RHO, alpha=alpha)
-        state = ModelState(phi=phi, params=params, adj=adj,
-                           prec=build_precision(adj, RHO))
-        state.remember_log_det(adj.key, state.log_det)
+        state = ModelState(phi, params, adj, _log_det(adj, RHO))
         # overflow here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(state.log_post(data))

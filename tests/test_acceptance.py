@@ -184,7 +184,7 @@ def _prior_moment_match(seed, n_areas, rho, keep=60000):
     adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
     state = ModelState(phi=np.full(n, mu),
                        params=CarParams(mu=mu, tau2=tau2, rho=rho),
-                       adj=adj, prec=build_precision(adj, rho))
+                       adj=adj, log_det=build_precision(adj, rho).log_det)
     cond_sd = np.sqrt(tau2 / (rho * adj.row_sums + 1 - rho))
     steps = 2.4 * cond_sd
     rng = derive_rng(seed, 50)
@@ -228,7 +228,7 @@ def test_criterion_4_sampler_validity():
     phi = np.random.default_rng(5).normal(0.0, 0.7, size=n)
     adj = adjacency_from_w(graph, np.zeros(0, dtype=np.uint8))
     state = ModelState(phi=phi.copy(), params=CarParams(mu=0.0, tau2=1.0, rho=0.0),
-                       adj=adj, prec=build_precision(adj, 0.0))
+                       adj=adj, log_det=build_precision(adj, 0.0).log_det)
     rng = derive_rng(21, 0)
     # tau2 moves neither phi nor mu, so d^T Q d stays fixed
     quad = precision_quadform(adj, 0.0, state.phi - state.mu)

@@ -37,7 +37,7 @@ def make_state(graph, w=None, mu=0.0, tau2=1.0, rho=0.99, alpha=None, phi=None):
                        alpha=np.zeros(0) if alpha is None else alpha)
     return ModelState(phi=np.zeros(graph.n) if phi is None else phi,
                       params=params, adj=adj,
-                      prec=build_precision(adj, rho))
+                      log_det=build_precision(adj, rho).log_det)
 
 
 def quad_of(state):
@@ -567,7 +567,7 @@ class TestUpdateAlpha:
 
         state = self._pattern_change_run(12, check)
         # increasing z: each assignment is a threshold, six in all
-        assert 1 < len(state.logdet_memo) <= 6
+        assert 1 < len(mcmc._log_det_memo(state.adj.graph, 0.99)) <= 6
 
     def test_matches_unmemoized_reference(self):
         # q = 2 on a lattice: identical accept decisions, alpha and log|Q|
@@ -595,11 +595,31 @@ class TestUpdateAlpha:
         sizes = []
 
         def check(g, dis, state):
-            sizes.append(len(state.logdet_memo))
+            sizes.append(len(mcmc._log_det_memo(g, 0.99)))
             assert state.log_det == build_precision(state.adj, 0.99).log_det
 
         self._pattern_change_run(12, check)
         assert max(sizes) == 2
+
+    def test_logdet_memo_is_keyed_by_rho(self):
+        # two states on one graph, at rho 0.99 and 0.5, keep meeting the same
+        # six assignments; each must get log|Q| at its own rho
+        g = path_graph(6)
+        z = np.linspace(0.5, 3.0, g.n_borders)[:, None]
+        dis = DissimilarityData(q=1, metric_names=("m",), border_metrics=z,
+                                scales=np.ones(1))
+        phi = np.random.default_rng(1).normal(size=6)
+        states = [make_state(g, rho=rho, alpha=np.array([0.0]), phi=phi.copy())
+                  for rho in (0.99, 0.5)]
+        rng = derive_rng(12, 0)
+        for _ in range(300):
+            for state in states:
+                update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng,
+                             quad_of(state))
+                for s in states:
+                    assert s.log_det == build_precision(s.adj, s.rho).log_det
+        assert len(mcmc._log_det_memo(g, 0.99)) > 1
+        assert len(mcmc._log_det_memo(g, 0.5)) > 1
 
 
 class TestRunChains:
@@ -666,12 +686,36 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        memo = run_chains(data, g, dis, cfg)
+        # a graph per run, so each count starts from an empty process memo
+        memo = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
         with_memo = len(calls)
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
-        fresh = run_chains(data, g, dis, cfg)
+        fresh = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
         assert with_memo < len(calls) - with_memo
         assert_same_draws(memo, fresh)
+
+    def test_no_assignment_factorized_twice(self, monkeypatch):
+        # three chains in one process share one memo: under the cap each
+        # assignment is factorized once, and the draws are those of the same
+        # run in a pool of three workers
+        g = lattice_graph(4, 4)
+        cov = np.random.default_rng(2).normal(size=(16, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(3).poisson(100.0, 16),
+                            E=np.full(16, 100.0))
+        cfg = ChainConfig(n_chains=3, burn_in=150, keep=100, seed=4, workers=1)
+        keys = []
+
+        def counting(adj, rho):
+            keys.append((adj.key, rho))
+            return build_precision(adj, rho)
+
+        monkeypatch.setattr(mcmc, "build_precision", counting)
+        shared = run_chains(data, g, dis, cfg)
+        assert 1 < len(set(keys)) == len(keys) <= mcmc.LOGDET_MEMO_CAP
+        pooled = run_chains(data, AreaGraph(g.n, g.borders), dis,
+                            replace(cfg, workers=3))
+        assert_same_draws(shared, pooled)
 
     def test_q2_lattice_matches_reference(self):
         # burn-in not a multiple of the adaptation window, and thinning
@@ -701,10 +745,11 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        samples = run_chains(data, g, dis, cfg)
+        # a graph per run, so each count starts from an empty process memo
+        samples = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
         bounded = len(calls)
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
-        unbounded = run_chains(data, g, dis, cfg)
+        unbounded = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
         assert 0 < bounded < len(calls) - bounded
         assert_same_draws(samples, unbounded)
         assert_matches_reference(samples, data, g, dis, cfg)
@@ -774,7 +819,7 @@ class TestRunChains:
         adj = adjacency_from_w(g, np.ones(3, dtype=np.uint8))
         state = ModelState(phi=np.full(4, mu),
                            params=CarParams(mu=mu, tau2=tau2, rho=rho),
-                           adj=adj, prec=build_precision(adj, rho))
+                           adj=adj, log_det=build_precision(adj, rho).log_det)
         rng = derive_rng(13, 0)
         steps = np.full(4, 1.6)
         keep = np.empty((30000, 4))

@@ -306,8 +306,8 @@ class TestGenCounts:
 
 
 class TestRunStudy:
-    def _chain_cfg(self, workers=1):
-        return ChainConfig(n_chains=1, burn_in=300, keep=200, seed=0,
+    def _chain_cfg(self, workers=1, n_chains=1):
+        return ChainConfig(n_chains=n_chains, burn_in=300, keep=200, seed=0,
                            workers=workers)
 
     def test_scorecard_identities_and_determinism(self):
@@ -331,12 +331,14 @@ class TestRunStudy:
     def test_worker_pool_matches_sequential(self):
         cfg1 = small_config(replicates=2)
         cfg2 = small_config(replicates=2)
-        s1 = run_study(cfg1, self._chain_cfg(workers=1))
-        s2 = run_study(cfg2, self._chain_cfg(workers=2))
-        np.testing.assert_array_equal(s1.per_replicate["ba"],
-                                      s2.per_replicate["ba"])
-        np.testing.assert_array_equal(s1.per_replicate["rmse_pct"],
-                                      s2.per_replicate["rmse_pct"])
+        # two chains per replicate: the sequential study shares one log|Q|
+        # memo across chains and replicates, each pool worker its own
+        s1 = run_study(cfg1, self._chain_cfg(workers=1, n_chains=2))
+        s2 = run_study(cfg2, self._chain_cfg(workers=2, n_chains=2))
+        assert s1.per_replicate.keys() == s2.per_replicate.keys()
+        for name, col in s1.per_replicate.items():
+            other = s2.per_replicate[name]
+            assert col.dtype == other.dtype and col.tobytes() == other.tobytes(), name
 
     def test_all_one_partition_rejected(self, monkeypatch):
         # rejected once, before the pool starts: no chain runs
