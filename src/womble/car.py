@@ -19,9 +19,14 @@ process runs share one memo of it (see :func:`womble.mcmc._log_det`).
 border's resistance under Q with every border kept. Severing a set F of
 borders from any assignment changes log |Q| by at most the sum of h_b over
 F, which lets the sampler reject a border-cutting proposal without
-factorizing.
-R_b is read from the band of that Q's inverse by a block Takahashi
-recursion over the same banded factor, once per graph and rho.
+factorizing. `restore_bounds` gives the matching g_b = ln(1 + rho R'_b) > 0,
+with R'_b the resistance under Q(w_M), w_M the sparsest assignment alpha <= M
+reaches: restoring a set F onto any reachable assignment raises log |Q| by
+at most the sum of g_b over F, which lets the sampler reject a
+border-restoring proposal without factorizing.
+Resistances are read from the band of the inverse of Q(w) by a block
+Takahashi recursion over the same banded factor: once per graph and rho for
+Q_all, once per graph, rho and w_M for Q(w_M).
 
 scipy is imported by the band plan, not by this module: `run_chains` builds
 the plan in the parent process before the chains fork, so pool workers
@@ -33,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import AdjacencyState, AreaGraph, adjacency_from_w
+from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
+                    adjacency_from_w, evaluate_w)
 
 RHO = 0.99  # the dependence parameter every fit uses
 
@@ -154,19 +160,44 @@ def cut_bounds(graph: AreaGraph, rho: float) -> np.ndarray:
     key = ("cut_bounds", rho)
     h = graph._cache.get(key)
     if h is None:
-        h = np.log1p(-rho * _resistances(graph, rho))
+        every = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
+        h = np.log1p(-rho * _resistances(every, rho))
         graph._cache[key] = h
     return h
 
 
-def _resistances(graph: AreaGraph, rho: float) -> np.ndarray:
-    """R_b for every border, from the band of Sigma = Q_all^{-1}.
+def restore_bounds(graph: AreaGraph, rho: float, dis: DissimilarityData,
+                   M: np.ndarray) -> np.ndarray:
+    """(B,) g_b = ln(1 + rho R'_b), where R'_b is border b's resistance under
+    Q(w_M) and w_M = evaluate_w(graph, dis, M).
 
-    Q_all's band ordering makes it block tridiagonal in blocks of the
-    bandwidth, so both ends of a border lie in one block or in adjacent
-    ones. With D_I and C_I the diagonal and subdiagonal blocks of its
-    Cholesky factor and G_I = C_I D_I^{-1}, the block Takahashi recursion
-    runs from the last block up:
+    w never grows with any alpha_i, so every assignment alpha <= M reaches
+    contains w_M, and Q(w) >= Q(w_M). Restoring a border b that w severs
+    multiplies |Q| by 1 + rho R_b(w) <= 1 + rho R'_b (determinant lemma,
+    resistance falling as Q grows), so restoring a set F raises log|Q| by at
+    most sum_{b in F} g_b; only borders that w_M severs are ever restored.
+    Computed on first use; the graph keeps one vector per rho, replaced when
+    w_M changes.
+    """
+    sparsest = evaluate_w(graph, dis, M)
+    key = ("restore_bounds", rho)
+    entry = graph._cache.get(key)
+    if entry is None or entry[0] != sparsest.key:
+        entry = (sparsest.key, np.log1p(rho * _resistances(sparsest, rho)))
+        graph._cache[key] = entry
+    return entry[1]
+
+
+def _resistances(adj: AdjacencyState, rho: float) -> np.ndarray:
+    """R_b = (e_k - e_j)^T Sigma (e_k - e_j) for every border, from the band
+    of Sigma = Q(w)^{-1}, w the assignment `adj`.
+
+    The band ordering is the full graph's, so it holds every border whether
+    w keeps it or not, and makes Q(w) block tridiagonal in blocks of the
+    bandwidth: both ends of a border lie in one block or in adjacent ones.
+    With D_I and C_I the diagonal and subdiagonal blocks of its Cholesky
+    factor and G_I = C_I D_I^{-1}, the block Takahashi recursion runs from
+    the last block up:
 
         Sigma_{I+1,I} = -Sigma_{I+1,I+1} G_I
         Sigma_{I,I}   = D_I^{-T} D_I^{-1} + G_I^T Sigma_{I+1,I+1} G_I
@@ -176,11 +207,11 @@ def _resistances(graph: AreaGraph, rho: float) -> np.ndarray:
     """
     from scipy.linalg import solve_triangular
 
+    graph = adj.graph
     n, n_borders = graph.n, graph.n_borders
     if n_borders == 0:
         return np.zeros(0)
-    plan, factor = _factor(
-        adjacency_from_w(graph, np.ones(n_borders, dtype=np.uint8)), rho)
+    plan, factor = _factor(adj, rho)
     size, low = plan.bandwidth, plan.low
     high = low + plan.offsets
     diag = np.empty(n)

@@ -23,10 +23,13 @@ Update scheme, one iteration:
   full CAR density including (1/2) log|Q(alpha)|, from the memo that the
   chains of one process share (_log_det). A miss that raises alpha_i only
   severs borders (z >= 0), so log|Q| changes by at most the sum of their
-  car.cut_bounds: when the proposal fails against that bound (with
-  CUT_BOUND_SLACK to spare), it is rejected unfactorized and not remembered.
-  The uniform is drawn before the memo lookup, where nothing else draws, so
-  every decision and draw is the one the full ratio makes.
+  car.cut_bounds; one that lowers alpha_i only restores borders, so log|Q|
+  rises by at most the sum of their car.restore_bounds. When the proposal
+  fails against its bound (with CUT_BOUND_SLACK to spare), it is rejected
+  unfactorized and not remembered. The uniform is drawn before the memo
+  lookup, where nothing else draws, so every decision and draw is the one
+  the full ratio makes. Every proposal's d^T Q d comes from per-border
+  squared differences of d = phi - mu that the block computes once.
 
 Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
@@ -70,7 +73,7 @@ import numpy as np
 
 from .car import (RHO, CarParams, PrecisionStructure, _band_plan,
                   build_precision, cut_bounds, log_density_phi,
-                  precision_quadform)
+                  precision_quadform, restore_bounds)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -327,13 +330,14 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, with log|Q| from
     _log_det, so Q is factorized only for an assignment this process has not
-    remembered and, when the proposal only severs borders, not already
-    rejected by the cut bound.
+    remembered and not already rejected by its bound: the cut bound when the
+    proposal raises alpha_i (it only severs borders), the restore bound when
+    it lowers alpha_i (it only restores them).
     `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
     accept = np.zeros(len(M), dtype=bool)
-    d = state.phi - state.mu
+    sq = None  # per-border squared differences of d, at the first w change
     for i in range(len(M)):
         prop_i = state.alpha[i] + steps[i] * rng.standard_normal()
         if prop_i < 0.0 or prop_i > M[i]:
@@ -346,13 +350,21 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             accept[i] = True
             continue
         log_u = math.log(rng.random())
-        quad_prop = precision_quadform(adj_prop, rho, d)
+        if sq is None:
+            d = state.phi - state.mu
+            # d^T Q d = rho sum_b w_b sq_b + c, as precision_quadform sums it;
+            # bit for bit, since each w_b is 0 or 1
+            diff = d[graph.borders[:, 0]] - d[graph.borders[:, 1]]
+            sq, c = diff * diff, (1.0 - rho) * (d * d).sum()
+        quad_prop = float(rho * (adj_prop.w * sq).sum() + c)
         quad_term = (quad_prop - quad) / (2.0 * tau2)
-        # a miss that raises alpha_i only severs borders (z >= 0): try the bound
-        if prop_i > state.alpha[i] and adj_prop.key not in _log_det_memo(graph, rho):
-            cut = state.adj.w > adj_prop.w
-            bound = 0.5 * float(cut_bounds(graph, rho)[cut].sum()) - quad_term
-            if log_u >= bound + CUT_BOUND_SLACK:
+        if adj_prop.key not in _log_det_memo(graph, rho):
+            # a miss that raises alpha_i only severs borders, one that lowers
+            # it only restores them: try the bound on the flipped borders
+            bounds = (cut_bounds(graph, rho) if prop_i > state.alpha[i]
+                      else restore_bounds(graph, rho, dis, M))
+            flipped = state.adj.w != adj_prop.w
+            if log_u >= 0.5 * float(bounds[flipped].sum()) - quad_term + CUT_BOUND_SLACK:
                 continue
         log_det = _log_det(adj_prop, rho)
         delta = 0.5 * (log_det - state.log_det) - quad_term
@@ -378,11 +390,12 @@ class RiskSummary(NamedTuple):
     mean: np.ndarray
 
 
-def median_interval(x: np.ndarray) -> tuple:
+def median_interval(x: np.ndarray, overwrite_input: bool = False) -> tuple:
     """(median, 2.5% point, 97.5% point) of draws along the last axis: the
-    posterior median and equal-tailed 95% interval."""
-    lo, hi = np.percentile(x, [2.5, 97.5], axis=-1)
-    return np.median(x, axis=-1), lo, hi
+    posterior median and equal-tailed 95% interval. With overwrite_input,
+    both partition x in place, reordering each row, instead of a copy each."""
+    lo, hi = np.percentile(x, [2.5, 97.5], axis=-1, overwrite_input=overwrite_input)
+    return np.median(x, axis=-1, overwrite_input=overwrite_input), lo, hi
 
 
 class _DrawLayout(NamedTuple):
@@ -503,9 +516,10 @@ class PosteriorSamples:
             areas = slice(start, stop)
             r = np.exp(self.phi_draws(areas))
             out.mean[areas] = r.mean(axis=0)
-            # numpy reduces along rows several times faster, same values
-            r = r.T.copy()
-            out.median[areas], out.lo[areas], out.hi[areas] = median_interval(r)
+            # numpy reduces along rows several times faster, same values; the
+            # copy is this block's own, so the order statistics partition it
+            out.median[areas], out.lo[areas], out.hi[areas] = median_interval(
+                r.T.copy(), overwrite_input=True)
         return out
 
 

@@ -8,8 +8,9 @@ from oracles import (conditional_from_joint, dense_log_density,
 from womble import ValidationError
 from womble.car import (CarParams, _band_plan, _resistances, build_precision,
                         cut_bounds, full_conditional_phi, log_density_phi,
-                        precision_quadform)
-from womble.graph import AreaGraph, adjacency_from_w
+                        precision_quadform, restore_bounds)
+from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
+                          evaluate_w)
 from womble.simulate import lattice_graph
 from conftest import all_ones_adj
 
@@ -74,9 +75,8 @@ class TestBuildPrecision:
 
 class TestCutBounds:
     @staticmethod
-    def _dense_resistances(g, rho):
-        sigma = np.linalg.inv(dense_precision(g.n, g.borders,
-                                              np.ones(g.n_borders), rho))
+    def _dense_resistances(g, w, rho):
+        sigma = np.linalg.inv(dense_precision(g.n, g.borders, w, rho))
         k, j = g.borders[:, 0], g.borders[:, 1]
         return sigma[k, k] + sigma[j, j] - 2.0 * sigma[k, j]
 
@@ -90,13 +90,18 @@ class TestCutBounds:
                                                lattice_graph(4, 4).borders + 16]))),
     ])
     def test_resistances_match_dense_inverse(self, name, graph):
+        # with every border kept, and with about half of them severed, which
+        # the restore bounds read under Q(w_M)
         bandwidth = _band_plan(graph).bandwidth
         if name == "lattice":
             assert graph.n % bandwidth != 0
-        for rho in (0.5, 0.99):
-            np.testing.assert_allclose(_resistances(graph, rho),
-                                       self._dense_resistances(graph, rho),
-                                       rtol=1e-12, atol=1e-12)
+        some = (np.random.default_rng(3).random(graph.n_borders) < 0.5).astype(np.uint8)
+        for w in (np.ones(graph.n_borders, dtype=np.uint8), some):
+            for rho in (0.5, 0.99):
+                np.testing.assert_allclose(
+                    _resistances(adjacency_from_w(graph, w), rho),
+                    self._dense_resistances(graph, w, rho),
+                    rtol=1e-12, atol=1e-12)
 
     def test_kept_on_the_graph_per_rho(self):
         g = lattice_graph(3, 4)
@@ -126,6 +131,81 @@ class TestCutBounds:
         change = (build_precision(adjacency_from_w(g, w_cut), rho).log_det
                   - build_precision(adjacency_from_w(g, w), rho).log_det)
         assert change <= cut_bounds(g, rho)[cut].sum() + 1e-9
+
+
+class TestRestoreBounds:
+    @staticmethod
+    def _random_metrics(rng, g, q):
+        # non-negative, with about a fifth of them zero
+        z = rng.gamma(1.0, 1.0, size=(g.n_borders, q)) * (rng.random((g.n_borders, q)) < 0.8)
+        return DissimilarityData(q=q, metric_names=tuple(f"m{i}" for i in range(q)),
+                                 border_metrics=z, scales=np.ones(q))
+
+    def test_every_reachable_assignment_contains_the_sparsest(self):
+        # w never grows with any alpha_i, in floating point too: on a map the
+        # size of the benchmark's largest, w(alpha) contains w(M) for alpha <= M,
+        # and raising one component only severs borders
+        g = lattice_graph(64, 64)
+        rng = np.random.default_rng(5)
+        dis = self._random_metrics(rng, g, 2)
+        M = np.array([0.6, 0.9])
+        w_min = evaluate_w(g, dis, M).w
+        assert 0 < w_min.sum() < g.n_borders
+        for _ in range(200):
+            alpha = M * rng.random(2)
+            w = evaluate_w(g, dis, alpha).w
+            assert (w >= w_min).all()
+            raised = alpha.copy()
+            raised[rng.integers(2)] += rng.uniform(0.0, 0.3)
+            assert (evaluate_w(g, dis, raised).w <= w).all()
+
+    def test_one_vector_per_rho_replaced_when_the_sparsest_changes(self):
+        g = lattice_graph(3, 4)
+        rng = np.random.default_rng(1)
+        dis, M = self._random_metrics(rng, g, 1), np.array([1.0])
+        g_b = restore_bounds(g, 0.99, dis, M)
+        assert restore_bounds(g, 0.99, dis, M.copy()) is g_b
+        assert (g_b > 0).all()
+        other = self._random_metrics(rng, g, 1)
+        assert not np.array_equal(restore_bounds(g, 0.99, other, M), g_b)
+        restore_bounds(g, 0.5, dis, M)
+        restore_bounds(g, 0.99, dis, np.array([2.0]))
+        keys = [k for k in g._cache if k[0] == "restore_bounds"]
+        assert sorted(k[1] for k in keys) == [0.5, 0.99]
+
+    def test_no_borders(self):
+        g = _graph(3, [])
+        dis = DissimilarityData(q=1, metric_names=("m",),
+                                border_metrics=np.zeros((0, 1)), scales=np.ones(1))
+        assert restore_bounds(g, 0.99, dis, np.array([1.0])).shape == (0,)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bounds_every_restore(self, seed):
+        # from any assignment alpha <= M reaches, restoring any F it severs
+        # raises log|Q| by at most the sum of F's bounds
+        rng = np.random.default_rng(seed)
+        n, borders = random_graph(rng, n_max=10, p=float(rng.uniform(0.2, 0.8)))
+        g = _graph(n, borders)
+        if g.n_borders == 0:
+            return
+        rho = float(rng.choice([0.99, rng.uniform(0.0, 0.999)]))
+        q = int(rng.integers(1, 4))
+        dis = self._random_metrics(rng, g, q)
+        M = rng.uniform(0.0, 2.0, size=q)
+        # some components at their bound, so w is often w_M itself
+        alpha = np.where(rng.random(q) < 0.4, M, M * rng.random(q))
+        w = evaluate_w(g, dis, alpha).w
+        assert (w >= evaluate_w(g, dis, M).w).all()
+        severed = np.nonzero(w == 0)[0]
+        if severed.size == 0:
+            return
+        restore = (w == 0) & (rng.random(g.n_borders) < rng.uniform(0.1, 1.0))
+        restore[rng.choice(severed)] = True
+        w_restored = np.where(restore, 1, w).astype(np.uint8)
+        change = (build_precision(adjacency_from_w(g, w_restored), rho).log_det
+                  - build_precision(adjacency_from_w(g, w), rho).log_det)
+        assert change <= restore_bounds(g, rho, dis, M)[restore].sum() + 1e-9
 
 
 class TestLogDensity:

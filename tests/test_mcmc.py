@@ -622,6 +622,68 @@ class TestUpdateAlpha:
         assert len(mcmc._log_det_memo(g, 0.5)) > 1
 
 
+class TestAlphaJointDistribution:
+    """With the likelihood off and mu and tau2 fixed, the phi and alpha
+    blocks target p(alpha) p(phi | alpha), so alpha is Uniform(0, M) on any
+    graph; a wrong log|Q| term in the alpha ratio skews it (Geweke 2004,
+    "Getting it right"). Each chain starts from an exact joint draw, so a
+    correct kernel keeps every state on target however slowly it mixes, and
+    a wrong one drifts towards its own stationary law."""
+
+    @pytest.mark.parametrize("graph, q, rho", [
+        # the fit's rho; below it phi mixes faster, so a wrong kernel drifts
+        # further in the same number of iterations
+        (lattice_graph(3, 4), 1, 0.99),
+        (lattice_graph(3, 4), 2, 0.9),
+        (AreaGraph(12, np.vstack([lattice_graph(2, 3).borders,
+                                  lattice_graph(2, 3).borders + 6])), 1, 0.9),
+        (AreaGraph(10, lattice_graph(3, 3).borders), 1, 0.9),
+    ], ids=["lattice-q1", "lattice-q2", "disconnected", "isolated-area"])
+    def test_alpha_is_uniform_on_its_prior(self, monkeypatch, graph, q, rho):
+        from scipy.stats import kstest
+
+        rng = np.random.default_rng(31)
+        # metrics in [1, 3] before standardizing spread the thresholds
+        # ln2 / z_b over the prior's range, with M = ln2 / min z_b; a
+        # long-tailed metric's tiny min z_b makes M huge, and then even a
+        # wrong log|Q| term can leave alpha within KS 0.3 of the uniform
+        raw = rng.uniform(1.0, 3.0, size=(graph.n_borders, q))
+        dis = DissimilarityData.from_border_values(graph, raw)
+        M = mcmc.alpha_upper_bounds(dis, 1.0)
+        # no memo, so each bound decides every proposal its direction allows
+        monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
+        bound_calls = {"cut": 0, "restore": 0}
+
+        def counted(kind, bounds):
+            def wrapper(*args):
+                bound_calls[kind] += 1
+                return bounds(*args)
+            return wrapper
+
+        monkeypatch.setattr(mcmc, "cut_bounds", counted("cut", mcmc.cut_bounds))
+        monkeypatch.setattr(mcmc, "restore_bounds",
+                            counted("restore", mcmc.restore_bounds))
+        n_chains, n_iter = 60, 300
+        final = np.empty((n_chains, q))
+        moved = 0
+        for c in range(n_chains):
+            alpha = M * rng.random(q)
+            w = evaluate_w(graph, dis, alpha).w
+            chol = np.linalg.cholesky(dense_precision(graph.n, graph.borders, w, rho))
+            phi = np.linalg.solve(chol.T, rng.standard_normal(graph.n))
+            state = make_state(graph, w=w, rho=rho, alpha=alpha, phi=phi)
+            for _ in range(n_iter):
+                update_phi(state, None, np.ones(graph.n), rng)
+                update_alpha(state, dis, 0.5 * M, M, rng, quad_of(state))
+            final[c] = state.alpha / M
+            moved += not np.array_equal(state.adj.w, w)
+        # a kernel that never changed w would keep alpha uniform too
+        assert moved > n_chains // 2
+        assert bound_calls["cut"] > 0 and bound_calls["restore"] > 0
+        for i in range(q):
+            assert kstest(final[:, i], "uniform").statistic < 0.3
+
+
 class TestRunChains:
     def _tiny_inputs(self, seed=0):
         g = lattice_graph(4, 4)
@@ -751,6 +813,41 @@ class TestRunChains:
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
         unbounded = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
         assert 0 < bounded < len(calls) - bounded
+        assert_same_draws(samples, unbounded)
+        assert_matches_reference(samples, data, g, dis, cfg)
+
+    def test_restore_bound_skips_factorizations(self, monkeypatch):
+        # restores that the bound rejects are never factorized: fewer calls
+        # than with the restore bound made void, which are fewer than with
+        # both bounds off, and the draws are the reference sampler's, which
+        # factorizes every memo miss and calls precision_quadform for every
+        # proposal
+        g = lattice_graph(6, 6)
+        cov = np.random.default_rng(8).normal(size=(36, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
+                            E=np.full(36, 80.0))
+        cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=23)
+        calls = []
+
+        def counting(adj, rho):
+            calls.append(1)
+            return build_precision(adj, rho)
+
+        def run():
+            # a graph per run, so each count starts from an empty process memo
+            del calls[:]
+            return run_chains(data, AreaGraph(g.n, g.borders), dis, cfg), len(calls)
+
+        monkeypatch.setattr(mcmc, "build_precision", counting)
+        samples, bounded = run()
+        monkeypatch.setattr(mcmc, "restore_bounds",
+                            lambda graph, *args: np.full(graph.n_borders, math.inf))
+        cut_only, cut_calls = run()
+        monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
+        unbounded, all_calls = run()
+        assert 0 < bounded < cut_calls < all_calls
+        assert_same_draws(samples, cut_only)
         assert_same_draws(samples, unbounded)
         assert_matches_reference(samples, data, g, dis, cfg)
 
