@@ -25,8 +25,8 @@ reaches: restoring a set F onto any reachable assignment raises log |Q| by
 at most the sum of g_b over F, which lets the sampler reject a
 border-restoring proposal without factorizing.
 Resistances are read from the band of the inverse of Q(w) by a block
-Takahashi recursion over the same banded factor: once per graph and rho for
-Q_all, once per graph, rho and w_M for Q(w_M).
+Takahashi recursion over the same banded factor; `run_chains` calls both
+functions once per run, before the chains start.
 
 scipy is imported by the band plan, not by this module: `run_chains` builds
 the plan in the parent process before the chains fork, so pool workers
@@ -154,16 +154,10 @@ def cut_bounds(graph: AreaGraph, rho: float) -> np.ndarray:
     Severing a set F of retained borders from any assignment w changes log|Q|
     by at most sum_{b in F} h_b: by the determinant lemma and Hadamard's
     inequality the change is at most sum_F ln(1 - rho R_b(w)), and
-    R_b(w) >= R_b because Q(w) <= Q_all. Computed on first use and kept on
-    the graph, per rho.
+    R_b(w) >= R_b because Q(w) <= Q_all.
     """
-    key = ("cut_bounds", rho)
-    h = graph._cache.get(key)
-    if h is None:
-        every = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
-        h = np.log1p(-rho * _resistances(every, rho))
-        graph._cache[key] = h
-    return h
+    every = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
+    return np.log1p(-rho * _resistances(every, rho))
 
 
 def restore_bounds(graph: AreaGraph, rho: float, dis: DissimilarityData,
@@ -176,16 +170,8 @@ def restore_bounds(graph: AreaGraph, rho: float, dis: DissimilarityData,
     multiplies |Q| by 1 + rho R_b(w) <= 1 + rho R'_b (determinant lemma,
     resistance falling as Q grows), so restoring a set F raises log|Q| by at
     most sum_{b in F} g_b; only borders that w_M severs are ever restored.
-    Computed on first use; the graph keeps one vector per rho, replaced when
-    w_M changes.
     """
-    sparsest = evaluate_w(graph, dis, M)
-    key = ("restore_bounds", rho)
-    entry = graph._cache.get(key)
-    if entry is None or entry[0] != sparsest.key:
-        entry = (sparsest.key, np.log1p(rho * _resistances(sparsest, rho)))
-        graph._cache[key] = entry
-    return entry[1]
+    return np.log1p(rho * _resistances(evaluate_w(graph, dis, M), rho))
 
 
 def _resistances(adj: AdjacencyState, rho: float) -> np.ndarray:

@@ -24,12 +24,13 @@ Update scheme, one iteration:
   chains of one process share (_log_det). A miss that raises alpha_i only
   severs borders (z >= 0), so log|Q| changes by at most the sum of their
   car.cut_bounds; one that lowers alpha_i only restores borders, so log|Q|
-  rises by at most the sum of their car.restore_bounds. When the proposal
-  fails against its bound (with CUT_BOUND_SLACK to spare), it is rejected
-  unfactorized and not remembered. The uniform is drawn before the memo
-  lookup, where nothing else draws, so every decision and draw is the one
-  the full ratio makes. Every proposal's d^T Q d comes from per-border
-  squared differences of d = phi - mu that the block computes once.
+  rises by at most the sum of their car.restore_bounds; run_chains computes
+  both vectors once per run. When the proposal fails against its bound (with
+  CUT_BOUND_SLACK to spare), it is rejected unfactorized and not remembered.
+  The uniform is drawn before the memo lookup, where nothing else draws, so
+  every decision and draw is the one the full ratio makes. Every proposal's
+  d^T Q d comes from per-border squared differences of d = phi - mu that the
+  block computes once.
 
 Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
@@ -44,11 +45,12 @@ Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
 whether chains run sequentially or in a process pool. The graph's band plan
-(RCM ordering and scipy's banded Cholesky) and ln(y!) are built in the
-parent before the pool forks; the pool's workers get the graph, the data and
-the settings once, through its initializer (inherited, not pickled, where
-the pool forks), with the scipy modules they use already loaded, and each
-task carries only its chain index.
+(RCM ordering and scipy's banded Cholesky), the alpha block's cut and
+restore bounds and ln(y!) are built in the parent before the pool forks; the
+pool's workers get the graph, the data, the settings and the bounds once,
+through its initializer (inherited, not pickled, where the pool forks), with
+the scipy modules they use already loaded, and each task carries only its
+chain index.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices: phi in buffers of a few megabytes of draws (RISK_BLOCK_BYTES),
@@ -91,7 +93,7 @@ ADAPT_WINDOW = 100
 ADAPT_TARGET = 0.44
 # assignments whose log|Q| a process remembers per graph and rho; ~B/8 bytes each
 LOGDET_MEMO_CAP = 4096
-# margin of the cut bound over the exact ratio, far above the rounding in
+# margin of both bounds over the exact ratio, far above the rounding in
 # either log|Q|, so a bound rejection is one the exact test also makes
 CUT_BOUND_SLACK = 1e-6
 # temporary file of retained phi and w under TMPDIR (see _DrawLayout)
@@ -321,7 +323,7 @@ def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
 
 
 def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
-                 M: np.ndarray, rng: np.random.Generator,
+                 M: np.ndarray, bounds: tuple, rng: np.random.Generator,
                  quad: float) -> np.ndarray:
     """Component-wise truncated random-walk Metropolis on alpha; returns the
     per-component acceptance flags.
@@ -330,9 +332,10 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, with log|Q| from
     _log_det, so Q is factorized only for an assignment this process has not
-    remembered and not already rejected by its bound: the cut bound when the
-    proposal raises alpha_i (it only severs borders), the restore bound when
-    it lowers alpha_i (it only restores them).
+    remembered and not already rejected by its bound. `bounds` is
+    (car.cut_bounds, car.restore_bounds) at the state's rho and M: the first
+    when the proposal raises alpha_i (it only severs borders), the second
+    when it lowers alpha_i (it only restores them).
     `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
@@ -361,10 +364,9 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
         if adj_prop.key not in _log_det_memo(graph, rho):
             # a miss that raises alpha_i only severs borders, one that lowers
             # it only restores them: try the bound on the flipped borders
-            bounds = (cut_bounds(graph, rho) if prop_i > state.alpha[i]
-                      else restore_bounds(graph, rho, dis, M))
+            bound = bounds[int(prop_i < state.alpha[i])]
             flipped = state.adj.w != adj_prop.w
-            if log_u >= 0.5 * float(bounds[flipped].sum()) - quad_term + CUT_BOUND_SLACK:
+            if log_u >= 0.5 * float(bound[flipped].sum()) - quad_term + CUT_BOUND_SLACK:
                 continue
         log_det = _log_det(adj_prop, rho)
         delta = 0.5 * (log_det - state.log_det) - quad_term
@@ -552,7 +554,7 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray, layout: _DrawLayout) -> dict:
+               M: np.ndarray, bounds: Optional[tuple], layout: _DrawLayout) -> dict:
     """Run one chain, writing its retained phi and w into its slices of the
     draw file (see _DrawLayout); return the other draws and, per border, the
     number of retained draws that keep it."""
@@ -591,7 +593,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
             quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
             hits_tau += update_tau2(state, tau_step, rng, quad)
             if q:
-                hits_alpha += update_alpha(state, dis, alpha_steps, M, rng, quad)
+                hits_alpha += update_alpha(state, dis, alpha_steps, M, bounds, rng, quad)
             if it < burn_in:
                 if (it + 1) % window == 0:
                     batch += 1
@@ -647,13 +649,16 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     before returning; the samples read phi from it through `phi_draws` and
     map w read-only until they are released.
 
-    The graph's band plan is built here, before the pool forks (see the
-    module docstring). `config` was checked when it was built.
+    The graph's band plan and, with metrics, the alpha block's cut and
+    restore bounds are built here, before the pool forks (see the module
+    docstring). `config` was checked when it was built.
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = alpha_upper_bounds(dis, config.max_boundary_fraction)
     _band_plan(graph)
+    bounds = None if dis is None else (cut_bounds(graph, RHO),
+                                       restore_bounds(graph, RHO, dis, M))
 
     n_draws = config.keep // config.thin
     block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))
@@ -669,7 +674,7 @@ def run_chains(data: ObservedData, graph: AreaGraph,
                           f"for retained draws (chains x keep // thin x "
                           f"(8 x areas + borders)) in {fh.name}: "
                           f"{exc.strerror}") from exc
-        results = run_tasks(_run_chain, (data, graph, dis, config, M, layout),
+        results = run_tasks(_run_chain, (data, graph, dis, config, M, bounds, layout),
                             config.n_chains, config.workers)
         phi_draws = _PhiReader(layout)
         w = np.memmap(fh.name, dtype=np.uint8, mode="r", offset=layout.w_offset(0, 0),

@@ -45,6 +45,11 @@ def quad_of(state):
     return precision_quadform(state.adj, state.rho, state.phi - state.mu)
 
 
+def bounds_of(graph, dis, M, rho=0.99):
+    """(cut, restore) bounds at rho, as run_chains hands them to update_alpha."""
+    return car.cut_bounds(graph, rho), car.restore_bounds(graph, rho, dis, M)
+
+
 def reference_update_alpha(state, dis, steps, M, rng):
     """update_alpha as a plain loop: every proposal that changes w
     refactorizes Q and recomputes both quadratic forms."""
@@ -519,10 +524,12 @@ class TestUpdateAlpha:
         state = make_state(g, alpha=np.array([0.05]))
         state.adj = evaluate_w(g, dis, state.params.alpha)
         rng = derive_rng(10, 0)
+        M = np.array([0.2])
+        bounds = bounds_of(g, dis, M)
         accepted = 0
         for _ in range(200):
             before = state.params.alpha[0]
-            accept = update_alpha(state, dis, np.array([0.001]), np.array([0.2]),
+            accept = update_alpha(state, dis, np.array([0.001]), M, bounds,
                                   rng, quad_of(state))
             assert accept.shape == (1,)
             accepted += accept[0]
@@ -534,8 +541,10 @@ class TestUpdateAlpha:
         dis = self._flat_dis(g)
         state = make_state(g, alpha=np.array([0.1]))
         rng = derive_rng(11, 0)
+        M = np.array([0.2])
+        bounds = bounds_of(g, dis, M)
         for _ in range(300):
-            update_alpha(state, dis, np.array([5.0]), np.array([0.2]), rng,
+            update_alpha(state, dis, np.array([5.0]), M, bounds, rng,
                          quad_of(state))
             assert 0.0 <= state.params.alpha[0] <= 0.2
 
@@ -548,8 +557,10 @@ class TestUpdateAlpha:
         state = make_state(g, alpha=np.array([0.0]),
                            phi=np.random.default_rng(1).normal(size=6))
         rng = derive_rng(seed, 0)
+        M = np.array([2.0])
+        bounds = bounds_of(g, dis, M)
         for _ in range(500):
-            update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng,
+            update_alpha(state, dis, np.array([0.3]), M, bounds, rng,
                          quad_of(state))
             check(g, dis, state)
         return state
@@ -582,8 +593,10 @@ class TestUpdateAlpha:
                   for _ in range(2)]
         rngs = [derive_rng(14, 0), derive_rng(14, 0)]
         steps, M = np.array([0.4, 0.4]), np.array([1.5, 1.5])
+        bounds = bounds_of(g, dis, M)
         for _ in range(300):
-            update_alpha(states[0], dis, steps, M, rngs[0], quad_of(states[0]))
+            update_alpha(states[0], dis, steps, M, bounds, rngs[0],
+                         quad_of(states[0]))
             reference_update_alpha(states[1], dis, steps, M, rngs[1])
             np.testing.assert_array_equal(states[0].params.alpha,
                                           states[1].params.alpha)
@@ -612,10 +625,12 @@ class TestUpdateAlpha:
         states = [make_state(g, rho=rho, alpha=np.array([0.0]), phi=phi.copy())
                   for rho in (0.99, 0.5)]
         rng = derive_rng(12, 0)
+        M = np.array([2.0])
+        bounds = {s.rho: bounds_of(g, dis, M, s.rho) for s in states}
         for _ in range(300):
             for state in states:
-                update_alpha(state, dis, np.array([0.3]), np.array([2.0]), rng,
-                             quad_of(state))
+                update_alpha(state, dis, np.array([0.3]), M, bounds[state.rho],
+                             rng, quad_of(state))
                 for s in states:
                     assert s.log_det == build_precision(s.adj, s.rho).log_det
         assert len(mcmc._log_det_memo(g, 0.99)) > 1
@@ -652,17 +667,14 @@ class TestAlphaJointDistribution:
         M = mcmc.alpha_upper_bounds(dis, 1.0)
         # no memo, so each bound decides every proposal its direction allows
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
-        bound_calls = {"cut": 0, "restore": 0}
+        reads = [0, 0]
 
-        def counted(kind, bounds):
-            def wrapper(*args):
-                bound_calls[kind] += 1
-                return bounds(*args)
-            return wrapper
+        class CountedBounds(tuple):
+            def __getitem__(self, i):
+                reads[i] += 1
+                return tuple.__getitem__(self, i)
 
-        monkeypatch.setattr(mcmc, "cut_bounds", counted("cut", mcmc.cut_bounds))
-        monkeypatch.setattr(mcmc, "restore_bounds",
-                            counted("restore", mcmc.restore_bounds))
+        bounds = CountedBounds(bounds_of(graph, dis, M, rho))
         n_chains, n_iter = 60, 300
         final = np.empty((n_chains, q))
         moved = 0
@@ -674,12 +686,13 @@ class TestAlphaJointDistribution:
             state = make_state(graph, w=w, rho=rho, alpha=alpha, phi=phi)
             for _ in range(n_iter):
                 update_phi(state, None, np.ones(graph.n), rng)
-                update_alpha(state, dis, 0.5 * M, M, rng, quad_of(state))
+                update_alpha(state, dis, 0.5 * M, M, bounds, rng, quad_of(state))
             final[c] = state.alpha / M
             moved += not np.array_equal(state.adj.w, w)
         # a kernel that never changed w would keep alpha uniform too
         assert moved > n_chains // 2
-        assert bound_calls["cut"] > 0 and bound_calls["restore"] > 0
+        # both the cut and the restore bound decided proposals
+        assert reads[0] > 0 and reads[1] > 0
         for i in range(q):
             assert kstest(final[:, i], "uniform").statistic < 0.3
 
@@ -1010,35 +1023,66 @@ class TestPoolSize:
 
 class TestBandPlanBeforeFork:
     """The band plan is built in the parent before the pool forks and reaches
-    the workers inside the pickled graph; a forked worker that built its own
-    would log its pid here."""
+    the workers inside the pickled graph, and the alpha block's cut and
+    restore bounds, one resistance recursion each, are built once per
+    run_chains call before its chains start; each call logs its pid here, so
+    a forked worker that built its own would show."""
 
     @pytest.fixture
-    def plan_pids(self, tmp_path, monkeypatch):
-        log = tmp_path / "plans"
-        build = car._BandPlan.__init__
+    def pids(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls"
+        log.touch()
 
-        def logged(plan, graph):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            build(plan, graph)
+        def logged(kind, fn):
+            def wrapper(*args):
+                with open(log, "a") as fh:
+                    fh.write(f"{kind} {os.getpid()}\n")
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(car._BandPlan, "__init__", logged)
-        return lambda: log.read_text().split()
+        monkeypatch.setattr(car._BandPlan, "__init__",
+                            logged("plan", car._BandPlan.__init__))
+        monkeypatch.setattr(car, "_resistances",
+                            logged("resistances", car._resistances))
+        return lambda kind: [pid for k, pid in map(str.split, log.read_text().splitlines())
+                             if k == kind]
 
-    def test_run_chains(self, plan_pids):
-        g, data, dis = TestRunChains()._tiny_inputs()
-        run_chains(data, g, dis, ChainConfig(n_chains=2, burn_in=20, keep=10,
-                                             seed=1, workers=2))
-        assert plan_pids() == [str(os.getpid())]
+    def test_run_chains(self, pids):
+        g = lattice_graph(4, 4)
+        cov = np.random.default_rng(2).normal(size=(16, 2))
+        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        data = ObservedData(y=np.random.default_rng(3).poisson(100.0, 16),
+                            E=np.full(16, 100.0))
+        cfg = ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1, workers=2)
+        run_chains(data, g, dis, cfg)
+        me = str(os.getpid())
+        assert pids("plan") == [me]
+        assert pids("resistances") == [me, me]
+        # chains run in this process leave the log|Q| memo on the graph, and
+        # no bound
+        run_chains(data, g, dis, replace(cfg, workers=1))
+        assert pids("resistances") == [me] * 4
+        assert set(g._cache) == {"band_plan", "sweep_tables", ("log_det", car.RHO)}
 
-    def test_run_study(self, plan_pids):
+    def test_run_chains_without_metrics(self, pids):
+        g, data, _ = TestRunChains()._tiny_inputs()
+        run_chains(data, g, None, ChainConfig(n_chains=2, burn_in=20, keep=10,
+                                              seed=1, workers=2))
+        assert pids("plan") == [str(os.getpid())]
+        assert pids("resistances") == []
+
+    def test_run_study(self, pids):
         g = lattice_graph(8, 8)
         cfg = SimConfig(graph=g, true_partition=five_block_partition(8, 8),
                         k1=0.4, k2=3.0, replicates=2)
         run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10, seed=1,
                                    workers=2))
-        assert plan_pids() == [str(os.getpid())]
+        me = str(os.getpid())
+        assert pids("plan") == [me]
+        # two per replicate, each replicate's in the worker that runs it
+        recursions = pids("resistances")
+        assert len(recursions) == 4 and me not in recursions
+        assert all(recursions.count(pid) % 2 == 0 for pid in recursions)
 
 
 class TestRetainedPhi:
