@@ -59,7 +59,9 @@ returns only the number of retained draws in which each border is kept.
 PosteriorSamples.risk_summary is the one reader of phi: in one pass it reads
 a block of areas at a time through a read-only descriptor, one read per
 chain and buffer, and returns the risk medians, intervals and the posterior
-mean of R that dic takes, so no process holds all retained draws.
+mean of R that dic takes. It holds one area-major buffer of the widest block
+and one stage of a chain's share of it, so no process holds all retained
+draws.
 """
 
 import errno
@@ -69,7 +71,7 @@ import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,7 +101,8 @@ CUT_BOUND_SLACK = 1e-6
 # temporary file of retained phi and w under TMPDIR (see _DrawLayout)
 PHI_FILE_PREFIX = "womble-phi-"
 # a chain buffers at most this many bytes of retained phi per write, and
-# exp(phi) is reduced over blocks of areas of one to two times this many bytes
+# risk_summary reduces exp(phi) over blocks of areas of one to two times this
+# many bytes, each read into one reused buffer
 RISK_BLOCK_BYTES = 2 << 20
 
 
@@ -448,30 +451,35 @@ class _PhiReader:
         self.fd = os.open(layout.path, os.O_RDONLY)
         weakref.finalize(self, os.close, self.fd)
 
-    def __call__(self, areas: slice = slice(None)) -> np.ndarray:
-        """The pooled (draws, areas) phi of a slice of areas (step 1),
-        chains in order, from one read per chain and buffer."""
+    def chain(self, c: int, areas: slice, stage: np.ndarray, out: np.ndarray):
+        """Chain c's draws of a slice of areas (step 1) into `out`, an (areas,
+        draws) array, in draw order: one read per buffer into the front of
+        the flat `stage`, which must hold a chain's draws of those areas."""
         lay = self.layout
-        first, stop, _ = areas.indices(lay.n)
-        width = max(0, stop - first)
-        # each buffer's (areas, draws) part, one after another
-        staged = np.empty(lay.chains * lay.draws * width)
-        view, pos = memoryview(staged).cast("B"), 0
-        for c in range(lay.chains):
-            for k, offset in lay.buffers(c):
-                size = 8 * width * k
-                if os.preadv(self.fd, [view[pos:pos + size]], offset + 8 * first * k) != size:
-                    raise OSError(errno.EIO, "the retained draws file ends early")
-                pos += size
-        # per chain: the full buffers, then the partial one, made draw-major
-        out = np.empty((lay.chains * lay.draws, width))
+        first = areas.indices(lay.n)[0]
+        width = out.shape[0]
+        view, pos = memoryview(stage).cast("B"), 0
+        for k, offset in lay.buffers(c):
+            size = 8 * width * k
+            if os.preadv(self.fd, [view[pos:pos + size]], offset + 8 * first * k) != size:
+                raise OSError(errno.EIO, "the retained draws file ends early")
+            pos += size
+        # the full buffers, then the partial one, each stored area-major
         n_full, rest = divmod(lay.draws, lay.block)
         full = n_full * lay.block
-        for src, dst in zip(staged.reshape(lay.chains, -1),
-                            out.reshape(lay.chains, lay.draws, width)):
-            dst[:full].reshape(n_full, lay.block, width)[:] = (
-                src[:full * width].reshape(n_full, width, lay.block).transpose(0, 2, 1))
-            dst[full:] = src[full * width:].reshape(width, rest).T
+        out[:, :full].reshape(width, n_full, lay.block)[:] = (
+            stage[:full * width].reshape(n_full, width, lay.block).transpose(1, 0, 2))
+        out[:, full:] = stage[full * width:lay.draws * width].reshape(width, rest)
+
+    def __call__(self, areas: slice = slice(None)) -> np.ndarray:
+        """The pooled phi of a slice of areas (step 1), area-major: an
+        (areas, draws) array, chains in order, read a chain at a time."""
+        lay = self.layout
+        width = len(range(*areas.indices(lay.n)))
+        out = np.empty((width, lay.chains * lay.draws))
+        stage = np.empty(width * lay.draws)
+        for c in range(lay.chains):
+            self.chain(c, areas, stage, out[:, c * lay.draws:(c + 1) * lay.draws])
         return out
 
 
@@ -482,12 +490,12 @@ class PosteriorSamples:
     Arrays are indexed (chain, draw, ...); pooled views flatten the first two
     axes with chains kept contiguous. `run_chains` leaves phi and w in a
     temporary file that is already unlinked: `phi_draws(areas)` reads the
-    pooled (draws, areas) phi of a slice of areas, and `w` maps the w trace
-    read-only for benchmarks; nothing in the package reads it, since
-    `w_counts` holds what boundary classification needs.
+    pooled phi of a slice of areas, area-major (areas, draws), and `w` maps
+    the w trace read-only for benchmarks; nothing in the package reads it,
+    since `w_counts` holds what boundary classification needs.
     """
 
-    phi_draws: Callable[[slice], np.ndarray]
+    phi_draws: _PhiReader
     mu: np.ndarray         # (C, m)
     tau2: np.ndarray       # (C, m)
     alpha: np.ndarray      # (C, m, q)
@@ -505,23 +513,39 @@ class PosteriorSamples:
 
     def risk_summary(self) -> RiskSummary:
         """Posterior summaries of each area's risk R_k = exp(phi_k), from one
-        read of retained phi in blocks of areas of one to two
+        read of retained phi in blocks of at least two areas and one to two
         RISK_BLOCK_BYTES each.
 
-        numpy sums a one-area block pairwise but a wider one draw by draw,
-        as it does the whole map, so blocks hold at least two areas."""
-        draws, n = self.mu.size, self.graph.n
+        A block is read into one area-major (areas, draws) buffer, sized to
+        the widest block and reused, a chain at a time through one stage of
+        a chain's share of it; exp runs in place on the buffer, and the order
+        statistics partition it in place. The mean of R is each area's
+        running sum in chain and draw order, a cumsum of each chain's draws
+        in the stage with the sum carried in: the order in which numpy sums
+        draw-major draws, so its bits do not depend on how the areas are
+        blocked."""
+        (chains, m), n = self.mu.shape, self.graph.n
+        draws = chains * m
         n_blocks = max(1, n // max(2, RISK_BLOCK_BYTES // (8 * draws)))
         edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+        widest = max(b - a for a, b in zip(edges, edges[1:]))
+        buffer, stage = np.empty(widest * draws), np.empty(widest * m)
         out = RiskSummary(*(np.empty(n) for _ in RiskSummary._fields))
         for start, stop in zip(edges, edges[1:]):
-            areas = slice(start, stop)
-            r = np.exp(self.phi_draws(areas))
-            out.mean[areas] = r.mean(axis=0)
-            # numpy reduces along rows several times faster, same values; the
-            # copy is this block's own, so the order statistics partition it
+            areas, width = slice(start, stop), stop - start
+            r = buffer[:width * draws].reshape(width, draws)
+            for c in range(chains):
+                self.phi_draws.chain(c, areas, stage, r[:, c * m:(c + 1) * m])
+            np.exp(r, out=r)
+            scan, total = stage[:width * m].reshape(width, m), np.zeros(width)
+            for c in range(chains):
+                scan[:] = r[:, c * m:(c + 1) * m]
+                scan[:, 0] += total
+                np.cumsum(scan, axis=1, out=scan)
+                total[:] = scan[:, -1]
+            out.mean[areas] = total / draws
             out.median[areas], out.lo[areas], out.hi[areas] = median_interval(
-                r.T.copy(), overwrite_input=True)
+                r, overwrite_input=True)
         return out
 
 

@@ -19,7 +19,7 @@ def samples_with_w_trace(graph, w_draws):
     w = np.asarray(w_draws, dtype=np.uint8)[None, :, :]
     m = w.shape[1]
     return PosteriorSamples(
-        phi_draws=lambda areas=slice(None): np.zeros((m, graph.n))[:, areas],
+        phi_draws=lambda areas=slice(None): np.zeros((graph.n, m))[areas],
         mu=np.zeros((1, m)), tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)),
         w=w, w_counts=w.sum(axis=1, dtype=np.int64),
         deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None)

@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import tempfile
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -302,9 +303,9 @@ DRAWS = ("phi", "mu", "tau2", "alpha", "w", "w_counts", "deviance")
 
 def draws_of(samples, name):
     """One of DRAWS, indexed (chain, draw, ...) or, for w_counts, (chain,
-    border); phi is read back through the samples' reader."""
+    border); phi is read back through the samples' area-major reader."""
     if name == "phi":
-        return samples.phi_draws().reshape(*samples.mu.shape, -1)
+        return samples.phi_draws().T.reshape(*samples.mu.shape, -1)
     return getattr(samples, name)
 
 
@@ -1117,30 +1118,35 @@ class TestRetainedPhi:
             return preadv(*args)
 
         monkeypatch.setattr(os, "preadv", counting)
-        assert samples.phi_draws().tobytes() == expected.tobytes()
+        assert samples.phi_draws().T.tobytes() == expected.tobytes()
         assert len(reads) == n_chains * buffers
         blocks = []
-        read = samples.phi_draws
+        chain = mcmc._PhiReader.chain
 
-        def recording(areas):
-            blocks.append(areas)
-            return read(areas)
+        def recording(reader, c, areas, *buffers):
+            if c == 0:
+                blocks.append(areas)
+            return chain(reader, c, areas, *buffers)
 
-        samples.phi_draws = recording
+        monkeypatch.setattr(mcmc._PhiReader, "chain", recording)
+        reads.clear()
         samples.risk_summary()
-        samples.phi_draws = read
+        monkeypatch.setattr(mcmc._PhiReader, "chain", chain)
+        assert len(reads) == len(blocks) * n_chains * buffers
         assert all(a.stop - a.start >= 2 for a in blocks)
         assert blocks[0].start == 0 and blocks[-1].stop == g.n
         assert [a.start for a in blocks[1:]] == [a.stop for a in blocks[:-1]]
         for areas in blocks + [slice(3, 11), slice(15, 16)]:
             got = samples.phi_draws(areas)
-            assert got.tobytes() == np.ascontiguousarray(expected[:, areas]).tobytes()
+            assert got.T.tobytes() == np.ascontiguousarray(expected[:, areas]).tobytes()
 
     @pytest.mark.parametrize("n_chains, keep, width", [
         (2, 30, 3),      # 16 areas in blocks of 3, 3, 3, 3 and 4
         (2, 30, 1),      # one-area blocks are widened to two
         (1, 1, 5),       # a single retained draw
         (2, 30, None),   # every area in one block
+        (3, 30, 3),      # chain buffers of 16 and 14 draws
+        (3, 25, 2),      # blocks of two areas; buffers of 9, 9 and 7 draws
     ])
     def test_blocked_reductions_match_one_shot(self, monkeypatch, n_chains,
                                                keep, width):
@@ -1150,7 +1156,8 @@ class TestRetainedPhi:
             monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * draws * width)
         samples = run_chains(data, g, dis, ChainConfig(
             n_chains=n_chains, burn_in=40, keep=keep, seed=2))
-        pooled = samples.phi_draws()
+        # draw-major, as the one-shot reductions read it
+        pooled = np.ascontiguousarray(samples.phi_draws().T)
         by_area = np.exp(pooled.T.copy())
         expected = (np.median(by_area, axis=1),
                     np.percentile(by_area, 2.5, axis=1),
@@ -1163,6 +1170,40 @@ class TestRetainedPhi:
         p_d = mean_dev - deviance_at(expected[3], data)
         assert dic(samples.pooled("deviance"), got.mean, data) == (
             mean_dev + p_d, p_d, mean_dev)
+
+    @pytest.mark.parametrize("n_chains, keep, thin", [
+        (1, 1201, 1),    # chain buffers of 150 draws and a partial one of 1
+        (2, 610, 1),     # buffers of 152 draws and a partial one of 2
+        (3, 1920, 3),    # 640 draws thinned from 1920: buffers of 240, 240, 160
+    ])
+    def test_summary_holds_one_block_and_one_stage(self, monkeypatch, n_chains,
+                                                   keep, thin):
+        # 64 areas in blocks of 8; tracemalloc counts numpy's buffers, and
+        # the slack covers numpy's own small temporaries
+        g = lattice_graph(8, 8)
+        rng = np.random.default_rng(4)
+        data = ObservedData(y=rng.poisson(50.0, g.n).astype(float),
+                            E=np.full(g.n, 50.0))
+        m, width = keep // thin, 8
+        draws = n_chains * m
+        monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * draws * width)
+        samples = run_chains(data, g, None, ChainConfig(
+            n_chains=n_chains, burn_in=10, keep=keep, thin=thin, seed=3))
+        expected = samples.risk_summary()  # numpy's lazy imports load here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = samples.risk_summary()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        for e, a in zip(expected, got):
+            assert a.tobytes() == e.tobytes()
+        block, stage, outputs = 8 * width * draws, 8 * width * m, 8 * 4 * g.n
+        # smaller than a stage, so no stage-sized temporary hides in it
+        slack = 32 * 1024
+        assert slack < stage
+        assert peak <= block + stage + outputs + slack
 
     def test_phi_is_read_only(self):
         # each read is a fresh array, through a descriptor that cannot write
