@@ -96,23 +96,19 @@ def blv_rule_b(res: BlvResult, c2: float) -> np.ndarray:
     return flags
 
 
-def interval_verdict(lo: float, hi: float, alpha_min_i: float) -> str:
-    """An effect interval against the no-effect threshold: entirely below ->
+def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
+    """Effect verdict for one metric from its posterior draws: their
+    equal-tailed 95% interval entirely below the no-effect threshold ->
     "no-effect", entirely above -> "substantial", otherwise "inconclusive"."""
+    a = np.asarray(alpha_samples, dtype=float)
+    if a.size < 2:
+        raise ValidationError("at least 2 samples required")
+    _, lo, hi = median_interval(a)
     if hi < alpha_min_i:
         return NO_EFFECT
     if lo > alpha_min_i:
         return SUBSTANTIAL
     return INCONCLUSIVE
-
-
-def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
-    """Effect verdict for one metric from its posterior draws: the verdict
-    of their equal-tailed 95% interval."""
-    a = np.asarray(alpha_samples, dtype=float)
-    if a.size < 2:
-        raise ValidationError("at least 2 samples required")
-    return interval_verdict(*median_interval(a)[1:], alpha_min_i)
 
 
 def boundary_segments(graph: AreaGraph, border_indices) -> list:

@@ -6,6 +6,10 @@ diagonal entries equal to each area's retained-border count and off-diagonal
 entries -w_kj. Q is positive definite for rho in [0, 1); boundary-model fits
 pin rho at RHO = 0.99, so boundary structure is carried by W(alpha).
 
+Q's diagonal (`precision_diagonal`) and the full-conditional moments of phi
+(`conditional_moments`) have one implementation each: the factorization, the
+phi sweep (a colour of areas per call) and `full_conditional_phi` all call them.
+
 log |Q| enters the sampler's ratio for every alpha proposal that changes the
 border assignment, so it is computed through a banded Cholesky factorization
 under a reverse-Cuthill-McKee ordering. The ordering, bandwidth, and banded
@@ -34,7 +38,7 @@ receive it inside the pickled graph with scipy already loaded, and commands
 that never factorize Q (`diagnose`) run on numpy alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -42,27 +46,6 @@ from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, evaluate_w)
 
 RHO = 0.99  # the dependence parameter every fit uses
-
-
-@dataclass(frozen=True)
-class CarParams:
-    """Hyperparameters of the CAR prior: mean, variance, dependence, and the
-    dissimilarity coefficients that induce the adjacency assignment."""
-
-    mu: float
-    tau2: float
-    rho: float = RHO
-    alpha: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        if not self.tau2 > 0:
-            raise ValidationError("tau2 must be positive")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValidationError("rho must lie in [0, 1)")
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        if (alpha < 0).any():
-            raise ValidationError("alpha components must be non-negative")
-        object.__setattr__(self, "alpha", alpha)
 
 
 class _BandPlan:
@@ -116,6 +99,12 @@ class PrecisionStructure:
     log_det: float
 
 
+def precision_diagonal(adj: AdjacencyState, rho: float) -> np.ndarray:
+    """(n,) diagonal of Q: rho times each area's retained-border count, plus
+    1 - rho."""
+    return rho * adj.row_sums + (1.0 - rho)
+
+
 def _factor(adj: AdjacencyState, rho: float):
     """The band plan and the lower banded Cholesky factor of Q for one
     assignment, in the plan's ordering: factor[d, c] = L[c + d, c]."""
@@ -123,7 +112,7 @@ def _factor(adj: AdjacencyState, rho: float):
     plan = _band_plan(graph)
     # Fortran order lets LAPACK factorize the fresh buffer in place
     ab = np.zeros((plan.bandwidth + 1, graph.n), order="F")
-    ab[0, plan.pos] = rho * adj.row_sums + (1.0 - rho)
+    ab[0, plan.pos] = precision_diagonal(adj, rho)
     if plan.offsets.size:
         ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
     try:
@@ -244,10 +233,10 @@ def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:
     return float(rho * (adj.w * diff * diff).sum() + (1.0 - rho) * (d * d).sum())
 
 
-def log_density_phi(phi: np.ndarray, params: CarParams,
+def log_density_phi(phi: np.ndarray, mu: float, tau2: float,
                     prec: PrecisionStructure) -> float:
-    """Joint log-density of phi under the CAR prior, normalizing constant
-    included.
+    """Joint log-density of phi under the CAR prior N(mu 1, tau2 Q^{-1}),
+    normalizing constant included.
 
     Returns -(n/2) ln(2 pi tau^2) + (1/2) log|Q| - (phi - mu 1)^T Q
     (phi - mu 1) / (2 tau^2). The constant matters: Metropolis ratios for
@@ -258,30 +247,31 @@ def log_density_phi(phi: np.ndarray, params: CarParams,
     n = prec.adj.graph.n
     if phi.shape != (n,):
         raise ValidationError(f"phi must have length {n}")
-    d = phi - params.mu
-    quad = precision_quadform(prec.adj, prec.rho, d)
-    return (-0.5 * n * np.log(2.0 * np.pi * params.tau2)
+    quad = precision_quadform(prec.adj, prec.rho, phi - mu)
+    return (-0.5 * n * np.log(2.0 * np.pi * tau2)
             + 0.5 * prec.log_det
-            - quad / (2.0 * params.tau2))
+            - quad / (2.0 * tau2))
 
 
-def full_conditional_phi(k: int, phi: np.ndarray, params: CarParams,
-                         adj: AdjacencyState):
-    """Mean and variance of phi_k given all other components.
+def conditional_moments(s, diag, mu: float, tau2: float, rho: float):
+    """Mean and variance of phi_k given all other components, from s = sum_j
+    w_kj phi_j and diag = Q_kk (`precision_diagonal`); elementwise over
+    arrays of areas.
 
-    mean = (rho sum_j w_kj phi_j + (1 - rho) mu) / (rho sum_j w_kj + 1 - rho)
-    var  = tau^2 / (rho sum_j w_kj + 1 - rho)
+    mean = (rho s + (1 - rho) mu) / Q_kk,  var = tau^2 / Q_kk
 
     An area whose retained-border count is zero falls back to mean mu and
     variance tau^2 / (1 - rho); rho < 1 keeps both finite.
     """
+    return (rho * s + (1.0 - rho) * mu) / diag, tau2 / diag
+
+
+def full_conditional_phi(k: int, phi: np.ndarray, mu: float, tau2: float,
+                         rho: float, adj: AdjacencyState):
+    """`conditional_moments` of one area k under the assignment `adj`."""
     graph = adj.graph
     if not 0 <= k < graph.n:
         raise ValidationError("area index out of range")
     nbrs, bids = graph.incidence
-    wk = adj.w[bids[k]].astype(float)
-    s = float(np.sum(wk * phi[nbrs[k]])) if wk.size else 0.0
-    denom = params.rho * float(np.sum(wk)) + (1.0 - params.rho)
-    mean = (params.rho * s + (1.0 - params.rho) * params.mu) / denom
-    var = params.tau2 / denom
-    return mean, var
+    s = float(np.sum(adj.w[bids[k]] * phi[nbrs[k]]))
+    return conditional_moments(s, precision_diagonal(adj, rho)[k], mu, tau2, rho)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io, simulate
 from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
-                       classify_boundaries, interval_verdict)
+                       classify_boundaries, classify_effect)
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
 from .graph import alpha_min, build_graph, compute_border_metrics
@@ -172,11 +172,12 @@ def _fit_outputs(out, samples, data, graph, dis):
     bset = classify_boundaries(samples)
     io.write_boundary_csv(bset, blv(risk.median, graph).values, out / "boundary.csv")
     if dis is not None:
-        # (metric, median, lo, hi, alpha_min) per metric, then its verdict
-        rows = zip(dis.metric_names, *median_interval(samples.pooled("alpha").T),
-                   [alpha_min(dis, i) for i in range(dis.q)])
-        io.write_effects_csv([[*r, interval_verdict(*r[2:])] for r in rows],
-                             out / "effects.csv")
+        # (metric, median, lo, hi, alpha_min, verdict) per metric
+        alpha = samples.pooled("alpha").T
+        mins = [alpha_min(dis, i) for i in range(dis.q)]
+        verdicts = [classify_effect(a, m) for a, m in zip(alpha, mins)]
+        io.write_effects_csv(zip(dis.metric_names, *median_interval(alpha), mins,
+                                 verdicts), out / "effects.csv")
     io.write_dic_csv(dic(samples.pooled("deviance"), risk.mean, data), out / "dic.csv")
     resid = pearson_residuals(data.y, data.E, risk.median)
     io.write_residuals_csv(graph.area_ids, data.y, data.E, risk.median, resid,

@@ -36,10 +36,12 @@ Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
 (Robbins-Monro style), and are frozen afterward.
 
-Each chain runs on a plain mutable ModelState, validated once when built;
-a block changes it in place and returns what it accepted. An iteration
+Each chain runs on a plain mutable ModelState, which nothing validates: it
+starts at dispersed draws and every block keeps its values in their support.
+A block changes it in place and returns what it accepted. An iteration
 computes d^T Q d (d = phi - mu) once for the tau2 and alpha blocks; the phi
-sweep keeps its border weights and denominators until the assignment changes.
+sweep keeps its border weights and Q's diagonal until the assignment changes,
+and takes each colour's conditional moments from car.conditional_moments.
 
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
@@ -75,9 +77,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .car import (RHO, CarParams, PrecisionStructure, _band_plan,
-                  build_precision, cut_bounds, log_density_phi,
-                  precision_quadform, restore_bounds)
+from .car import (RHO, PrecisionStructure, _band_plan, build_precision,
+                  conditional_moments, cut_bounds, log_density_phi,
+                  precision_diagonal, precision_quadform, restore_bounds)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -173,36 +175,19 @@ class ChainConfig:
             raise ValidationError("max_boundary_fraction must be in (0, 1]")
 
 
+@dataclass
 class ModelState:
-    """One chain's state as plain attributes, changed in place: phi, mu, tau2,
-    rho, alpha, `adj` (evaluate_w at alpha; all borders without metrics) and
-    `log_det` (log|Q| for `adj`). `params` gets and sets a validated CarParams."""
+    """One chain's state, changed in place: `adj` is evaluate_w at alpha (all
+    borders without metrics) and `log_det` is log|Q| for `adj` at rho."""
 
-    def __init__(self, phi: np.ndarray, params: CarParams, adj: AdjacencyState,
-                 log_det: float):
-        self.phi = phi
-        self.params = params
-        self.adj = adj
-        self.log_det = log_det
-        self.sweep = None  # update_phi's cached inputs, a _Sweep
-
-    @property
-    def params(self) -> CarParams:
-        return CarParams(mu=self.mu, tau2=self.tau2, rho=self.rho, alpha=self.alpha)
-
-    @params.setter
-    def params(self, p: CarParams):
-        self.mu, self.tau2, self.rho, self.alpha = p.mu, p.tau2, p.rho, p.alpha
-
-    def log_post(self, data: ObservedData) -> float:
-        """Joint log-posterior up to prior normalizing constants."""
-        lp = log_density_phi(self.phi, self.params,
-                             PrecisionStructure(self.adj, self.rho, self.log_det))
-        lp += -0.5 * self.mu ** 2 / PRIOR_MU_VAR
-        lp += -0.5 * math.log(self.tau2)
-        lp += float(np.sum(data.y * (np.log(data.E) + self.phi)
-                           - data.E * np.exp(self.phi)))
-        return lp
+    phi: np.ndarray
+    mu: float
+    tau2: float
+    rho: float
+    alpha: np.ndarray
+    adj: AdjacencyState
+    log_det: float
+    sweep: Optional["_Sweep"] = None  # update_phi's cached inputs
 
 
 def _log_det_memo(graph: AreaGraph, rho: float) -> dict:
@@ -237,8 +222,8 @@ def _sweep_tables(graph: AreaGraph) -> list:
 
 
 class _Sweep:
-    """One chain's per-colour phi-sweep inputs: y and E gathers, and border
-    weights and denominators rho * row_sums + (1 - rho) per assignment."""
+    """One chain's per-colour phi-sweep inputs: y and E gathers, and per
+    assignment the border weights and Q's diagonal."""
 
     def __init__(self, graph: AreaGraph, data: Optional[ObservedData]):
         self.tables = _sweep_tables(graph)
@@ -249,9 +234,8 @@ class _Sweep:
 
     def weights(self, adj: AdjacencyState, rho: float) -> list:
         if adj is not self.adj or rho != self.rho:
-            wf = adj.w.astype(np.float64)
-            rs = adj.row_sums.astype(np.float64)
-            self._weights = [(wf[bidx], rho * rs[members] + (1.0 - rho))
+            wf, diag = adj.w.astype(np.float64), precision_diagonal(adj, rho)
+            self._weights = [(wf[bidx], diag[members])
                              for members, _, _, bidx in self.tables]
             self.adj, self.rho = adj, rho
         return self._weights
@@ -262,21 +246,21 @@ def update_phi(state: ModelState, data: Optional[ObservedData],
     """One sweep of per-area random-walk Metropolis on phi; returns the
     per-area acceptance flags.
 
+    A colour's members share no border, so one car.conditional_moments call
+    gives the full-conditional moments of them all.
     With data=None the likelihood term is dropped and the sweep targets the
     CAR prior alone (used by sampler-validation tests).
     """
     sweep = state.sweep
     if sweep is None or sweep.data is not data:
         sweep = state.sweep = _Sweep(state.adj.graph, data)
-    rho, tau2, phi = state.rho, state.tau2, state.phi
-    mu_term = (1.0 - rho) * state.mu
+    mu, tau2, rho, phi = state.mu, state.tau2, state.rho, state.phi
     accept = np.zeros(phi.shape[0], dtype=bool)
-    for (members, rows, nbr, _), (wsel, denom), (y, E) in zip(
+    for (members, rows, nbr, _), (wsel, diag), (y, E) in zip(
             sweep.tables, sweep.weights(state.adj, rho), sweep.obs):
         m = members.shape[0]
         s = np.bincount(rows, weights=wsel * phi[nbr], minlength=m)
-        pmean = (rho * s + mu_term) / denom
-        pvar = tau2 / denom
+        pmean, pvar = conditional_moments(s, diag, mu, tau2, rho)
         cur = phi[members]
         prop = cur + steps[members] * rng.standard_normal(m)
         delta = ((cur - pmean) ** 2 - (prop - pmean) ** 2) / (2.0 * pvar)
@@ -566,13 +550,16 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
         if tau2 == 0.0:
             continue
-        params = CarParams(mu=mu, tau2=tau2, rho=RHO, alpha=alpha)
-        state = ModelState(phi, params, adj, _log_det(adj, RHO))
-        # overflow here just means "re-draw", not an error
+        log_det = _log_det(adj, RHO)
+        # the joint log-posterior up to prior normalizing constants; overflow
+        # here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(state.log_post(data))
-        if finite:
-            return state
+            lp = (log_density_phi(phi, mu, tau2, PrecisionStructure(adj, RHO, log_det))
+                  - 0.5 * mu ** 2 / PRIOR_MU_VAR - 0.5 * math.log(tau2)
+                  + float(np.sum(data.y * (np.log(data.E) + phi)
+                                 - data.E * np.exp(phi))))
+        if np.isfinite(lp):
+            return ModelState(phi, mu, tau2, RHO, alpha, adj, log_det)
     raise NumericError("non-finite log-posterior at initialization after 100 re-draws")
 
 

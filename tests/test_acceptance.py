@@ -17,8 +17,8 @@ from test_cli import FIT_FLAGS, write_dataset
 from womble import ChainConfig, ObservedData, compute_border_metrics, run_chains
 from womble.boundary import (NO_EFFECT, SUBSTANTIAL, blv, blv_rule_a,
                              blv_rule_b, classify_effect)
-from womble.car import (CarParams, build_precision, full_conditional_phi,
-                        log_density_phi, precision_quadform)
+from womble.car import (build_precision, full_conditional_phi, log_density_phi,
+                        precision_quadform)
 from womble.diagnostics import moran_permutation_test
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
                           alpha_min, alpha_natural_limit, evaluate_w)
@@ -64,13 +64,12 @@ def test_criterion_1_car_coherence():
         max_logdet = max(max_logdet,
                          abs(prec.log_det - np.linalg.slogdet(dense)[1]))
         mu, tau2 = float(rng.normal()), float(rng.gamma(2.0) + 0.1)
-        params = CarParams(mu=mu, tau2=tau2, rho=rho)
         phi = rng.normal(size=n)
         k = int(rng.integers(n))
-        mean, var = full_conditional_phi(k, phi, params, adj)
+        mean, var = full_conditional_phi(k, phi, mu, tau2, rho, adj)
         omean, ovar = conditional_from_joint(k, phi, mu, tau2, dense)
         max_cond = max(max_cond, abs(mean - omean), abs(var - ovar))
-        ours = log_density_phi(phi, params, prec)
+        ours = log_density_phi(phi, mu, tau2, prec)
         oracle = dense_log_density(phi, mu, tau2, dense)
         max_dens = max(max_dens, abs(ours - oracle))
     elapsed = time.perf_counter() - t0
@@ -182,9 +181,9 @@ def _prior_moment_match(seed, n_areas, rho, keep=60000):
     graph = AreaGraph(n, borders)
     mu, tau2 = 0.4, 1.0
     adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
-    state = ModelState(phi=np.full(n, mu),
-                       params=CarParams(mu=mu, tau2=tau2, rho=rho),
-                       adj=adj, log_det=build_precision(adj, rho).log_det)
+    state = ModelState(phi=np.full(n, mu), mu=mu, tau2=tau2, rho=rho,
+                       alpha=np.zeros(0), adj=adj,
+                       log_det=build_precision(adj, rho).log_det)
     cond_sd = np.sqrt(tau2 / (rho * adj.row_sums + 1 - rho))
     steps = 2.4 * cond_sd
     rng = derive_rng(seed, 50)
@@ -227,8 +226,9 @@ def test_criterion_4_sampler_validity():
     graph = AreaGraph(n, np.zeros((0, 2), dtype=np.int64))
     phi = np.random.default_rng(5).normal(0.0, 0.7, size=n)
     adj = adjacency_from_w(graph, np.zeros(0, dtype=np.uint8))
-    state = ModelState(phi=phi.copy(), params=CarParams(mu=0.0, tau2=1.0, rho=0.0),
-                       adj=adj, log_det=build_precision(adj, 0.0).log_det)
+    state = ModelState(phi=phi.copy(), mu=0.0, tau2=1.0, rho=0.0,
+                       alpha=np.zeros(0), adj=adj,
+                       log_det=build_precision(adj, 0.0).log_det)
     rng = derive_rng(21, 0)
     # tau2 moves neither phi nor mu, so d^T Q d stays fixed
     quad = precision_quadform(adj, 0.0, state.phi - state.mu)
@@ -237,7 +237,7 @@ def test_criterion_4_sampler_validity():
     draws = np.empty(5000)
     for i in range(5000):
         update_tau2(state, 0.6, rng, quad)
-        draws[i] = state.params.tau2
+        draws[i] = state.tau2
     s = float(np.sum(phi ** 2))
     grid = np.linspace(1e-4, 100.0, 400000)
     logp = -0.5 * (n + 1) * np.log(grid) - s / (2 * grid)

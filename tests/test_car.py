@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import (conditional_from_joint, dense_log_density,
                      dense_precision, random_graph)
 from womble import ValidationError
-from womble.car import (CarParams, _band_plan, _resistances, build_precision,
+from womble.car import (_band_plan, _resistances, build_precision,
                         cut_bounds, full_conditional_phi, log_density_phi,
                         precision_quadform, restore_bounds)
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
@@ -215,16 +215,14 @@ class TestLogDensity:
         g = _graph(1, [])
         adj = all_ones_adj(g)
         prec = build_precision(adj, 0.99)
-        params = CarParams(mu=0.0, tau2=1.0, rho=0.99)
-        val = log_density_phi(np.array([0.0]), params, prec)
+        val = log_density_phi(np.array([0.0]), 0.0, 1.0, prec)
         assert val == pytest.approx(-0.5 * np.log(2 * np.pi) + 0.5 * np.log(0.01))
 
     def test_phi_at_mean_drops_quadratic(self):
         g = _graph(3, [(0, 1), (1, 2)])
         adj = all_ones_adj(g)
         prec = build_precision(adj, 0.5)
-        params = CarParams(mu=1.7, tau2=2.0, rho=0.5)
-        val = log_density_phi(np.full(3, 1.7), params, prec)
+        val = log_density_phi(np.full(3, 1.7), 1.7, 2.0, prec)
         expected = -1.5 * np.log(2 * np.pi * 2.0) + 0.5 * prec.log_det
         assert val == pytest.approx(expected)
 
@@ -236,8 +234,7 @@ class TestLogDensity:
         for _ in range(5):
             phi = rng.normal(size=5)
             mu, tau2 = rng.normal(), rng.gamma(2.0)
-            params = CarParams(mu=mu, tau2=tau2, rho=0.99)
-            ours = log_density_phi(phi, params, prec)
+            ours = log_density_phi(phi, mu, tau2, prec)
             dense = dense_log_density(
                 phi, mu, tau2, dense_precision(5, g.borders, adj.w, 0.99))
             assert ours == pytest.approx(dense, abs=1e-8)
@@ -248,8 +245,7 @@ class TestLogDensity:
         adj = all_ones_adj(g)
         prec = build_precision(adj, 0.0)
         phi = rng.normal(size=4)
-        params = CarParams(mu=0.3, tau2=1.7, rho=0.0)
-        ours = log_density_phi(phi, params, prec)
+        ours = log_density_phi(phi, 0.3, 1.7, prec)
         from scipy.stats import norm
         indep = norm(loc=0.3, scale=np.sqrt(1.7)).logpdf(phi).sum()
         assert ours == pytest.approx(indep, abs=1e-12)
@@ -275,17 +271,15 @@ class TestFullConditional:
     def test_no_retained_neighbours(self):
         g = _graph(3, [(0, 1), (1, 2)])
         adj = adjacency_from_w(g, np.zeros(2, dtype=np.uint8))
-        params = CarParams(mu=0.4, tau2=2.0, rho=0.99)
         mean, var = full_conditional_phi(1, np.array([5.0, 0.0, -3.0]),
-                                         params, adj)
+                                         0.4, 2.0, 0.99, adj)
         assert mean == pytest.approx(0.4)
         assert var == pytest.approx(2.0 / 0.01)
 
     def test_two_area_plugin(self):
         g = _graph(2, [(0, 1)])
         adj = all_ones_adj(g)
-        params = CarParams(mu=0.0, tau2=1.0, rho=0.99)
-        mean, var = full_conditional_phi(0, np.array([0.0, 1.0]), params, adj)
+        mean, var = full_conditional_phi(0, np.array([0.0, 1.0]), 0.0, 1.0, 0.99, adj)
         assert mean == pytest.approx(0.99 / 1.0)
         assert var == pytest.approx(1.0 / 1.0)
 
@@ -297,11 +291,10 @@ class TestFullConditional:
             w = rng.integers(0, 2, size=g.n_borders).astype(np.uint8)
             adj = adjacency_from_w(g, w)
             mu, tau2 = rng.normal(), rng.gamma(2.0) + 0.1
-            params = CarParams(mu=mu, tau2=tau2, rho=0.99)
             phi = rng.normal(size=n)
             dense = dense_precision(n, borders, w, 0.99)
             k = int(rng.integers(n))
-            mean, var = full_conditional_phi(k, phi, params, adj)
+            mean, var = full_conditional_phi(k, phi, mu, tau2, 0.99, adj)
             omean, ovar = conditional_from_joint(k, phi, mu, tau2, dense)
             assert mean == pytest.approx(omean, abs=1e-8)
             assert var == pytest.approx(ovar, abs=1e-8)
@@ -309,19 +302,4 @@ class TestFullConditional:
     def test_index_out_of_range(self):
         g = _graph(2, [(0, 1)])
         with pytest.raises(ValidationError):
-            full_conditional_phi(5, np.zeros(2), CarParams(0.0, 1.0),
-                                 all_ones_adj(g))
-
-
-class TestCarParams:
-    def test_tau2_positive(self):
-        with pytest.raises(ValidationError):
-            CarParams(mu=0.0, tau2=0.0)
-
-    def test_rho_range(self):
-        with pytest.raises(ValidationError):
-            CarParams(mu=0.0, tau2=1.0, rho=1.0)
-
-    def test_alpha_nonnegative(self):
-        with pytest.raises(ValidationError):
-            CarParams(mu=0.0, tau2=1.0, alpha=np.array([-0.1]))
+            full_conditional_phi(5, np.zeros(2), 0.0, 1.0, 0.99, all_ones_adj(g))

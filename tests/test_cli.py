@@ -265,6 +265,25 @@ class TestFit:
         assert f"cannot reserve {2 * 100 * (8 * 16 + 24)} bytes" in err
         assert list(tmp.iterdir()) == []
 
+    def test_non_finite_initial_state_exits_4(self, tmp_path, capsys):
+        # y = 0 and E = 1e-320: every log-SIR start overflows exp(phi), so
+        # each of the 100 re-draws has a non-finite log-posterior. It is
+        # found after --out exists, which is left empty.
+        _, paths = write_dataset(tmp_path)
+        header, rows = io.read_table(paths["areas"])
+        with open(paths["areas"], "w") as fh:
+            fh.write("area_id,y,E,depriv\n")
+            for r in rows:
+                fh.write(f"{r['area_id']},0,1e-320,{r['depriv']}\n")
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(out)] + FIT_FLAGS)
+        assert rc == 4
+        assert capsys.readouterr().err == ("NUMERIC: non-finite log-posterior "
+                                           "at initialization after 100 re-draws\n")
+        assert list(out.iterdir()) == []
+
     def test_config_file_supplies_defaults(self, tmp_path):
         # n_perm belongs to diagnose; a shared file may hold it
         _, paths = write_dataset(tmp_path)
