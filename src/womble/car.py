@@ -17,7 +17,7 @@ index layout depend only on the contiguity pattern, never on which borders
 are currently severed, so the symbolic work is done once per graph and each
 evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
 is a deterministic function of the assignment, which lets the chains one
-process runs share one memo of it (see :func:`womble.mcmc._log_det`).
+process runs share one memo of it per run (see womble.mcmc._LogDets).
 
 `cut_bounds` gives, per border b, h_b = ln(1 - rho R_b) < 0, with R_b the
 border's resistance under Q with every border kept. Severing a set F of
@@ -58,25 +58,14 @@ class _BandPlan:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         n, borders = graph.n, graph.borders
-        b = borders.shape[0]
-        if b:
-            pattern = csr_matrix(
-                (np.ones(b), (borders[:, 0], borders[:, 1])), shape=(n, n))
-            pattern = pattern + pattern.T
-            perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        else:
-            perm = np.arange(n, dtype=np.int32)
+        pattern = csr_matrix((np.ones(len(borders)), borders.T), shape=(n, n))
+        perm = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
         pos = np.empty(n, dtype=np.int64)
         pos[perm] = np.arange(n)
-        if b:
-            pk, pj = pos[borders[:, 0]], pos[borders[:, 1]]
-            self.offsets = np.abs(pk - pj)
-            self.low = np.minimum(pk, pj)
-            self.bandwidth = int(self.offsets.max())
-        else:
-            self.offsets = np.zeros(0, dtype=np.int64)
-            self.low = np.zeros(0, dtype=np.int64)
-            self.bandwidth = 0
+        pk, pj = pos[borders[:, 0]], pos[borders[:, 1]]
+        self.offsets = np.abs(pk - pj)
+        self.low = np.minimum(pk, pj)
+        self.bandwidth = int(self.offsets.max(initial=0))
         self.pos = pos
         self.cholesky_banded = cholesky_banded
 
@@ -113,8 +102,7 @@ def _factor(adj: AdjacencyState, rho: float):
     # Fortran order lets LAPACK factorize the fresh buffer in place
     ab = np.zeros((plan.bandwidth + 1, graph.n), order="F")
     ab[0, plan.pos] = precision_diagonal(adj, rho)
-    if plan.offsets.size:
-        ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
+    ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
     try:
         factor = plan.cholesky_banded(ab, overwrite_ab=True, lower=True,
                                       check_finite=False)

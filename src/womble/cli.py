@@ -1,7 +1,8 @@
 """Command-line pipeline: fit, simulate, diagnose, blv.
 
 Exit codes: 0 success, 2 validation, 3 I/O, 4 numeric failure. Errors are
-reported on stderr as a single line `CLASS: message`.
+reported on stderr as a single line `CLASS: message`. A failed command
+removes the directories of `--out` that it created, while they hold no file.
 
 Every flag can also be supplied through `--config FILE` holding `key=value`
 lines (keys are the long flag names, dashes or underscores); explicit flags
@@ -10,8 +11,10 @@ that only another subcommand has is ignored, so one file can serve several.
 """
 
 import argparse
+import contextlib
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -376,22 +379,37 @@ _COMMANDS = {
 }
 
 
+def _absent_dirs(out) -> list:
+    """`out` and those of its parents that do not exist yet, deepest first."""
+    path = Path(out or ".")
+    return list(itertools.takewhile(lambda p: not os.path.exists(p),
+                                    [path, *path.parents]))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    code, absent = None, []
     try:
         argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        absent = _absent_dirs(args.out)
+        code = _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"VALIDATION: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:
         print(f"IO: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"NUMERIC: {exc}", file=sys.stderr)
-        return 4
+        code = 4
+    finally:
+        if code != 0:
+            for path in absent:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -114,8 +114,7 @@ class AreaGraph:
                 f"components={self.n_components})")
 
 
-def build_graph(adjacency_input, area_ids=None, centroids=None,
-                polygons=None) -> AreaGraph:
+def build_graph(adjacency_input, area_ids=None, polygons=None) -> AreaGraph:
     """Build an AreaGraph from a border-pair list or a 0/1 adjacency matrix.
 
     Matrix input must be square, symmetric, with a zero diagonal. Pair input
@@ -124,23 +123,23 @@ def build_graph(adjacency_input, area_ids=None, centroids=None,
     """
     arr = np.asarray(adjacency_input)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[1] != 2:
-        return _graph_from_matrix(arr, area_ids, centroids, polygons)
+        return _graph_from_matrix(arr, area_ids, polygons)
     if arr.ndim == 2 and arr.shape == (2, 2):
         # ambiguous shape: a 2x2 0/1 matrix is read as a matrix
         if np.isin(arr, (0, 1)).all():
-            return _graph_from_matrix(arr, area_ids, centroids, polygons)
+            return _graph_from_matrix(arr, area_ids, polygons)
     if arr.ndim == 2 and arr.shape[1] == 2:
         pairs = arr.astype(np.int64, copy=False)
         if pairs.shape[0] == 0:
             raise ValidationError("empty border list; pass a matrix for border-free graphs")
         n = int(pairs.max()) + 1 if area_ids is None else len(area_ids)
-        return AreaGraph(n, pairs, area_ids, centroids, polygons)
+        return AreaGraph(n, pairs, area_ids, polygons=polygons)
     if arr.size == 0:
         raise ValidationError("empty adjacency input")
     raise ValidationError("adjacency input must be an (B, 2) pair list or a square 0/1 matrix")
 
 
-def _graph_from_matrix(mat, area_ids, centroids, polygons) -> AreaGraph:
+def _graph_from_matrix(mat, area_ids, polygons) -> AreaGraph:
     mat = np.asarray(mat)
     if mat.shape[0] == 0:
         raise ValidationError("empty adjacency matrix")
@@ -152,7 +151,7 @@ def _graph_from_matrix(mat, area_ids, centroids, polygons) -> AreaGraph:
         raise ValidationError("adjacency matrix must be symmetric")
     k, j = np.nonzero(np.triu(mat, 1))
     return AreaGraph(mat.shape[0], np.column_stack([k, j]), area_ids,
-                     centroids, polygons)
+                     polygons=polygons)
 
 
 @dataclass(frozen=True)

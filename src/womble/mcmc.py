@@ -20,12 +20,12 @@ Update scheme, one iteration:
 * alpha: component-wise truncated random-walk Metropolis. A proposal that
   leaves the border assignment unchanged is accepted outright (uniform prior,
   symmetric proposal, identical CAR density); otherwise the ratio uses the
-  full CAR density including (1/2) log|Q(alpha)|, from the memo that the
-  chains of one process share (_log_det). A miss that raises alpha_i only
+  full CAR density including (1/2) log|Q(alpha)|, from the run's _LogDets
+  (one memo that a process's chains share). A miss that raises alpha_i only
   severs borders (z >= 0), so log|Q| changes by at most the sum of their
   car.cut_bounds; one that lowers alpha_i only restores borders, so log|Q|
-  rises by at most the sum of their car.restore_bounds; run_chains computes
-  both vectors once per run. When the proposal fails against its bound (with
+  rises by at most the sum of their car.restore_bounds; the _LogDets holds
+  both vectors, once per run. When the proposal fails against its bound (with
   CUT_BOUND_SLACK to spare), it is rejected unfactorized and not remembered.
   The uniform is drawn before the memo lookup, where nothing else draws, so
   every decision and draw is the one the full ratio makes. Every proposal's
@@ -47,9 +47,9 @@ Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
 whether chains run sequentially or in a process pool. The graph's band plan
-(RCM ordering and scipy's banded Cholesky), the alpha block's cut and
-restore bounds and ln(y!) are built in the parent before the pool forks; the
-pool's workers get the graph, the data, the settings and the bounds once,
+(RCM ordering and scipy's banded Cholesky), the run's _LogDets and ln(y!)
+are built in the parent before the pool forks; the pool's workers get the
+graph, the data, the settings and the _LogDets once (each its own memo),
 through its initializer (inherited, not pickled, where the pool forks), with
 the scipy modules they use already loaded, and each task carries only its
 chain index.
@@ -95,7 +95,7 @@ ALPHA_STEP_FRACTION = 0.1
 # burn-in adaptation: batch length and target acceptance rate
 ADAPT_WINDOW = 100
 ADAPT_TARGET = 0.44
-# assignments whose log|Q| a process remembers per graph and rho; ~B/8 bytes each
+# assignments whose log|Q| a process remembers per run; ~B/8 bytes each
 LOGDET_MEMO_CAP = 4096
 # margin of both bounds over the exact ratio, far above the rounding in
 # either log|Q|, so a bound rejection is one the exact test also makes
@@ -190,21 +190,21 @@ class ModelState:
     sweep: Optional["_Sweep"] = None  # update_phi's cached inputs
 
 
-def _log_det_memo(graph: AreaGraph, rho: float) -> dict:
-    return graph._cache.setdefault(("log_det", rho), {})
+class _LogDets:
+    """One run's log|Q| at `rho`, memoized per process (packed assignment ->
+    log|Q|, the oldest of over LOGDET_MEMO_CAP evicted), and the alpha block's
+    (cut, restore) bounds at rho and M, or None without metrics."""
 
+    def __init__(self, rho: float, bounds: Optional[tuple]):
+        self.rho, self.bounds, self.memo = rho, bounds, {}
 
-def _log_det(adj: AdjacencyState, rho: float) -> float:
-    """log|Q| of `adj` at rho from this process's memo on the graph (packed
-    assignment -> log|Q|, shared by all its chains), or else factorized and
-    remembered, the oldest of over LOGDET_MEMO_CAP entries evicted."""
-    memo = _log_det_memo(adj.graph, rho)
-    log_det = memo.get(adj.key)
-    if log_det is None:
-        log_det = memo[adj.key] = build_precision(adj, rho).log_det
-        while len(memo) > LOGDET_MEMO_CAP:
-            del memo[next(iter(memo))]
-    return log_det
+    def __call__(self, adj: AdjacencyState) -> float:
+        log_det = self.memo.get(adj.key)
+        if log_det is None:
+            log_det = self.memo[adj.key] = build_precision(adj, self.rho).log_det
+            while len(self.memo) > LOGDET_MEMO_CAP:
+                del self.memo[next(iter(self.memo))]
+        return log_det
 
 
 def _sweep_tables(graph: AreaGraph) -> list:
@@ -310,7 +310,7 @@ def update_tau2(state: ModelState, step: float, rng: np.random.Generator,
 
 
 def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
-                 M: np.ndarray, bounds: tuple, rng: np.random.Generator,
+                 M: np.ndarray, log_dets: _LogDets, rng: np.random.Generator,
                  quad: float) -> np.ndarray:
     """Component-wise truncated random-walk Metropolis on alpha; returns the
     per-component acceptance flags.
@@ -318,11 +318,11 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
     Every proposal inside the prior's support goes through evaluate_w.
     Proposals whose assignment is unchanged are accepted outright; every
     other one is judged by a full CAR-density comparison, with log|Q| from
-    _log_det, so Q is factorized only for an assignment this process has not
-    remembered and not already rejected by its bound. `bounds` is
-    (car.cut_bounds, car.restore_bounds) at the state's rho and M: the first
-    when the proposal raises alpha_i (it only severs borders), the second
-    when it lowers alpha_i (it only restores them).
+    `log_dets` (at the state's rho), so Q is factorized only for an
+    assignment this process has not remembered and not already rejected by
+    a bound: log_dets.bounds[0] when the proposal raises alpha_i (it only
+    severs borders), log_dets.bounds[1] when it lowers alpha_i (it only
+    restores them).
     `quad` is d^T Q d at the current state, d = phi - mu.
     """
     graph, rho, tau2 = state.adj.graph, state.rho, state.tau2
@@ -348,14 +348,14 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             sq, c = diff * diff, (1.0 - rho) * (d * d).sum()
         quad_prop = float(rho * (adj_prop.w * sq).sum() + c)
         quad_term = (quad_prop - quad) / (2.0 * tau2)
-        if adj_prop.key not in _log_det_memo(graph, rho):
+        if adj_prop.key not in log_dets.memo:
             # a miss that raises alpha_i only severs borders, one that lowers
             # it only restores them: try the bound on the flipped borders
-            bound = bounds[int(prop_i < state.alpha[i])]
+            bound = log_dets.bounds[int(prop_i < state.alpha[i])]
             flipped = state.adj.w != adj_prop.w
             if log_u >= 0.5 * float(bound[flipped].sum()) - quad_term + CUT_BOUND_SLACK:
                 continue
-        log_det = _log_det(adj_prop, rho)
+        log_det = log_dets(adj_prop)
         delta = 0.5 * (log_det - state.log_det) - quad_term
         if log_u < delta:
             state.alpha, state.adj, state.log_det = alpha_prop, adj_prop, log_det
@@ -535,7 +535,7 @@ class PosteriorSamples:
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
                    dis: Optional[DissimilarityData], M: np.ndarray,
-                   rng: np.random.Generator) -> ModelState:
+                   log_dets: _LogDets, rng: np.random.Generator) -> ModelState:
     # dispersed initialization: empirical log-SIR with unit jitter for phi,
     # prior draws for mu / tau / alpha
     for _ in range(100):
@@ -550,7 +550,7 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
         if tau2 == 0.0:
             continue
-        log_det = _log_det(adj, RHO)
+        log_det = log_dets(adj)
         # the joint log-posterior up to prior normalizing constants; overflow
         # here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
@@ -565,12 +565,12 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray, bounds: Optional[tuple], layout: _DrawLayout) -> dict:
+               M: np.ndarray, log_dets: _LogDets, layout: _DrawLayout) -> dict:
     """Run one chain, writing its retained phi and w into its slices of the
     draw file (see _DrawLayout); return the other draws and, per border, the
     number of retained draws that keep it."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
-    state = _initial_state(data, graph, dis, M, rng)
+    state = _initial_state(data, graph, dis, M, log_dets, rng)
     n, b, q = graph.n, graph.n_borders, M.size
 
     log_phi_steps = np.full(n, math.log(PHI_STEP))
@@ -604,7 +604,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
             quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
             hits_tau += update_tau2(state, tau_step, rng, quad)
             if q:
-                hits_alpha += update_alpha(state, dis, alpha_steps, M, bounds, rng, quad)
+                hits_alpha += update_alpha(state, dis, alpha_steps, M, log_dets, rng, quad)
             if it < burn_in:
                 if (it + 1) % window == 0:
                     batch += 1
@@ -660,16 +660,16 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     before returning; the samples read phi from it through `phi_draws` and
     map w read-only until they are released.
 
-    The graph's band plan and, with metrics, the alpha block's cut and
-    restore bounds are built here, before the pool forks (see the module
-    docstring). `config` was checked when it was built.
+    The graph's band plan and the run's _LogDets (a log|Q| memo freed with
+    the run, and the alpha block's bounds) are built here, before the pool
+    forks (see the module docstring). `config` was checked when it was built.
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = alpha_upper_bounds(dis, config.max_boundary_fraction)
     _band_plan(graph)
-    bounds = None if dis is None else (cut_bounds(graph, RHO),
-                                       restore_bounds(graph, RHO, dis, M))
+    log_dets = _LogDets(RHO, None if dis is None else (
+        cut_bounds(graph, RHO), restore_bounds(graph, RHO, dis, M)))
 
     n_draws = config.keep // config.thin
     block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))
@@ -685,7 +685,7 @@ def run_chains(data: ObservedData, graph: AreaGraph,
                           f"for retained draws (chains x keep // thin x "
                           f"(8 x areas + borders)) in {fh.name}: "
                           f"{exc.strerror}") from exc
-        results = run_tasks(_run_chain, (data, graph, dis, config, M, bounds, layout),
+        results = run_tasks(_run_chain, (data, graph, dis, config, M, log_dets, layout),
                             config.n_chains, config.workers)
         phi_draws = _PhiReader(layout)
         w = np.memmap(fh.name, dtype=np.uint8, mode="r", offset=layout.w_offset(0, 0),

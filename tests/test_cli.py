@@ -74,6 +74,21 @@ def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
 
 
 FIT_FLAGS = ["--chains", "2", "--burnin", "200", "--keep", "100", "--seed", "5"]
+NON_FINITE_START = ("NUMERIC: non-finite log-posterior at initialization "
+                    "after 100 re-draws\n")
+
+
+def write_unstartable(tmp: Path) -> dict:
+    """write_dataset with y = 0 and E = 1e-320: every log-SIR start overflows
+    exp(phi), so each of the 100 re-draws of a chain's initial state has a
+    non-finite log-posterior, found only after --out exists."""
+    _, paths = write_dataset(tmp)
+    _, rows = io.read_table(paths["areas"])
+    with open(paths["areas"], "w") as fh:
+        fh.write("area_id,y,E,depriv\n")
+        for r in rows:
+            fh.write(f"{r['area_id']},0,1e-320,{r['depriv']}\n")
+    return paths
 
 
 @pytest.fixture
@@ -264,25 +279,18 @@ class TestFit:
         # chains x keep // thin x (8 x areas + borders) on the 4x4 lattice
         assert f"cannot reserve {2 * 100 * (8 * 16 + 24)} bytes" in err
         assert list(tmp.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_initial_state_exits_4(self, tmp_path, capsys):
-        # y = 0 and E = 1e-320: every log-SIR start overflows exp(phi), so
-        # each of the 100 re-draws has a non-finite log-posterior. It is
-        # found after --out exists, which is left empty.
-        _, paths = write_dataset(tmp_path)
-        header, rows = io.read_table(paths["areas"])
-        with open(paths["areas"], "w") as fh:
-            fh.write("area_id,y,E,depriv\n")
-            for r in rows:
-                fh.write(f"{r['area_id']},0,1e-320,{r['depriv']}\n")
+        # found after --out exists, which the failed command removes
+        paths = write_unstartable(tmp_path)
         out = tmp_path / "out"
         rc = main(["fit", "--areas", str(paths["areas"]),
                    "--adjacency", str(paths["adjacency"]),
                    "--out", str(out)] + FIT_FLAGS)
         assert rc == 4
-        assert capsys.readouterr().err == ("NUMERIC: non-finite log-posterior "
-                                           "at initialization after 100 re-draws\n")
-        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == NON_FINITE_START
+        assert not out.exists()
 
     def test_config_file_supplies_defaults(self, tmp_path):
         # n_perm belongs to diagnose; a shared file may hold it
@@ -737,7 +745,8 @@ class TestSimulateCommand:
 
 
 class TestRejectedCommandsWriteNothing:
-    """A command that exits 2, 3 or 4 creates no --out directory."""
+    """A command that exits 2, 3 or 4 leaves no --out directory (or parent
+    of one) that it created, unless the directory holds a file."""
 
     @pytest.mark.parametrize("command, flags, code, named", [
         ("fit", ["--chains", "0"], 2, "n_chains must be >= 1"),
@@ -822,6 +831,47 @@ class TestRejectedCommandsWriteNothing:
         assert rc == 2
         assert "quantile of metric 'cat'" in capsys.readouterr().err
         assert not out.exists()
+
+    def _unstartable(self, tmp_path, command, out) -> int:
+        paths = write_unstartable(tmp_path)
+        rule = ["--c2", "10"] if command == "blv" else []
+        return main([command, "--areas", str(paths["areas"]),
+                     "--adjacency", str(paths["adjacency"]), "--out", str(out)]
+                    + rule + FIT_FLAGS)
+
+    def test_blv_non_finite_initial_state(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._unstartable(tmp_path, "blv", out) == 4
+        assert capsys.readouterr().err == NON_FINITE_START
+        assert not out.exists()
+
+    def test_created_parents_removed(self, tmp_path, capsys):
+        # --out a/b creates a too; the failed command removes both
+        assert self._unstartable(tmp_path, "fit", tmp_path / "a" / "b") == 4
+        assert not (tmp_path / "a").exists()
+
+    def test_existing_out_kept(self, tmp_path, capsys):
+        # an --out that existed before the command is not removed, nor is a
+        # created directory that holds a file
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self._unstartable(tmp_path, "fit", out) == 4
+        assert list(out.iterdir()) == []
+
+    def test_created_dir_holding_a_file_kept(self, tmp_path, capsys,
+                                            monkeypatch):
+        def write_then_fail(out, *args):
+            (out / "posterior_summary.csv").write_text("partial\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("womble.cli._fit_outputs", write_then_fail)
+        _, paths = write_dataset(tmp_path)
+        out = tmp_path / "a" / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]), "--out", str(out)]
+                  + FIT_FLAGS)
+        assert rc == 3
+        assert [p.name for p in out.iterdir()] == ["posterior_summary.csv"]
 
     def test_diagnose_negative_seed(self, tmp_path, capsys):
         g, paths = write_dataset(tmp_path)

@@ -46,9 +46,11 @@ def quad_of(state):
     return precision_quadform(state.adj, state.rho, state.phi - state.mu)
 
 
-def bounds_of(graph, dis, M, rho=0.99):
-    """(cut, restore) bounds at rho, as run_chains hands them to update_alpha."""
-    return car.cut_bounds(graph, rho), car.restore_bounds(graph, rho, dis, M)
+def log_dets_of(graph, dis, M, rho=0.99):
+    """The log|Q| memo and (cut, restore) bounds at rho, as run_chains hands
+    them to update_alpha."""
+    return mcmc._LogDets(rho, (car.cut_bounds(graph, rho),
+                               car.restore_bounds(graph, rho, dis, M)))
 
 
 def reference_update_alpha(state, dis, steps, M, rng):
@@ -553,11 +555,11 @@ class TestUpdateAlpha:
         state.adj = evaluate_w(g, dis, state.alpha)
         rng = derive_rng(10, 0)
         M = np.array([0.2])
-        bounds = bounds_of(g, dis, M)
+        log_dets = log_dets_of(g, dis, M)
         accepted = 0
         for _ in range(200):
             before = state.alpha[0]
-            accept = update_alpha(state, dis, np.array([0.001]), M, bounds,
+            accept = update_alpha(state, dis, np.array([0.001]), M, log_dets,
                                   rng, quad_of(state))
             assert accept.shape == (1,)
             accepted += accept[0]
@@ -570,9 +572,9 @@ class TestUpdateAlpha:
         state = make_state(g, alpha=np.array([0.1]))
         rng = derive_rng(11, 0)
         M = np.array([0.2])
-        bounds = bounds_of(g, dis, M)
+        log_dets = log_dets_of(g, dis, M)
         for _ in range(300):
-            update_alpha(state, dis, np.array([5.0]), M, bounds, rng,
+            update_alpha(state, dis, np.array([5.0]), M, log_dets, rng,
                          quad_of(state))
             assert 0.0 <= state.alpha[0] <= 0.2
 
@@ -586,17 +588,17 @@ class TestUpdateAlpha:
                            phi=np.random.default_rng(1).normal(size=6))
         rng = derive_rng(seed, 0)
         M = np.array([2.0])
-        bounds = bounds_of(g, dis, M)
+        log_dets = log_dets_of(g, dis, M)
         for _ in range(500):
-            update_alpha(state, dis, np.array([0.3]), M, bounds, rng,
+            update_alpha(state, dis, np.array([0.3]), M, log_dets, rng,
                          quad_of(state))
-            check(g, dis, state)
-        return state
+            check(g, dis, state, log_dets)
+        return log_dets
 
     def test_pattern_change_uses_refreshed_logdet(self):
         # the state's log_det tracks every pattern change, and a memo hit
         # returns exactly the float a fresh factorization gives
-        def check(g, dis, state):
+        def check(g, dis, state, log_dets):
             adj_expected = evaluate_w(g, dis, state.alpha)
             np.testing.assert_array_equal(state.adj.w, adj_expected.w)
             assert state.log_det == build_precision(state.adj, 0.99).log_det
@@ -604,9 +606,9 @@ class TestUpdateAlpha:
             assert state.log_det == pytest.approx(
                 np.linalg.slogdet(dense)[1], abs=1e-10)
 
-        state = self._pattern_change_run(12, check)
+        log_dets = self._pattern_change_run(12, check)
         # increasing z: each assignment is a threshold, six in all
-        assert 1 < len(mcmc._log_det_memo(state.adj.graph, 0.99)) <= 6
+        assert 1 < len(log_dets.memo) <= 6
 
     def test_matches_unmemoized_reference(self):
         # q = 2 on a lattice: identical accept decisions, alpha and log|Q|
@@ -621,9 +623,9 @@ class TestUpdateAlpha:
                   for _ in range(2)]
         rngs = [derive_rng(14, 0), derive_rng(14, 0)]
         steps, M = np.array([0.4, 0.4]), np.array([1.5, 1.5])
-        bounds = bounds_of(g, dis, M)
+        log_dets = log_dets_of(g, dis, M)
         for _ in range(300):
-            update_alpha(states[0], dis, steps, M, bounds, rngs[0],
+            update_alpha(states[0], dis, steps, M, log_dets, rngs[0],
                          quad_of(states[0]))
             reference_update_alpha(states[1], dis, steps, M, rngs[1])
             np.testing.assert_array_equal(states[0].alpha, states[1].alpha)
@@ -634,8 +636,8 @@ class TestUpdateAlpha:
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 2)
         sizes = []
 
-        def check(g, dis, state):
-            sizes.append(len(mcmc._log_det_memo(g, 0.99)))
+        def check(g, dis, state, log_dets):
+            sizes.append(len(log_dets.memo))
             assert state.log_det == build_precision(state.adj, 0.99).log_det
 
         self._pattern_change_run(12, check)
@@ -653,15 +655,15 @@ class TestUpdateAlpha:
                   for rho in (0.99, 0.5)]
         rng = derive_rng(12, 0)
         M = np.array([2.0])
-        bounds = {s.rho: bounds_of(g, dis, M, s.rho) for s in states}
+        log_dets = {s.rho: log_dets_of(g, dis, M, s.rho) for s in states}
         for _ in range(300):
             for state in states:
-                update_alpha(state, dis, np.array([0.3]), M, bounds[state.rho],
+                update_alpha(state, dis, np.array([0.3]), M, log_dets[state.rho],
                              rng, quad_of(state))
                 for s in states:
                     assert s.log_det == build_precision(s.adj, s.rho).log_det
-        assert len(mcmc._log_det_memo(g, 0.99)) > 1
-        assert len(mcmc._log_det_memo(g, 0.5)) > 1
+        assert len(log_dets[0.99].memo) > 1
+        assert len(log_dets[0.5].memo) > 1
 
 
 JOINT_CASES = pytest.mark.parametrize("graph, q, rho", [
@@ -704,7 +706,8 @@ class TestAlphaJointDistribution:
                 reads[i] += 1
                 return tuple.__getitem__(self, i)
 
-        bounds = CountedBounds(bounds_of(graph, dis, M, rho))
+        log_dets = log_dets_of(graph, dis, M, rho)
+        log_dets.bounds = CountedBounds(log_dets.bounds)
         n_chains, n_iter = 60, 300
         final = np.empty((n_chains, q))
         moved = 0
@@ -716,7 +719,7 @@ class TestAlphaJointDistribution:
             state = make_state(graph, w=w, rho=rho, alpha=alpha, phi=phi)
             for _ in range(n_iter):
                 update_phi(state, None, np.ones(graph.n), rng)
-                update_alpha(state, dis, 0.5 * M, M, bounds, rng, quad_of(state))
+                update_alpha(state, dis, 0.5 * M, M, log_dets, rng, quad_of(state))
             final[c] = state.alpha / M
             moved += not np.array_equal(state.adj.w, w)
         # a kernel that never changed w would keep alpha uniform too
@@ -740,7 +743,7 @@ def geweke_final(graph, q, rho, seed, n_chains=400, n_iter=200):
     raw = rng.uniform(1.0, 3.0, size=(graph.n_borders, q))
     dis = DissimilarityData.from_border_values(graph, raw)
     M = mcmc.alpha_upper_bounds(dis, 1.0)
-    bounds = bounds_of(graph, dis, M, rho)
+    log_dets = log_dets_of(graph, dis, M, rho)
     E = np.full(graph.n, 2.0)
     # adapted steps would break stationarity
     phi_steps, alpha_steps = np.full(graph.n, 0.4), 0.5 * M
@@ -760,7 +763,7 @@ def geweke_final(graph, q, rho, seed, n_chains=400, n_iter=200):
             update_mu(state, rng)
             quad = quad_of(state)
             update_tau2(state, 0.7, rng, quad)
-            update_alpha(state, dis, alpha_steps, M, bounds, rng, quad)
+            update_alpha(state, dis, alpha_steps, M, log_dets, rng, quad)
         final[c] = state.mu, math.sqrt(state.tau2), *(state.alpha / M)
     return final
 
@@ -857,11 +860,10 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        # a graph per run, so each count starts from an empty process memo
-        memo = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
+        memo = run_chains(data, g, dis, cfg)
         with_memo = len(calls)
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
-        fresh = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
+        fresh = run_chains(data, g, dis, cfg)
         assert with_memo < len(calls) - with_memo
         assert_same_draws(memo, fresh)
 
@@ -884,9 +886,25 @@ class TestRunChains:
         monkeypatch.setattr(mcmc, "build_precision", counting)
         shared = run_chains(data, g, dis, cfg)
         assert 1 < len(set(keys)) == len(keys) <= mcmc.LOGDET_MEMO_CAP
-        pooled = run_chains(data, AreaGraph(g.n, g.borders), dis,
-                            replace(cfg, workers=3))
+        pooled = run_chains(data, g, dis, replace(cfg, workers=3))
         assert_same_draws(shared, pooled)
+
+    def test_each_run_starts_an_empty_memo(self, monkeypatch):
+        # the memo is the run's, not the graph's: a second run on the same
+        # graph and seed factorizes what the first one did
+        g, data, dis = self._tiny_inputs(seed=5)
+        cfg = ChainConfig(n_chains=2, burn_in=150, keep=100, seed=4, workers=1)
+        calls = []
+
+        def counting(adj, rho):
+            calls.append(1)
+            return build_precision(adj, rho)
+
+        monkeypatch.setattr(mcmc, "build_precision", counting)
+        run_chains(data, g, dis, cfg)
+        first = len(calls)
+        run_chains(data, g, dis, cfg)
+        assert 0 < first == len(calls) - first
 
     def test_q2_lattice_matches_reference(self):
         # burn-in not a multiple of the adaptation window, and thinning
@@ -916,11 +934,10 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        # a graph per run, so each count starts from an empty process memo
-        samples = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
+        samples = run_chains(data, g, dis, cfg)
         bounded = len(calls)
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
-        unbounded = run_chains(data, AreaGraph(g.n, g.borders), dis, cfg)
+        unbounded = run_chains(data, g, dis, cfg)
         assert 0 < bounded < len(calls) - bounded
         assert_same_draws(samples, unbounded)
         assert_matches_reference(samples, data, g, dis, cfg)
@@ -944,9 +961,8 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         def run():
-            # a graph per run, so each count starts from an empty process memo
             del calls[:]
-            return run_chains(data, AreaGraph(g.n, g.borders), dis, cfg), len(calls)
+            return run_chains(data, g, dis, cfg), len(calls)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         samples, bounded = run()
@@ -1154,11 +1170,11 @@ class TestBandPlanBeforeFork:
         me = str(os.getpid())
         assert pids("plan") == [me]
         assert pids("resistances") == [me, me]
-        # chains run in this process leave the log|Q| memo on the graph, and
-        # no bound
+        # chains run in this process leave neither the log|Q| memo nor a
+        # bound on the graph
         run_chains(data, g, dis, replace(cfg, workers=1))
         assert pids("resistances") == [me] * 4
-        assert set(g._cache) == {"band_plan", "sweep_tables", ("log_det", car.RHO)}
+        assert set(g._cache) == {"band_plan", "sweep_tables"}
 
     def test_run_chains_without_metrics(self, pids):
         g, data, _ = TestRunChains()._tiny_inputs()
