@@ -1,5 +1,7 @@
 """Residual spatial-correlation testing via Moran's I permutation test."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,9 +10,10 @@ from .errors import ValidationError
 from .graph import AreaGraph
 from .rng import PERMUTATION, derive_rng
 
-# Working-array budget for one chunk of permutations. A permutation row takes
-# about 8 * (3n + 2B) bytes, so the chunk height follows from n and B and peak
-# memory stays near this figure whatever n_perm is.
+# Working-array budget of the permutation test, shared by its threads. A
+# permutation row takes about 8 * (3n + 2B) bytes, so with T threads each
+# chunk is 1/T of this figure, and peak memory stays near it whatever n_perm
+# and T are.
 PERM_CHUNK_BYTES = 8 * 2**20
 
 
@@ -63,38 +66,74 @@ def moran_permutation_test(residuals: np.ndarray, graph: AreaGraph,
         raise ValidationError("seed must be >= 0")
     if n_perm == 0:
         return MoranResult(I=observed, p_value=1.0, n_permutations=0)
-    n_ge = sum(int(np.sum(i_perm >= observed))
-               for i_perm in _permuted_moran(v, graph, n_perm, seed))
+    n_ge = sum(int(np.sum(i_perm >= observed)) for i_perm in
+               _permuted_moran(v, graph, n_perm, seed, _usable_cpus()))
     return MoranResult(I=observed, p_value=(1 + n_ge) / (1 + n_perm),
                        n_permutations=n_perm)
 
 
-def _permuted_moran(v, graph: AreaGraph, n_perm: int, seed: int):
-    """Moran's I of n_perm random relabellings of v, yielded a chunk at a time.
+def _usable_cpus() -> int:
+    """CPUs this process may run on (`taskset` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Each chunk draws its rows from one stream in order, so the statistics are
-    the same whatever the chunk height. A 1-row remainder is folded into the
-    chunk before it: numpy's row sum of a 1-row array can round differently
-    from the same row inside a taller one.
+
+def _permuted_moran(v, graph: AreaGraph, n_perm: int, seed: int,
+                    threads: int):
+    """Moran's I of n_perm random relabellings of v, a list of chunks in order.
+
+    Row r of the permutations takes keys n*r to n*(r + 1) - 1 of one stream,
+    so the statistics are the same whatever the chunk height. A 1-row
+    remainder is folded into the chunk before it: numpy's row sum of a 1-row
+    array can round differently from the same row inside a taller one.
+
+    The chunks are cut into at most `threads` contiguous groups, each scored
+    on its own thread from its own copy of the stream, advanced to the
+    group's first row: Generator.random takes one PCG64 output per double.
+    Each chunk is 1/threads of the budget, so all threads together hold
+    about PERM_CHUNK_BYTES, and the output is the same at every thread count.
     """
     k, j = _border_ends(graph)
+    n = graph.n
     d = v - v.mean()
     denom = float(np.sum(d * d))
     s0 = 2.0 * graph.n_borders
-    rng = derive_rng(seed, PERMUTATION)
-    height = max(2, PERM_CHUNK_BYTES // (8 * (3 * graph.n + 2 * graph.n_borders)))
+    per_row = 8 * (3 * n + 2 * graph.n_borders)
+    height = max(2, PERM_CHUNK_BYTES // (threads * per_row))
+    heights = []
     left = n_perm
     while left:
-        rows = left if left <= height + 1 else height
-        # random relabelling: argsort of uniform keys per permutation
-        keys = rng.random((rows, graph.n))
-        order = np.argsort(keys, axis=1)
-        dp = d[order]
-        prod = dp[:, k]
-        prod *= dp[:, j]   # in place: two border-sized arrays alive, not three
-        nums = 2.0 * np.sum(prod, axis=1)
-        yield graph.n / s0 * nums / denom
-        left -= rows
+        heights.append(left if left <= height + 1 else height)
+        left -= heights[-1]
+
+    def score(first, last):
+        # chunks first..last-1, from the stream advanced to their first row
+        rng = derive_rng(seed, PERMUTATION)
+        rng.bit_generator.advance(sum(heights[:first]) * n)
+        out = []
+        for rows in heights[first:last]:
+            # random relabelling: argsort of uniform keys per permutation
+            keys = rng.random((rows, n))
+            order = np.argsort(keys, axis=1)
+            dp = d[order]
+            prod = dp[:, k]
+            prod *= dp[:, j]   # in place: two border-sized arrays alive, not three
+            nums = 2.0 * np.sum(prod, axis=1)
+            out.append(n / s0 * nums / denom)
+        return out
+
+    groups = min(threads, len(heights))
+    cuts = [len(heights) * g // groups for g in range(groups + 1)]
+    if groups == 1:
+        return score(0, len(heights))
+    with ThreadPoolExecutor(groups - 1) as pool:
+        rest = [pool.submit(score, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+        chunks = score(cuts[0], cuts[1])
+        for f in rest:
+            chunks += f.result()
+    return chunks
 
 
 def pearson_residuals(y: np.ndarray, E: np.ndarray,

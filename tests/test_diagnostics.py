@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,24 +142,32 @@ class TestPermutationTest:
 
 
 class TestChunkedPermutations:
-    """Chunked scoring must reproduce the all-at-once reference bit for bit."""
+    """Chunked scoring on any number of threads must reproduce the
+    all-at-once reference bit for bit."""
 
-    def check(self, graph, n_perm, seed=7):
+    def check(self, monkeypatch, graph, n_perm, seed=7):
+        """The chunk heights at 1, 2 and 3 threads, each run checked against
+        the reference."""
         vals = np.random.default_rng(seed).normal(size=graph.n)
         ref_i, ref_p, ref_perm = all_at_once_permutations(vals, graph, n_perm,
                                                           seed)
-        chunks = list(diagnostics._permuted_moran(vals, graph, n_perm, seed))
-        assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()
-        res = moran_permutation_test(vals, graph, n_perm=n_perm, seed=seed)
-        assert res.I == ref_i and res.p_value == ref_p
-        return [len(c) for c in chunks]
+        heights = {}
+        for threads in (1, 2, 3):
+            chunks = diagnostics._permuted_moran(vals, graph, n_perm, seed,
+                                                 threads)
+            assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()
+            monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: threads)
+            res = moran_permutation_test(vals, graph, n_perm=n_perm, seed=seed)
+            assert res.I == ref_i and res.p_value == ref_p
+            heights[threads] = [len(c) for c in chunks]
+        return heights
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 64])
     def test_chunk_heights_match_reference(self, monkeypatch, rows):
         g = lattice_graph(16, 16)
         set_chunk_rows(monkeypatch, g, rows)
-        heights = self.check(g, 500)
-        assert sum(heights) == 500 and min(heights) >= 2
+        for heights in self.check(monkeypatch, g, 500).values():
+            assert sum(heights) == 500 and min(heights) >= 2
 
     @pytest.mark.parametrize("n_perm, heights", [
         (10, [3, 3, 4]),    # a lone last row joins the chunk before it
@@ -166,20 +177,93 @@ class TestChunkedPermutations:
     def test_no_single_row_chunk(self, monkeypatch, n_perm, heights):
         g = lattice_graph(16, 16)
         set_chunk_rows(monkeypatch, g, 3)
-        assert self.check(g, n_perm) == heights
+        assert self.check(monkeypatch, g, n_perm)[1] == heights
 
-    def test_default_budget_many_chunks(self):
+    @pytest.mark.parametrize("n_perm, heights", [
+        (10, [2, 2, 2, 2, 2]),
+        (11, [2, 2, 2, 2, 3]),    # a lone last row joins the chunk before it
+        (1, [1]),
+        (2, [2]),
+    ])
+    def test_no_single_row_chunk_two_threads(self, monkeypatch, n_perm,
+                                             heights):
+        # two threads split the 3-row budget: chunks of 3 // 2 rows, at least 2
         g = lattice_graph(16, 16)
-        heights = self.check(g, 2000)
-        assert len(heights) > 1
+        set_chunk_rows(monkeypatch, g, 3)
+        assert self.check(monkeypatch, g, n_perm)[2] == heights
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_perm", [1, 2, 10])
+    def test_one_thread_per_group_of_chunks(self, monkeypatch, n_perm, threads):
+        # each group of chunks derives its stream once; the caller scores the
+        # first group and starts at most one thread for each other group, so
+        # never more threads than chunks, and none are left running
+        g = lattice_graph(16, 16)
+        set_chunk_rows(monkeypatch, g, 3)
+        seen = []
+
+        def recording(*key):
+            seen.append(threading.get_ident())
+            return derive_rng(*key)
+
+        pools = []
+
+        class RecordingPool(diagnostics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(diagnostics, "derive_rng", recording)
+        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", RecordingPool)
+        vals = np.random.default_rng(7).normal(size=g.n)
+        before = threading.active_count()
+        chunks = diagnostics._permuted_moran(vals, g, n_perm, 7, threads)
+        groups = min(threads, len(chunks))
+        assert pools == ([groups - 1] if groups > 1 else [])
+        assert len(seen) == groups and len(set(seen)) <= groups
+        assert threading.get_ident() in seen
+        assert threading.active_count() == before
+        _, _, ref_perm = all_at_once_permutations(vals, g, n_perm, 7)
+        assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()
+
+    def test_default_budget_many_chunks(self, monkeypatch):
+        g = lattice_graph(16, 16)
+        heights = self.check(monkeypatch, g, 2000)
+        assert len(heights[1]) > 1 and len(heights[3]) > 3
 
     def test_more_borders_than_sum_buffer(self, monkeypatch):
         # 65x65 has 8320 borders, more than numpy's 8192-element buffer
         g = lattice_graph(65, 65)
         assert g.n_borders > 8192
-        self.check(g, 200)
+        self.check(monkeypatch, g, 200)
         set_chunk_rows(monkeypatch, g, 7)
-        assert self.check(g, 200)[-1] == 4
+        heights = self.check(monkeypatch, g, 200)
+        assert heights[1][-1] == 4
+        assert heights[2] == [3] * 66 + [2]    # chunks of 7 // 2 rows
+
+    def test_threads_share_the_budget(self, monkeypatch):
+        # two threads, each with chunks of half the budget; tracemalloc counts
+        # numpy's buffers in every thread, and the slack covers the 8-byte
+        # result per permutation and numpy's own small temporaries
+        g = lattice_graph(16, 16)
+        vals = np.random.default_rng(3).normal(size=g.n)
+        n_perm = 4000
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 2)
+        expected = moran_permutation_test(vals, g, n_perm=n_perm, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = moran_permutation_test(vals, g, n_perm=n_perm, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        per_row = 8 * (3 * g.n + 2 * g.n_borders)
+        one_thread = diagnostics.PERM_CHUNK_BYTES // (2 * per_row) * per_row
+        # smaller than one thread's chunk, so no second one hides in it
+        slack = 128 * 1024
+        assert 8 * n_perm < slack < one_thread
+        assert peak <= diagnostics.PERM_CHUNK_BYTES + slack
 
 
 class TestPearsonResiduals:
