@@ -33,11 +33,6 @@ class BoundarySet:
     def boundary_count(self) -> int:
         return int(self.is_boundary.sum())
 
-    @property
-    def boundary_fraction(self) -> float:
-        b = self.graph.n_borders
-        return self.boundary_count / b if b else 0.0
-
 
 def classify_boundaries(samples: PosteriorSamples) -> BoundarySet:
     """Classify each border from the posterior median of w, chains pooled.

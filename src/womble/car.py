@@ -35,7 +35,9 @@ functions once per run, before the chains start.
 scipy is imported by the band plan, not by this module: `run_chains` builds
 the plan in the parent process before the chains fork, so pool workers
 receive it inside the pickled graph with scipy already loaded, and commands
-that never factorize Q (`diagnose`) run on numpy alone.
+that never factorize Q load neither scipy.linalg nor scipy.sparse: `diagnose`
+runs on numpy alone, and `blv`, whose smoothing model samples no alpha, on
+numpy and scipy.special (for ln(y!)).
 """
 
 from dataclasses import dataclass

@@ -266,10 +266,6 @@ class AdjacencyState:
         rs.setflags(write=False)
         return rs
 
-    @cached_property
-    def boundary_count(self) -> int:
-        return int(np.sum(self.w == 0))
-
 
 def evaluate_w(graph: AreaGraph, dis: DissimilarityData,
                alpha: np.ndarray) -> AdjacencyState:
@@ -283,7 +279,10 @@ def evaluate_w(graph: AreaGraph, dis: DissimilarityData,
         raise ValidationError(f"alpha must have {dis.q} components")
     if (alpha < 0).any():
         raise ValidationError("alpha components must be non-negative")
-    s = dis.border_metrics @ alpha
+    z = dis.border_metrics
+    # one metric: the matmul's single rounded product, without numpy's slow
+    # path for a one-column matrix
+    s = z[:, 0] * alpha[0] if dis.q == 1 else z @ alpha
     # few-ulp slack so the tie (and alpha = ln2 / z_max exactly) lands on the
     # keep side regardless of rounding in z * (ln2 / z)
     return AdjacencyState(graph, (s <= LN2 * (1.0 + 1e-15)).astype(np.uint8))

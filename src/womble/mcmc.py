@@ -46,13 +46,14 @@ and takes each colour's conditional moments from car.conditional_moments.
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
-whether chains run sequentially or in a process pool. The graph's band plan
-(RCM ordering and scipy's banded Cholesky), the run's _LogDets and ln(y!)
-are built in the parent before the pool forks; the pool's workers get the
-graph, the data, the settings and the _LogDets once (each its own memo),
-through its initializer (inherited, not pickled, where the pool forks), with
-the scipy modules they use already loaded, and each task carries only its
-chain index.
+whether chains run sequentially or in a process pool. ln(y!) and, with
+metrics, the graph's band plan (RCM ordering and scipy's banded Cholesky)
+and the run's _LogDets are built in the parent before the pool forks; the
+pool's workers get the graph, the data, the settings and the _LogDets once
+(each its own memo), through its initializer (inherited, not pickled, where
+the pool forks), with the scipy modules they use already loaded, and each
+task carries only its chain index. Without metrics nothing reads log|Q|, so
+a run factorizes nothing and loads no scipy.linalg or scipy.sparse.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices: phi in buffers of a few megabytes of draws (RISK_BLOCK_BYTES),
@@ -77,9 +78,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .car import (RHO, PrecisionStructure, _band_plan, build_precision,
-                  conditional_moments, cut_bounds, log_density_phi,
-                  precision_diagonal, precision_quadform, restore_bounds)
+from .car import (RHO, PrecisionStructure, build_precision, conditional_moments,
+                  cut_bounds, log_density_phi, precision_diagonal,
+                  precision_quadform, restore_bounds)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -178,7 +179,8 @@ class ChainConfig:
 @dataclass
 class ModelState:
     """One chain's state, changed in place: `adj` is evaluate_w at alpha (all
-    borders without metrics) and `log_det` is log|Q| for `adj` at rho."""
+    borders without metrics) and `log_det` is log|Q| for `adj` at rho,
+    computed only with metrics (None without them, where nothing reads it)."""
 
     phi: np.ndarray
     mu: float
@@ -186,16 +188,16 @@ class ModelState:
     rho: float
     alpha: np.ndarray
     adj: AdjacencyState
-    log_det: float
+    log_det: Optional[float]
     sweep: Optional["_Sweep"] = None  # update_phi's cached inputs
 
 
 class _LogDets:
     """One run's log|Q| at `rho`, memoized per process (packed assignment ->
     log|Q|, the oldest of over LOGDET_MEMO_CAP evicted), and the alpha block's
-    (cut, restore) bounds at rho and M, or None without metrics."""
+    (cut, restore) bounds at rho and M; built only when alpha is sampled."""
 
-    def __init__(self, rho: float, bounds: Optional[tuple]):
+    def __init__(self, rho: float, bounds: tuple):
         self.rho, self.bounds, self.memo = rho, bounds, {}
 
     def __call__(self, adj: AdjacencyState) -> float:
@@ -535,7 +537,8 @@ class PosteriorSamples:
 
 def _initial_state(data: ObservedData, graph: AreaGraph,
                    dis: Optional[DissimilarityData], M: np.ndarray,
-                   log_dets: _LogDets, rng: np.random.Generator) -> ModelState:
+                   log_dets: Optional[_LogDets],
+                   rng: np.random.Generator) -> ModelState:
     # dispersed initialization: empirical log-SIR with unit jitter for phi,
     # prior draws for mu / tau / alpha
     for _ in range(100):
@@ -550,22 +553,24 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
             adj = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
         if tau2 == 0.0:
             continue
-        log_det = log_dets(adj)
-        # the joint log-posterior up to prior normalizing constants; overflow
-        # here just means "re-draw", not an error
+        # the joint log-posterior up to prior normalizing constants and log|Q|,
+        # which is finite (Q is positive definite for rho < 1) and so never
+        # decides this test; overflow here just means "re-draw", not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            lp = (log_density_phi(phi, mu, tau2, PrecisionStructure(adj, RHO, log_det))
+            lp = (log_density_phi(phi, mu, tau2, PrecisionStructure(adj, RHO, 0.0))
                   - 0.5 * mu ** 2 / PRIOR_MU_VAR - 0.5 * math.log(tau2)
                   + float(np.sum(data.y * (np.log(data.E) + phi)
                                  - data.E * np.exp(phi))))
         if np.isfinite(lp):
+            log_det = None if log_dets is None else log_dets(adj)
             return ModelState(phi, mu, tau2, RHO, alpha, adj, log_det)
     raise NumericError("non-finite log-posterior at initialization after 100 re-draws")
 
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray, log_dets: _LogDets, layout: _DrawLayout) -> dict:
+               M: np.ndarray, log_dets: Optional[_LogDets],
+               layout: _DrawLayout) -> dict:
     """Run one chain, writing its retained phi and w into its slices of the
     draw file (see _DrawLayout); return the other draws and, per border, the
     number of retained draws that keep it."""
@@ -660,16 +665,19 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     before returning; the samples read phi from it through `phi_draws` and
     map w read-only until they are released.
 
-    The graph's band plan and the run's _LogDets (a log|Q| memo freed with
-    the run, and the alpha block's bounds) are built here, before the pool
-    forks (see the module docstring). `config` was checked when it was built.
+    With metrics, the graph's band plan and the run's _LogDets (a log|Q|
+    memo freed with the run, and the alpha block's bounds) are built here,
+    before the pool forks; without them nothing reads log|Q| and neither is
+    built (see the module docstring). `config` was checked when it was built.
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = alpha_upper_bounds(dis, config.max_boundary_fraction)
-    _band_plan(graph)
-    log_dets = _LogDets(RHO, None if dis is None else (
-        cut_bounds(graph, RHO), restore_bounds(graph, RHO, dis, M)))
+    log_dets = None
+    if M.size:
+        # the cut recursion builds the graph's band plan, before the pool forks
+        log_dets = _LogDets(RHO, (cut_bounds(graph, RHO),
+                                  restore_bounds(graph, RHO, dis, M)))
 
     n_draws = config.keep // config.thin
     block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))

@@ -82,7 +82,7 @@ class TestClassifyBoundaries:
         rng = np.random.default_rng(0)
         w = rng.integers(0, 2, size=(11, g.n_borders))
         bset = classify_boundaries(samples_with_w_trace(g, w))
-        assert bset.boundary_fraction == pytest.approx(
+        assert bset.is_boundary.mean() == pytest.approx(
             bset.boundary_count / g.n_borders)
 
     def test_degenerate_posterior_equals_evaluate_w(self):

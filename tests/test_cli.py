@@ -474,7 +474,8 @@ class TestRetainedPhiReadOnce:
 
 class TestStartupImports:
     """Importing womble and running diagnose load numpy but not scipy; the
-    commands that sample import it where they use it."""
+    commands that sample import it where they use it, and blv, which never
+    factorizes Q, only scipy.special."""
 
     @pytest.mark.parametrize("module", ["womble", "womble.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -504,6 +505,19 @@ class TestStartupImports:
         loaded = scipy_modules_after(code)
         for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.special"):
             assert repr(name) in loaded
+
+    def test_blv_loads_scipy_special_alone(self, tmp_path):
+        # the smoothing model samples no alpha, so nothing reads log|Q|:
+        # no band plan, no factorization, only ln(y!)
+        _, paths = write_dataset(tmp_path)
+        argv = ["blv", "--areas", str(paths["areas"]),
+                "--adjacency", str(paths["adjacency"]), "--c2", "20",
+                "--chains", "2", "--workers", "2", "--burnin", "10",
+                "--keep", "2", "--out", str(tmp_path / "out")]
+        code = f"from womble.cli import main\nassert main({argv!r}) == 0"
+        loaded = scipy_modules_after(code)
+        assert repr("scipy.special") in loaded
+        assert "scipy.linalg" not in loaded and "scipy.sparse" not in loaded
 
 
 class TestBlvCommand:

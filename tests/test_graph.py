@@ -159,13 +159,13 @@ class TestEvaluateW:
 
     def test_alpha_zero_keeps_everything(self):
         adj = evaluate_w(self.g, self.dis, np.array([0.0]))
-        assert adj.boundary_count == 0
+        assert int((adj.w == 0).sum()) == 0
         assert adj.w.tolist() == [1, 1, 1]
 
     def test_zero_dissimilarity_never_boundary(self):
         adj = evaluate_w(self.g, self.dis, np.array([100.0]))
         assert adj.w[0] == 1
-        assert adj.boundary_count == 2
+        assert int((adj.w == 0).sum()) == 2
 
     def test_tie_at_half_keeps_border(self):
         # z = 2, alpha = ln(2)/2: exp(-ln 2) = 0.5 exactly -> keep
@@ -181,6 +181,25 @@ class TestEvaluateW:
         adj = evaluate_w(self.g, self.dis, np.array([LN2 / 2.0]))
         # borders kept: (0,1), (1,2); severed: (2,3)
         assert adj.row_sums.tolist() == [1, 2, 1, 0]
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_one_metric_matches_the_matmul_bitwise(self, size):
+        # evaluate_w scores one metric by an elementwise product: the
+        # matmul's single rounded product, so the same bits and the same w,
+        # at the tie alpha_min too
+        from womble.simulate import lattice_graph
+
+        g = lattice_graph(size, size)
+        rng = np.random.default_rng(size)
+        dis = compute_border_metrics(g, rng.gamma(2.0, 1.0, size=(g.n, 1)))
+        z = dis.border_metrics
+        upper = alpha_prior_upper(dis, 0)
+        for a in (0.0, alpha_min(dis, 0), *rng.uniform(0.0, upper, 20), upper):
+            alpha = np.array([a])
+            s = z @ alpha
+            assert (z[:, 0] * alpha[0]).tobytes() == s.tobytes()
+            w = (s <= LN2 * (1.0 + 1e-15)).astype(np.uint8)
+            assert evaluate_w(g, dis, alpha).w.tobytes() == w.tobytes()
 
 
 class TestAlphaThresholds:
@@ -261,8 +280,8 @@ class TestAdjacencyProperties:
                                 border_metrics=metrics, scales=np.ones(q))
         a_lo = rng.uniform(0.0, 2.0, size=q)
         a_hi = a_lo + rng.uniform(0.0, 2.0, size=q)
-        lo = evaluate_w(g, dis, a_lo).boundary_count
-        hi = evaluate_w(g, dis, a_hi).boundary_count
+        lo = int((evaluate_w(g, dis, a_lo).w == 0).sum())
+        hi = int((evaluate_w(g, dis, a_hi).w == 0).sum())
         assert lo <= hi
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -278,10 +297,10 @@ class TestAdjacencyProperties:
         dis = DissimilarityData(q=1, metric_names=("m",),
                                 border_metrics=z[:, None], scales=np.ones(1))
         amin = alpha_min(dis, 0)
-        assert evaluate_w(g, dis, np.array([amin])).boundary_count == 0
+        assert (evaluate_w(g, dis, np.array([amin])).w == 0).sum() == 0
         upper = alpha_natural_limit(dis, 0)
         adj = evaluate_w(g, dis, np.array([upper * (1 + 1e-9)]))
-        assert adj.boundary_count == int(np.sum(z > 0))
+        assert int((adj.w == 0).sum()) == int(np.sum(z > 0))
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.sampled_from([0.25, 0.5, 0.75, 1.0]))
@@ -298,7 +317,7 @@ class TestAdjacencyProperties:
         m = alpha_prior_upper(dis, 0, fraction)
         for a in (m, 0.5 * m, 0.0):
             adj = evaluate_w(g, dis, np.array([a]))
-            assert adj.boundary_count <= fraction * b + 1e-9
+            assert int((adj.w == 0).sum()) <= fraction * b + 1e-9
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -1137,8 +1137,9 @@ class TestBandPlanBeforeFork:
     """The band plan is built in the parent before the pool forks and reaches
     the workers inside the pickled graph, and the alpha block's cut and
     restore bounds, one resistance recursion each, are built once per
-    run_chains call before its chains start; each call logs its pid here, so
-    a forked worker that built its own would show."""
+    run_chains call before its chains start; without metrics none of them,
+    nor any factorization, is made. Each call logs its pid here, so a forked
+    worker that built its own would show."""
 
     @pytest.fixture
     def pids(self, tmp_path, monkeypatch):
@@ -1156,6 +1157,8 @@ class TestBandPlanBeforeFork:
                             logged("plan", car._BandPlan.__init__))
         monkeypatch.setattr(car, "_resistances",
                             logged("resistances", car._resistances))
+        monkeypatch.setattr(mcmc, "build_precision",
+                            logged("factorize", mcmc.build_precision))
         return lambda kind: [pid for k, pid in map(str.split, log.read_text().splitlines())
                              if k == kind]
 
@@ -1170,6 +1173,7 @@ class TestBandPlanBeforeFork:
         me = str(os.getpid())
         assert pids("plan") == [me]
         assert pids("resistances") == [me, me]
+        assert pids("factorize")
         # chains run in this process leave neither the log|Q| memo nor a
         # bound on the graph
         run_chains(data, g, dis, replace(cfg, workers=1))
@@ -1178,10 +1182,13 @@ class TestBandPlanBeforeFork:
 
     def test_run_chains_without_metrics(self, pids):
         g, data, _ = TestRunChains()._tiny_inputs()
-        run_chains(data, g, None, ChainConfig(n_chains=2, burn_in=20, keep=10,
-                                              seed=1, workers=2))
-        assert pids("plan") == [str(os.getpid())]
+        for workers in (2, 1):
+            run_chains(data, g, None, ChainConfig(n_chains=2, burn_in=20, keep=10,
+                                                  seed=1, workers=workers))
+        assert pids("plan") == []
         assert pids("resistances") == []
+        assert pids("factorize") == []
+        assert "band_plan" not in g._cache
 
     def test_run_study(self, pids):
         g = lattice_graph(8, 8)
