@@ -6,9 +6,10 @@ diagonal entries equal to each area's retained-border count and off-diagonal
 entries -w_kj. Q is positive definite for rho in [0, 1); boundary-model fits
 pin rho at RHO = 0.99, so boundary structure is carried by W(alpha).
 
-Q's diagonal (`precision_diagonal`) and the full-conditional moments of phi
-(`conditional_moments`) have one implementation each: the factorization, the
-phi sweep (a colour of areas per call) and `full_conditional_phi` all call them.
+Q's diagonal (`precision_diagonal`), the conditional moments of phi
+(`conditional_moments`) and the terms of d^T Q d (`quadform_terms`) have one
+implementation each, which the factorization, the phi sweep (a colour of areas
+per call), `full_conditional_phi`, `precision_quadform` and the alpha block call.
 
 log |Q| enters the sampler's ratio for every alpha proposal that changes the
 border assignment, so it is computed through a banded Cholesky factorization
@@ -212,15 +213,18 @@ def _resistances(adj: AdjacencyState, rho: float) -> np.ndarray:
     return diag[low] + diag[high] - 2.0 * cross
 
 
-def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:
-    """d^T Q d without materializing Q.
+def quadform_terms(graph: AreaGraph, rho: float, d: np.ndarray) -> tuple:
+    """(sq, c): per border b, sq_b = (d_k - d_j)^2, and c = (1 - rho) d^T d.
+    d^T W* d telescopes to sum_b w_b sq_b, so d^T Q d = rho sum_b w_b sq_b + c
+    for any assignment w, in O(B + n) without materializing Q."""
+    diff = d[graph.borders[:, 0]] - d[graph.borders[:, 1]]
+    return diff * diff, (1.0 - rho) * (d * d).sum()
 
-    d^T W* d telescopes to the sum of w_b (d_k - d_j)^2 over borders, so the
-    quadratic form costs O(B + n).
-    """
-    k, j = adj.graph.borders[:, 0], adj.graph.borders[:, 1]
-    diff = d[k] - d[j]
-    return float(rho * (adj.w * diff * diff).sum() + (1.0 - rho) * (d * d).sum())
+
+def precision_quadform(adj: AdjacencyState, rho: float, d: np.ndarray) -> float:
+    """d^T Q d at the assignment `adj`, from quadform_terms."""
+    sq, c = quadform_terms(adj.graph, rho, d)
+    return float(rho * (adj.w * sq).sum() + c)
 
 
 def log_density_phi(phi: np.ndarray, mu: float, tau2: float,

@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 validation, 3 I/O, 4 numeric failure. Errors are
 reported on stderr as a single line `CLASS: message`. A failed command
 removes the directories of `--out` that it created, while they hold no file.
 
-Every flag can also be supplied through `--config FILE` holding `key=value`
-lines (keys are the long flag names, dashes or underscores); explicit flags
-override the file. A key that no subcommand has is a validation error; one
-that only another subcommand has is ignored, so one file can serve several.
+Every flag, required ones too, can also be supplied through `--config FILE`
+holding `key=value` lines (keys are the long flag names, dashes or
+underscores); explicit flags override the file. A key that no subcommand has,
+or a required flag that neither gives, is a validation error; a key that only
+another subcommand has is ignored, so one file can serve several.
 """
 
 import argparse
@@ -47,12 +48,10 @@ def _add_chain_flags(p):
                    help="echo resolved settings and every file written")
 
 
-def _add_common_io(p, adjacency_required=True):
+def _add_common_io(p):
     p.add_argument("--areas", required=True, help="areas CSV: area_id,y,E,<metrics...>")
-    p.add_argument("--adjacency", required=adjacency_required,
+    p.add_argument("--adjacency", required=True,
                    help="border pair list or 0/1 matrix CSV")
-    p.add_argument("--geojson", default=None,
-                   help="optional FeatureCollection keyed by area_id")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -66,6 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit the boundary model to observed data")
     _add_common_io(fit)
+    fit.add_argument("--geojson", default=None,
+                     help="optional FeatureCollection keyed by area_id")
     fit.add_argument("--metrics", default=None,
                      help="comma-separated dissimilarity columns (default: all)")
     _add_chain_flags(fit)
@@ -105,6 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     blv_p.add_argument("--c1", type=float, default=None, help="rule (a) cutoff")
     blv_p.add_argument("--c2", type=float, default=None, help="rule (b) top percent")
     _add_chain_flags(blv_p)
+    # argparse would not count a --config file's defaults, so main checks the
+    # required flags once they apply; each usage still marks them
+    parser.required_flags = {}
+    for name, p in sub.choices.items():
+        p.usage = p.format_usage().removeprefix("usage: ").rstrip()
+        parser.required_flags[name] = [a for a in p._actions if a.required]
+        for action in parser.required_flags[name]:
+            action.required = False
     return parser
 
 
@@ -114,7 +123,7 @@ def _apply_config_file(argv, parser):
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
-        return argv
+        return
     overrides = {}
     with open(known.config) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -122,8 +131,7 @@ def _apply_config_file(argv, parser):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValidationError(
-                    f"{known.config}:{lineno}: expected key=value")
+                raise ValidationError(f"{known.config}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             overrides[key.strip().replace("-", "_")] = value.strip()
     commands = parser._subparsers._group_actions[0].choices.values()
@@ -133,13 +141,12 @@ def _apply_config_file(argv, parser):
         raise ValidationError(f"{known.config}: unknown key(s) "
                               f"{', '.join(unknown)}: no subcommand has such a flag")
     # inject as defaults on every subparser that knows the key
-    for action in commands:
-        known_dests = {a.dest for a in action._actions}
+    for command in commands:
         usable = {}
-        for k, v in overrides.items():
-            if k not in known_dests:
+        for act in command._actions:
+            k, v = act.dest, overrides.get(act.dest)
+            if v is None:
                 continue
-            act = next(a for a in action._actions if a.dest == k)
             if act.type:
                 usable[k] = _number(act.type, v, f"{known.config}: {k}")
             elif isinstance(act.const, bool):
@@ -148,8 +155,7 @@ def _apply_config_file(argv, parser):
                 usable[k] = v.lower() in ("true", "1")
             else:
                 usable[k] = v
-        action.set_defaults(**usable)
-    return argv
+        command.set_defaults(**usable)
 
 
 def _chain_config(args) -> ChainConfig:
@@ -169,8 +175,9 @@ def _load_graph(args, area_ids):
 
 
 def _fit_outputs(out, samples, data, graph, dis):
-    io.write_posterior_summary(samples, out / "posterior_summary.csv")
+    # phi is read back before the first write, so a failed read leaves no file
     risk = samples.risk_summary()
+    io.write_posterior_summary(samples, out / "posterior_summary.csv")
     io.write_risk_csv(graph.area_ids, risk.median, risk.lo, risk.hi, out / "risk.csv")
     bset = classify_boundaries(samples)
     io.write_boundary_csv(bset, blv(risk.median, graph).values, out / "boundary.csv")
@@ -391,8 +398,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     code, absent = None, []
     try:
-        argv = _apply_config_file(argv, parser)
+        _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
+        missing = [a.option_strings[0] for a in parser.required_flags[args.command]
+                   if getattr(args, a.dest) is None]
+        if missing:
+            raise ValidationError(f"missing required flag(s): {', '.join(missing)}")
         absent = _absent_dirs(args.out)
         code = _COMMANDS[args.command](args)
     except ValidationError as exc:

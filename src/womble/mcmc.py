@@ -29,12 +29,14 @@ Update scheme, one iteration:
   CUT_BOUND_SLACK to spare), it is rejected unfactorized and not remembered.
   The uniform is drawn before the memo lookup, where nothing else draws, so
   every decision and draw is the one the full ratio makes. Every proposal's
-  d^T Q d comes from per-border squared differences of d = phi - mu that the
-  block computes once.
+  d^T Q d comes from the terms of car.quadform_terms, the ones that
+  precision_quadform sums, which the block computes once.
 
 Step sizes start at PHI_STEP, TAU2_STEP and ALPHA_STEP_FRACTION * M_i, adapt
 toward ADAPT_TARGET acceptance in batches of ADAPT_WINDOW burn-in iterations
-(Robbins-Monro style), and are frozen afterward.
+(Robbins-Monro style), and are frozen afterward: one rule over one vector
+of steps and one of acceptance counts for (phi_1..phi_n, ln tau2, alpha_1..
+alpha_q). The kept run that follows the burn-in retains every thin-th draw.
 
 Each chain runs on a plain mutable ModelState, which nothing validates: it
 starts at dispersed draws and every block keeps its values in their support.
@@ -56,15 +58,15 @@ task carries only its chain index. Without metrics nothing reads log|Q|, so
 a run factorizes nothing and loads no scipy.linalg or scipy.sparse.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
-its own slices: phi in buffers of a few megabytes of draws (RISK_BLOCK_BYTES),
-each stored area by area, then one row of w per retained draw. A chain
-returns only the number of retained draws in which each border is kept.
-PosteriorSamples.risk_summary is the one reader of phi: in one pass it reads
-a block of areas at a time through a read-only descriptor, one read per
-chain and buffer, and returns the risk medians, intervals and the posterior
-mean of R that dic takes. It holds one area-major buffer of the widest block
-and one stage of a chain's share of it, so no process holds all retained
-draws.
+its own slices through _DrawLayout.writer: phi in buffers of a few megabytes
+of draws (RISK_BLOCK_BYTES), each stored area by area, then one row of w per
+retained draw. A chain returns only the number of retained draws in which
+each border is kept. PosteriorSamples.risk_summary is the one reader of phi:
+in one pass it reads a block of areas at a time through _PhiReader.chain,
+one read per chain and buffer, and returns the risk medians, intervals and
+the posterior mean of R that dic takes. It holds one area-major buffer of the
+widest block and one stage of a chain's share of it, so no process holds all
+retained draws.
 """
 
 import errno
@@ -73,6 +75,7 @@ import os
 import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -80,7 +83,7 @@ import numpy as np
 
 from .car import (RHO, PrecisionStructure, build_precision, conditional_moments,
                   cut_bounds, log_density_phi, precision_diagonal,
-                  precision_quadform, restore_bounds)
+                  precision_quadform, quadform_terms, restore_bounds)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -343,11 +346,7 @@ def update_alpha(state: ModelState, dis: DissimilarityData, steps: np.ndarray,
             continue
         log_u = math.log(rng.random())
         if sq is None:
-            d = state.phi - state.mu
-            # d^T Q d = rho sum_b w_b sq_b + c, as precision_quadform sums it;
-            # bit for bit, since each w_b is 0 or 1
-            diff = d[graph.borders[:, 0]] - d[graph.borders[:, 1]]
-            sq, c = diff * diff, (1.0 - rho) * (d * d).sum()
+            sq, c = quadform_terms(graph, rho, state.phi - state.mu)
         quad_prop = float(rho * (adj_prop.w * sq).sum() + c)
         quad_term = (quad_prop - quad) / (2.0 * tau2)
         if adj_prop.key not in log_dets.memo:
@@ -396,7 +395,8 @@ class _DrawLayout(NamedTuple):
     buffers of `block` draws (the last one may be shorter); a buffer of k
     draws is stored area-major, as an (n, k) float64 array, so one area's k
     draws are contiguous. The uint8 w rows, `borders` bytes each, follow
-    all of the phi, chain by chain and draw by draw."""
+    all of the phi, chain by chain and draw by draw. `writer` writes them;
+    _PhiReader.chain reads phi back."""
 
     path: str
     chains: int
@@ -422,6 +422,24 @@ class _DrawLayout(NamedTuple):
         return (self.phi_offset(self.chains, 0)
                 + self.borders * (chain * self.draws + draw))
 
+    @contextmanager
+    def writer(self, chain: int):
+        """write(draw, phi, w) stores `chain`'s retained draw `draw`: phi in
+        its buffer, written when full or at the last draw, and w's row."""
+        buffer = np.empty(self.n * self.block)
+        with open(self.path, "r+b", buffering=0) as fh:
+            fd = fh.fileno()
+
+            def write(draw: int, phi: np.ndarray, w: np.ndarray):
+                j = draw % self.block
+                k = min(self.block, self.draws - draw + j)
+                buffered = buffer[:self.n * k].reshape(self.n, k)
+                buffered[:, j] = phi
+                if j == k - 1:
+                    _pwrite(fd, buffered, self.phi_offset(chain, draw - j))
+                _pwrite(fd, w, self.w_offset(chain, draw))
+            yield write
+
 
 def _pwrite(fd: int, a: np.ndarray, offset: int):
     if os.pwrite(fd, a, offset) != a.nbytes:
@@ -439,34 +457,16 @@ class _PhiReader:
 
     def chain(self, c: int, areas: slice, stage: np.ndarray, out: np.ndarray):
         """Chain c's draws of a slice of areas (step 1) into `out`, an (areas,
-        draws) array, in draw order: one read per buffer into the front of
-        the flat `stage`, which must hold a chain's draws of those areas."""
-        lay = self.layout
-        first = areas.indices(lay.n)[0]
-        width = out.shape[0]
-        view, pos = memoryview(stage).cast("B"), 0
-        for k, offset in lay.buffers(c):
+        draws) array, in draw order: one read per area-major buffer into the
+        front of the flat `stage`, which must hold a buffer's draws of them."""
+        first, width, start = areas.indices(self.layout.n)[0], out.shape[0], 0
+        view = memoryview(stage).cast("B")
+        for k, offset in self.layout.buffers(c):
             size = 8 * width * k
-            if os.preadv(self.fd, [view[pos:pos + size]], offset + 8 * first * k) != size:
+            if os.preadv(self.fd, [view[:size]], offset + 8 * first * k) != size:
                 raise OSError(errno.EIO, "the retained draws file ends early")
-            pos += size
-        # the full buffers, then the partial one, each stored area-major
-        n_full, rest = divmod(lay.draws, lay.block)
-        full = n_full * lay.block
-        out[:, :full].reshape(width, n_full, lay.block)[:] = (
-            stage[:full * width].reshape(n_full, width, lay.block).transpose(1, 0, 2))
-        out[:, full:] = stage[full * width:lay.draws * width].reshape(width, rest)
-
-    def __call__(self, areas: slice = slice(None)) -> np.ndarray:
-        """The pooled phi of a slice of areas (step 1), area-major: an
-        (areas, draws) array, chains in order, read a chain at a time."""
-        lay = self.layout
-        width = len(range(*areas.indices(lay.n)))
-        out = np.empty((width, lay.chains * lay.draws))
-        stage = np.empty(width * lay.draws)
-        for c in range(lay.chains):
-            self.chain(c, areas, stage, out[:, c * lay.draws:(c + 1) * lay.draws])
-        return out
+            out[:, start:start + k] = stage[:width * k].reshape(width, k)
+            start += k
 
 
 @dataclass
@@ -475,8 +475,8 @@ class PosteriorSamples:
 
     Arrays are indexed (chain, draw, ...); pooled views flatten the first two
     axes with chains kept contiguous. `run_chains` leaves phi and w in a
-    temporary file that is already unlinked: `phi_draws(areas)` reads the
-    pooled phi of a slice of areas, area-major (areas, draws), and `w` maps
+    temporary file that is already unlinked: `phi_draws.chain` reads one
+    chain's phi of a slice of areas, area-major (areas, draws), and `w` maps
     the w trace read-only for benchmarks; nothing in the package reads it,
     since `w_counts` holds what boundary classification needs.
     """
@@ -571,81 +571,64 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
                M: np.ndarray, log_dets: Optional[_LogDets],
                layout: _DrawLayout) -> dict:
-    """Run one chain, writing its retained phi and w into its slices of the
-    draw file (see _DrawLayout); return the other draws and, per border, the
-    number of retained draws that keep it."""
+    """Run one chain, storing its retained phi and w through the layout's
+    writer; return the other draws and, per border, the number of retained
+    draws that keep it."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
     state = _initial_state(data, graph, dis, M, log_dets, rng)
-    n, b, q = graph.n, graph.n_borders, M.size
+    n, q = graph.n, M.size
 
-    log_phi_steps = np.full(n, math.log(PHI_STEP))
-    log_tau_step = math.log(TAU2_STEP)
-    log_alpha_steps = np.log(ALPHA_STEP_FRACTION * M)
-    phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
-    alpha_steps = np.exp(log_alpha_steps)
+    # log step sizes and acceptance counts of (phi_1..phi_n, ln tau2,
+    # alpha_1..alpha_q); tau2's step is math.exp of its entry, which numpy's
+    # exp does not always round alike
+    log_steps = np.concatenate([np.full(n, math.log(PHI_STEP)), [math.log(TAU2_STEP)],
+                                np.log(ALPHA_STEP_FRACTION * M)])
+    steps, hits = np.exp(log_steps), np.zeros(log_steps.shape)
+    phi_steps, alpha_steps = steps[:n], steps[n + 1:]
+    phi_hits, alpha_hits = hits[:n], hits[n + 1:]
+    tau_step = math.exp(log_steps[n])
 
-    n_retained, block = layout.draws, layout.block
-    phi_buffer = np.empty(n * block)
-    out_mu = np.empty(n_retained)
-    out_tau2 = np.empty(n_retained)
-    out_alpha = np.empty((n_retained, q))
-    w_counts = np.zeros(b, dtype=np.int64)
-    out_dev = np.empty(n_retained)
+    def iterate():
+        np.add(phi_hits, update_phi(state, data, phi_steps, rng), out=phi_hits)
+        update_mu(state, rng)
+        # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
+        quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
+        hits[n] += update_tau2(state, tau_step, rng, quad)
+        if q:
+            np.add(alpha_hits, update_alpha(state, dis, alpha_steps, M, log_dets, rng, quad),
+                   out=alpha_hits)
+
+    # burn-in: the acceptance counts are per adaptation window
+    for it in range(config.burn_in):
+        iterate()
+        if (it + 1) % ADAPT_WINDOW == 0:
+            delta = min(0.25, 1.0 / math.sqrt((it + 1) // ADAPT_WINDOW))
+            log_steps += np.where(hits / ADAPT_WINDOW > ADAPT_TARGET, delta, -delta)
+            np.clip(log_steps, -15.0, 5.0, out=log_steps)
+            np.exp(log_steps, out=steps)
+            tau_step = math.exp(log_steps[n])
+            hits[:] = 0.0
+    hits[:] = 0.0
+
+    # the kept run: counts over all of it, every thin-th draw retained
+    m = layout.draws
+    out_mu, out_tau2, out_dev = np.empty(m), np.empty(m), np.empty(m)
+    out_alpha = np.empty((m, q))
+    w_counts = np.zeros(graph.n_borders, dtype=np.int64)
     log_E = np.log(data.E)
-
-    # acceptance counts: per adaptation window in burn-in, then over the kept run
-    hits_phi, hits_tau, hits_alpha = np.zeros(n), 0, np.zeros(q)
-    batch = 0
-    idx = 0
-    burn_in, window, target = config.burn_in, ADAPT_WINDOW, ADAPT_TARGET
-    with open(layout.path, "r+b", buffering=0) as fh:
-        fd = fh.fileno()
-        for it in range(burn_in + config.keep):
-            if it == burn_in:
-                hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
-            hits_phi += update_phi(state, data, phi_steps, rng)
-            update_mu(state, rng)
-            # tau2 changes none of phi, mu and w: one d^T Q d serves both blocks
-            quad = precision_quadform(state.adj, state.rho, state.phi - state.mu)
-            hits_tau += update_tau2(state, tau_step, rng, quad)
-            if q:
-                hits_alpha += update_alpha(state, dis, alpha_steps, M, log_dets, rng, quad)
-            if it < burn_in:
-                if (it + 1) % window == 0:
-                    batch += 1
-                    delta = min(0.25, 1.0 / math.sqrt(batch))
-                    log_phi_steps += np.where(hits_phi / window > target, delta, -delta)
-                    np.clip(log_phi_steps, -15.0, 5.0, out=log_phi_steps)
-                    log_tau_step += delta if hits_tau / window > target else -delta
-                    log_tau_step = min(max(log_tau_step, -15.0), 5.0)
-                    log_alpha_steps += np.where(hits_alpha / window > target, delta, -delta)
-                    np.clip(log_alpha_steps, -15.0, 5.0, out=log_alpha_steps)
-                    phi_steps, tau_step = np.exp(log_phi_steps), math.exp(log_tau_step)
-                    alpha_steps = np.exp(log_alpha_steps)
-                    hits_phi[:], hits_tau, hits_alpha[:] = 0.0, 0, 0.0
-            elif (it - burn_in + 1) % config.thin == 0 and idx < n_retained:
-                # the buffer holding draw idx, (n, k) area-major
-                j = idx % block
-                k = min(block, n_retained - idx + j)
-                buffered = phi_buffer[:n * k].reshape(n, k)
-                buffered[:, j] = state.phi
-                if j == k - 1:
-                    _pwrite(fd, buffered, layout.phi_offset(chain_idx, idx - j))
-                _pwrite(fd, state.adj.w, layout.w_offset(chain_idx, idx))
+    with layout.writer(chain_idx) as write:
+        for it in range(config.keep):
+            iterate()
+            if (it + 1) % config.thin == 0:
+                idx = it // config.thin
+                write(idx, state.phi, state.adj.w)
                 w_counts += state.adj.w
-                out_mu[idx] = state.mu
-                out_tau2[idx] = state.tau2
-                out_alpha[idx] = state.alpha
+                out_mu[idx], out_tau2[idx], out_alpha[idx] = state.mu, state.tau2, state.alpha
                 out_dev[idx] = _deviance(data.y, log_E + state.phi,
                                          data.E * np.exp(state.phi), data._lgamma_y)
-                idx += 1
-    return {
-        "mu": out_mu, "tau2": out_tau2, "alpha": out_alpha,
-        "w_counts": w_counts, "deviance": out_dev,
-        "accept_phi": hits_phi / config.keep,
-        "accept_tau2": hits_tau / config.keep,
-        "accept_alpha": hits_alpha / config.keep,
-    }
+    return {"mu": out_mu, "tau2": out_tau2, "alpha": out_alpha, "w_counts": w_counts,
+            "deviance": out_dev, "accept_phi": phi_hits / config.keep,
+            "accept_tau2": hits[n] / config.keep, "accept_alpha": alpha_hits / config.keep}
 
 
 def run_chains(data: ObservedData, graph: AreaGraph,

@@ -14,12 +14,13 @@ from womble.simulate import lattice_graph
 
 
 def samples_with_w_trace(graph, w_draws):
-    """Minimal PosteriorSamples stand-in for classification tests."""
+    """Minimal PosteriorSamples stand-in for classification tests, which
+    read no phi."""
     from womble.mcmc import PosteriorSamples
     w = np.asarray(w_draws, dtype=np.uint8)[None, :, :]
     m = w.shape[1]
     return PosteriorSamples(
-        phi_draws=lambda areas=slice(None): np.zeros((graph.n, m))[areas],
+        phi_draws=None,
         mu=np.zeros((1, m)), tau2=np.ones((1, m)), alpha=np.zeros((1, m, 0)),
         w=w, w_counts=w.sum(axis=1, dtype=np.int64),
         deviance=np.zeros((1, m)), acceptance={}, graph=graph, dis=None)

@@ -309,6 +309,21 @@ class TestFit:
         assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
 
 
+    def test_config_file_supplies_every_flag(self, tmp_path):
+        # the required flags too: the same fit as the one given by flags
+        _, paths = write_dataset(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"areas={paths['areas']}\nadjacency={paths['adjacency']}\n"
+                       f"out={tmp_path / 'o1'}\nchains=2\nburnin=200\nkeep=100\n"
+                       "seed=5\n")
+        assert main(["--config", str(cfg), "fit"]) == 0
+        assert main(["fit", "--areas", str(paths["areas"]),
+                     "--adjacency", str(paths["adjacency"]),
+                     "--out", str(tmp_path / "o2")] + FIT_FLAGS) == 0
+        risk = [(tmp_path / o / "risk.csv").read_bytes() for o in ("o1", "o2")]
+        assert risk[0] == risk[1]
+
+
 class TestEffectVerdict:
     def test_near_perfect_metric_substantial(self, tmp_path):
         # clean group-separating covariate: the fitted effect must come out
@@ -569,6 +584,19 @@ class TestBlvCommand:
         assert "c2 must be a percentage" in capsys.readouterr().err
 
 
+    def test_geojson_rejected(self, tmp_path, capsys, no_sampling):
+        # blv draws no overlay, so it takes no geometry
+        _, paths = write_dataset(tmp_path, geojson=True)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["blv", "--areas", str(paths["areas"]),
+                  "--adjacency", str(paths["adjacency"]), "--c2", "10",
+                  "--geojson", str(paths["geojson"]), "--out", str(out)] + FIT_FLAGS)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --geojson" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_simulate_small(self, tmp_path):
         out = tmp_path / "sim"
@@ -786,6 +814,50 @@ class TestRejectedCommandsWriteNothing:
                   + [f.format(tmp=tmp_path) for f in flags])
         assert rc == code
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, config, named", [
+        ("fit", [], "", "--areas, --adjacency, --out"),
+        ("fit", ["--out", "{tmp}/out"], "areas={areas}\n", "--adjacency"),
+        ("blv", ["--c2", "10"], "out={tmp}/out\n", "--areas, --adjacency"),
+        ("diagnose", ["--out", "{tmp}/out"], "", "--fit-dir, --adjacency"),
+        ("simulate", [], "nrows=4\n", "--out"),
+    ], ids=["fit", "fit-areas-from-file", "blv-out-from-file", "diagnose",
+            "simulate"])
+    def test_missing_required_flags(self, tmp_path, capsys, no_sampling,
+                                    command, flags, config, named):
+        # checked after the --config file's defaults apply, all in one line
+        _, paths = write_dataset(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config.format(tmp=tmp_path, areas=paths["areas"]))
+        rc = main(["--config", str(cfg), command]
+                  + [f.format(tmp=tmp_path) for f in flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"VALIDATION: missing required flag(s): {named}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("call, named", [
+        ("pwrite", "short write to the retained draws file"),
+        ("preadv", "the retained draws file ends early"),
+    ])
+    def test_short_draws_file_io(self, tmp_path, capsys, monkeypatch, call,
+                                 named):
+        # every write, or every read, of the retained draws one byte short:
+        # phi is read back before the first output file is written
+        _, paths = write_dataset(tmp_path)
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        real = getattr(os, call)
+        monkeypatch.setattr(os, call, lambda *args: real(*args) - 1)
+        out = tmp_path / "out"
+        rc = main(["fit", "--areas", str(paths["areas"]),
+                   "--adjacency", str(paths["adjacency"]),
+                   "--out", str(out)] + FIT_FLAGS)
+        assert rc == 3
+        assert capsys.readouterr().err == f"IO: [Errno {errno.EIO}] {named}\n"
+        assert list(tmp.iterdir()) == []
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [

@@ -310,11 +310,23 @@ def ref_run_chain(c, data, graph, dis, config, M):
 DRAWS = ("phi", "mu", "tau2", "alpha", "w", "w_counts", "deviance")
 
 
+def read_phi(samples, areas=slice(None)):
+    """The pooled phi of a slice of areas (step 1), area-major: an (areas,
+    draws) array, chains in order, read a chain at a time through the
+    samples' reader, as risk_summary reads it."""
+    (chains, m), n = samples.mu.shape, samples.graph.n
+    width = len(range(*areas.indices(n)))
+    out, stage = np.empty((width, chains * m)), np.empty(width * m)
+    for c in range(chains):
+        samples.phi_draws.chain(c, areas, stage, out[:, c * m:(c + 1) * m])
+    return out
+
+
 def draws_of(samples, name):
     """One of DRAWS, indexed (chain, draw, ...) or, for w_counts, (chain,
     border); phi is read back through the samples' area-major reader."""
     if name == "phi":
-        return samples.phi_draws().T.reshape(*samples.mu.shape, -1)
+        return read_phi(samples).T.reshape(*samples.mu.shape, -1)
     return getattr(samples, name)
 
 
@@ -906,16 +918,21 @@ class TestRunChains:
         run_chains(data, g, dis, cfg)
         assert 0 < first == len(calls) - first
 
-    def test_q2_lattice_matches_reference(self):
-        # burn-in not a multiple of the adaptation window, and thinning
+    @pytest.mark.parametrize("q, burn_in, keep, thin", [
+        (2, 250, 120, 2),   # burn-in not a multiple of the adaptation window
+        (1, 0, 120, 1),     # no burn-in: the kept run takes the initial steps
+        (0, 150, 121, 3),   # no metrics; keep not a multiple of thin
+    ], ids=["q2", "q1-no-burn-in", "q0-thin3"])
+    def test_q2_lattice_matches_reference(self, q, burn_in, keep, thin):
         g = lattice_graph(6, 6)
         cov = np.random.default_rng(8).normal(size=(36, 2))
-        dis = compute_border_metrics(g, cov, metric_names=["a", "b"])
+        dis = (compute_border_metrics(g, cov[:, :q], metric_names=["a", "b"][:q])
+               if q else None)
         data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
                             E=np.full(36, 80.0))
-        cfg = ChainConfig(n_chains=2, burn_in=250, keep=120, thin=2, seed=21)
+        cfg = ChainConfig(n_chains=2, burn_in=burn_in, keep=keep, thin=thin, seed=21)
         samples = run_chains(data, g, dis, cfg)
-        assert len({w.tobytes() for w in samples.pooled("w")}) > 1
+        assert len({w.tobytes() for w in samples.pooled("w")}) > 1 or not q
         assert_matches_reference(samples, data, g, dis, cfg)
 
     def test_cut_bound_skips_factorizations(self, monkeypatch):
@@ -1236,7 +1253,7 @@ class TestRetainedPhi:
             return preadv(*args)
 
         monkeypatch.setattr(os, "preadv", counting)
-        assert samples.phi_draws().T.tobytes() == expected.tobytes()
+        assert read_phi(samples).T.tobytes() == expected.tobytes()
         assert len(reads) == n_chains * buffers
         blocks = []
         chain = mcmc._PhiReader.chain
@@ -1255,7 +1272,7 @@ class TestRetainedPhi:
         assert blocks[0].start == 0 and blocks[-1].stop == g.n
         assert [a.start for a in blocks[1:]] == [a.stop for a in blocks[:-1]]
         for areas in blocks + [slice(3, 11), slice(15, 16)]:
-            got = samples.phi_draws(areas)
+            got = read_phi(samples, areas)
             assert got.T.tobytes() == np.ascontiguousarray(expected[:, areas]).tobytes()
 
     @pytest.mark.parametrize("n_chains, keep, width", [
@@ -1275,7 +1292,7 @@ class TestRetainedPhi:
         samples = run_chains(data, g, dis, ChainConfig(
             n_chains=n_chains, burn_in=40, keep=keep, seed=2))
         # draw-major, as the one-shot reductions read it
-        pooled = np.ascontiguousarray(samples.phi_draws().T)
+        pooled = np.ascontiguousarray(read_phi(samples).T)
         by_area = np.exp(pooled.T.copy())
         expected = (np.median(by_area, axis=1),
                     np.percentile(by_area, 2.5, axis=1),
@@ -1328,10 +1345,10 @@ class TestRetainedPhi:
         g, data, dis = self._inputs()
         samples = run_chains(data, g, dis, ChainConfig(n_chains=1, burn_in=20,
                                                        keep=10, seed=1))
-        first = samples.phi_draws()
+        first = read_phi(samples)
         again = first.copy()
         first[:] = 1.0
-        assert samples.phi_draws().tobytes() == again.tobytes()
+        assert read_phi(samples).tobytes() == again.tobytes()
         with pytest.raises(OSError):
             os.write(samples.phi_draws.fd, b"1")
         assert not samples.w.flags.writeable
@@ -1354,7 +1371,7 @@ class TestRetainedPhi:
         assert seen == [True, True]
         assert list(tmp_path.iterdir()) == []
         # the unlinked file stays readable through the samples' reader
-        assert np.isfinite(samples.phi_draws()).all()
+        assert np.isfinite(read_phi(samples)).all()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_file_is_removed_when_a_chain_raises(self, tmp_path, monkeypatch,
