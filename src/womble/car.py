@@ -37,8 +37,8 @@ scipy is imported by the band plan, not by this module: `run_chains` builds
 the plan in the parent process before the chains fork, so pool workers
 receive it inside the pickled graph with scipy already loaded, and commands
 that never factorize Q load neither scipy.linalg nor scipy.sparse: `diagnose`
-runs on numpy alone, and `blv`, whose smoothing model samples no alpha, on
-numpy and scipy.special (for ln(y!)).
+and `blv`, whose smoothing model samples no alpha and writes no DIC, run on
+numpy alone.
 """
 
 from dataclasses import dataclass

@@ -221,7 +221,7 @@ def cmd_fit(args) -> int:
         print(f"fit: {config.n_chains} chains x ({config.burn_in} burn-in "
               f"+ {config.keep} keep), seed={config.seed}, "
               f"metrics={list(metrics) or None}")
-    samples = run_chains(data, graph, dis, config)
+    samples = run_chains(data, graph, dis, config, deviance=True)
     bset = _fit_outputs(out, samples, data, graph, dis)
     if args.verbose:
         for name in sorted(p.name for p in out.iterdir()):
@@ -371,7 +371,7 @@ def cmd_blv(args) -> int:
     config = _chain_config(args)
     rules = _check_blv_rules({k: getattr(args, k) for k in ("c1", "c2")
                               if getattr(args, k) is not None}, "--{}")
-    ids, y, E, _metrics = io.read_areas_csv(args.areas)
+    ids, y, E, _ = io.read_areas_csv(args.areas, metric_columns=[])
     graph = _load_graph(args, ids)
     data = ObservedData(y=y, E=E)
     _run_blv_baseline(io.ensure_outdir(args.out), data, graph, config, rules)

@@ -70,13 +70,23 @@ class AreaGraph:
 
     @cached_property
     def n_components(self) -> int:
-        """Connected-component count. Disconnection is legal, just reported."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
+        """Connected-component count. Disconnection is legal, just reported.
 
-        k, j = self.borders[:, 0], self.borders[:, 1]
-        adj = csr_matrix((np.ones(self.n_borders), (k, j)), shape=(self.n, self.n))
-        return int(connected_components(adj, directed=False)[0])
+        Min-label propagation: every area points at a smaller or equal one
+        of its component; each round flattens the pointers to roots (pointer
+        jumping), then hooks the larger root of each border that joins two
+        onto the smaller. When no border joins two roots, each component
+        has one, its smallest area."""
+        label = np.arange(self.n)
+        k, j = self.borders.T
+        while True:
+            while not np.array_equal(label[label], label):
+                label = label[label]
+            a, b = label[k], label[j]
+            joins = a != b
+            if not joins.any():
+                return len(np.unique(label))
+            np.minimum.at(label, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
 
     @cached_property
     def incidence(self):

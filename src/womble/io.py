@@ -177,11 +177,13 @@ def read_geojson_polygons(path, area_ids):
 # result writers
 
 def write_posterior_summary(samples: PosteriorSamples, path):
-    """`param,chain,median,mean,ci2.5,ci97.5,ess`, per chain plus pooled."""
+    """`param,chain,median,mean,ci2.5,ci97.5,ess`, per chain plus pooled;
+    deviance rows only if the samples hold the deviance."""
     metrics = samples.dis.metric_names if samples.dis is not None else ()
     series = [("mu", samples.mu), ("tau2", samples.tau2),
-              *((f"alpha_{m}", samples.alpha[:, :, i]) for i, m in enumerate(metrics)),
-              ("deviance", samples.deviance)]
+              *((f"alpha_{m}", samples.alpha[:, :, i]) for i, m in enumerate(metrics))]
+    if samples.deviance is not None:
+        series.append(("deviance", samples.deviance))
     rows = []
     for name, arr in series:
         # (chain, draws, what the ESS is taken over): each chain, then pooled

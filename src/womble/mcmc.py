@@ -48,14 +48,16 @@ and takes each colour's conditional moments from car.conditional_moments.
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
-whether chains run sequentially or in a process pool. ln(y!) and, with
-metrics, the graph's band plan (RCM ordering and scipy's banded Cholesky)
-and the run's _LogDets are built in the parent before the pool forks; the
-pool's workers get the graph, the data, the settings and the _LogDets once
-(each its own memo), through its initializer (inherited, not pickled, where
-the pool forks), with the scipy modules they use already loaded, and each
-task carries only its chain index. Without metrics nothing reads log|Q|, so
-a run factorizes nothing and loads no scipy.linalg or scipy.sparse.
+whether chains run sequentially or in a process pool. The graph's band plan
+(RCM ordering and scipy's banded Cholesky) and the run's _LogDets, with
+metrics, and ln(y!), when the caller asks for the per-draw deviance (as
+`fit`, which writes the DIC, does), are built in the parent before the pool
+forks. The pool's workers get the graph, the data, the settings and
+the _LogDets once (each its own memo), through its initializer (inherited,
+not pickled, where the pool forks), with the scipy modules they use already
+loaded, and each task carries only its chain index. Without metrics nothing
+reads log|Q|, so a run factorizes nothing and loads no scipy.linalg or
+scipy.sparse; without the deviance it loads no scipy.special.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices through _DrawLayout.writer: phi in buffers of a few megabytes
@@ -76,7 +78,8 @@ import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -114,12 +117,11 @@ RISK_BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class ObservedData:
-    """Disease counts and expected counts per area, and ln(y!), the Poisson
-    deviance's constant term."""
+    """Disease counts and expected counts per area, checked when built, and
+    ln(y!), the Poisson deviance's constant term, computed on first use."""
 
     y: np.ndarray
     E: np.ndarray
-    _lgamma_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -130,17 +132,23 @@ class ObservedData:
             raise ValidationError("y must contain finite non-negative integers")
         if not np.isfinite(E).all() or (E <= 0).any():
             raise ValidationError("E must contain finite positive values")
-        from scipy.special import gammaln
-        lgamma_y = gammaln(y + 1.0)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "E", E)
-        object.__setattr__(self, "_lgamma_y", lgamma_y)
-        for a in (y, E, lgamma_y):
+        for a in (y, E):
             a.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+    @cached_property
+    def lgamma_y(self) -> np.ndarray:
+        """ln(y!) per area, built on first use (it imports scipy.special)
+        and kept."""
+        from scipy.special import gammaln
+        lgamma_y = gammaln(self.y + 1.0)
+        lgamma_y.setflags(write=False)
+        return lgamma_y
 
 
 @dataclass(frozen=True)
@@ -487,7 +495,7 @@ class PosteriorSamples:
     alpha: np.ndarray      # (C, m, q)
     w: np.ndarray          # (C, m, B) uint8
     w_counts: np.ndarray   # (C, B) int64: retained draws that keep each border
-    deviance: np.ndarray   # (C, m)
+    deviance: Optional[np.ndarray]   # (C, m); None unless run_chains was asked for it
     acceptance: dict       # block -> (C, ...) post-burn-in acceptance rates
     graph: AreaGraph
     dis: Optional[DissimilarityData]
@@ -569,11 +577,11 @@ def _initial_state(data: ObservedData, graph: AreaGraph,
 
 def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
-               M: np.ndarray, log_dets: Optional[_LogDets],
+               M: np.ndarray, log_dets: Optional[_LogDets], deviance: bool,
                layout: _DrawLayout) -> dict:
     """Run one chain, storing its retained phi and w through the layout's
-    writer; return the other draws and, per border, the number of retained
-    draws that keep it."""
+    writer; return the other draws (the deviance of each only if asked) and,
+    per border, the number of retained draws that keep it."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
     state = _initial_state(data, graph, dis, M, log_dets, rng)
     n, q = graph.n, M.size
@@ -612,7 +620,8 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
 
     # the kept run: counts over all of it, every thin-th draw retained
     m = layout.draws
-    out_mu, out_tau2, out_dev = np.empty(m), np.empty(m), np.empty(m)
+    out_mu, out_tau2 = np.empty(m), np.empty(m)
+    out_dev = np.empty(m) if deviance else None
     out_alpha = np.empty((m, q))
     w_counts = np.zeros(graph.n_borders, dtype=np.int64)
     log_E = np.log(data.E)
@@ -624,8 +633,9 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                 write(idx, state.phi, state.adj.w)
                 w_counts += state.adj.w
                 out_mu[idx], out_tau2[idx], out_alpha[idx] = state.mu, state.tau2, state.alpha
-                out_dev[idx] = _deviance(data.y, log_E + state.phi,
-                                         data.E * np.exp(state.phi), data._lgamma_y)
+                if deviance:
+                    out_dev[idx] = _deviance(data.y, log_E + state.phi,
+                                             data.E * np.exp(state.phi), data.lgamma_y)
     return {"mu": out_mu, "tau2": out_tau2, "alpha": out_alpha, "w_counts": w_counts,
             "deviance": out_dev, "accept_phi": phi_hits / config.keep,
             "accept_tau2": hits[n] / config.keep, "accept_alpha": alpha_hits / config.keep}
@@ -633,7 +643,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
 
 def run_chains(data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData],
-               config: ChainConfig) -> PosteriorSamples:
+               config: ChainConfig, deviance: bool = False) -> PosteriorSamples:
     """Run the configured chains and merge their retained draws.
 
     Alpha is sampled iff there are metrics; with dis=None every border is
@@ -648,10 +658,14 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     before returning; the samples read phi from it through `phi_draws` and
     map w read-only until they are released.
 
+    The Poisson deviance of each retained draw, which only the DIC reads, is
+    computed when `deviance` is set, and `samples.deviance` is None if not.
+
     With metrics, the graph's band plan and the run's _LogDets (a log|Q|
     memo freed with the run, and the alpha block's bounds) are built here,
     before the pool forks; without them nothing reads log|Q| and neither is
-    built (see the module docstring). `config` was checked when it was built.
+    built. ln(y!) is built here too, only with `deviance` (see the module
+    docstring). `config` was checked when it was built.
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
@@ -661,6 +675,8 @@ def run_chains(data: ObservedData, graph: AreaGraph,
         # the cut recursion builds the graph's band plan, before the pool forks
         log_dets = _LogDets(RHO, (cut_bounds(graph, RHO),
                                   restore_bounds(graph, RHO, dis, M)))
+    if deviance:
+        data.lgamma_y   # built before the pool forks, so workers inherit it
 
     n_draws = config.keep // config.thin
     block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))
@@ -676,7 +692,8 @@ def run_chains(data: ObservedData, graph: AreaGraph,
                           f"for retained draws (chains x keep // thin x "
                           f"(8 x areas + borders)) in {fh.name}: "
                           f"{exc.strerror}") from exc
-        results = run_tasks(_run_chain, (data, graph, dis, config, M, log_dets, layout),
+        results = run_tasks(_run_chain,
+                            (data, graph, dis, config, M, log_dets, deviance, layout),
                             config.n_chains, config.workers)
         phi_draws = _PhiReader(layout)
         w = np.memmap(fh.name, dtype=np.uint8, mode="r", offset=layout.w_offset(0, 0),
@@ -685,7 +702,7 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     return PosteriorSamples(
         phi_draws=phi_draws, mu=stack("mu"), tau2=stack("tau2"),
         alpha=stack("alpha"), w=w, w_counts=stack("w_counts"),
-        deviance=stack("deviance"),
+        deviance=stack("deviance") if deviance else None,
         acceptance={b: stack("accept_" + b) for b in ("phi", "tau2", "alpha")},
         graph=graph, dis=dis)
 
@@ -735,7 +752,7 @@ def deviance_at(r_hat: np.ndarray, data: ObservedData) -> float:
     """Poisson deviance -2 sum[y ln(E R) - E R - ln(y!)] at a fixed risk
     vector, constants retained."""
     mean = data.E * r_hat
-    return _deviance(data.y, np.log(mean), mean, data._lgamma_y)
+    return _deviance(data.y, np.log(mean), mean, data.lgamma_y)
 
 
 def dic(deviance: np.ndarray, r_mean: np.ndarray, data: ObservedData) -> DicResult:

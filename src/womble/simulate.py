@@ -361,13 +361,11 @@ def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     tb = true_boundary_mask(config.graph, config.true_partition)
     if not tb.any() or tb.all():
         raise ValidationError("partition must yield both boundaries and non-boundaries")
-    # built and imported before the pool forks: the surface and band plans
-    # reach every worker inside the graph, which each task shares rather
-    # than carries, and each replicate's ObservedData needs scipy.special
-    # for ln(y!)
+    # built before the pool forks: the surface and band plans reach every
+    # worker inside the graph, which each task shares rather than carries.
+    # The replicates write no DIC, so nothing needs ln(y!) or scipy.special
     _prepare(config)
     _band_plan(config.graph)
-    import scipy.special  # noqa: F401
     results = run_tasks(_replicate_result, (config, chain_config),
                         config.replicates, chain_config.workers)
 

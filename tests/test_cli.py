@@ -488,9 +488,10 @@ class TestRetainedPhiReadOnce:
 
 
 class TestStartupImports:
-    """Importing womble and running diagnose load numpy but not scipy; the
-    commands that sample import it where they use it, and blv, which never
-    factorizes Q, only scipy.special."""
+    """Importing womble, building ObservedData and running diagnose or blv
+    load numpy but not scipy: blv never factorizes Q and writes no DIC, so
+    it needs no ln(y!). fit imports scipy.special for the DIC and, with
+    metrics, the banded Cholesky's modules; simulate those alone."""
 
     @pytest.mark.parametrize("module", ["womble", "womble.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -521,18 +522,51 @@ class TestStartupImports:
         for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.special"):
             assert repr(name) in loaded
 
-    def test_blv_loads_scipy_special_alone(self, tmp_path):
-        # the smoothing model samples no alpha, so nothing reads log|Q|:
-        # no band plan, no factorization, only ln(y!)
+    def test_metric_free_fit_loads_scipy_special_alone(self, tmp_path):
+        # no alpha, so no band plan; the components are counted on numpy
+        _, paths = write_dataset(tmp_path, metric=False)
+        argv = ["fit", "--areas", str(paths["areas"]),
+                "--adjacency", str(paths["adjacency"]), "--chains", "1",
+                "--burnin", "10", "--keep", "2", "--out", str(tmp_path / "out")]
+        code = f"from womble.cli import main\nassert main({argv!r}) == 0"
+        loaded = scipy_modules_after(code)
+        assert repr("scipy.special") in loaded
+        assert "scipy.linalg" not in loaded and "scipy.sparse" not in loaded
+
+    def test_blv_loads_no_scipy(self, tmp_path):
+        # the smoothing model samples no alpha, so nothing reads log|Q|: no
+        # band plan, no factorization; and no DIC, so no ln(y!)
         _, paths = write_dataset(tmp_path)
         argv = ["blv", "--areas", str(paths["areas"]),
                 "--adjacency", str(paths["adjacency"]), "--c2", "20",
                 "--chains", "2", "--workers", "2", "--burnin", "10",
                 "--keep", "2", "--out", str(tmp_path / "out")]
         code = f"from womble.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_modules_after(code) == "[]"
+
+    def test_simulate_loads_no_scipy_special(self, tmp_path):
+        # at the default kappa the Matern kernel has a closed form, and the
+        # replicates, run in this process, write no DIC
+        argv = ["simulate", "--nrows", "8", "--ncols", "8", "--replicates", "2",
+                "--chains", "1", "--burnin", "10", "--keep", "5",
+                "--out", str(tmp_path / "sim")]
+        code = f"from womble.cli import main\nassert main({argv!r}) == 0"
         loaded = scipy_modules_after(code)
-        assert repr("scipy.special") in loaded
-        assert "scipy.linalg" not in loaded and "scipy.sparse" not in loaded
+        assert repr("scipy.linalg") in loaded
+        assert "scipy.special" not in loaded
+
+    def test_observed_data_loads_no_scipy(self):
+        # y and E are still checked when the object is built
+        code = ("import numpy as np\n"
+                "from womble import ObservedData, ValidationError\n"
+                "ObservedData(y=np.array([3.0, 0.0]), E=np.array([1.0, 2.0]))\n"
+                "for y, E in [([-1.0], [1.0]), ([1.0], [0.0])]:\n"
+                "    try:\n"
+                "        ObservedData(y=np.array(y), E=np.array(E))\n"
+                "    except ValidationError:\n"
+                "        continue\n"
+                "    raise AssertionError('not rejected when built')")
+        assert scipy_modules_after(code) == "[]"
 
 
 class TestBlvCommand:
@@ -567,6 +601,20 @@ class TestBlvCommand:
         _, blv_rows = io.read_table(tmp_path / "blv" / "blv.csv")
         _, fit_rows = io.read_table(tmp_path / "plain" / "boundary.csv")
         assert [r["blv"] for r in fit_rows] == [r["blv"] for r in blv_rows]
+
+    def test_reads_only_counts_and_expected(self, tmp_path):
+        # blv uses no metric: an extra text column changes nothing
+        _, paths = write_dataset(tmp_path)
+        lines = paths["areas"].read_text().splitlines()
+        text = tmp_path / "text.csv"
+        text.write_text("".join(f"{line},{'note' if i else 'label'} {i}\n"
+                                for i, line in enumerate(lines)))
+        for areas, out in ((paths["areas"], "plain"), (text, "text")):
+            assert main(["blv", "--areas", str(areas), "--adjacency",
+                         str(paths["adjacency"]), "--c2", "10",
+                         "--out", str(tmp_path / out)] + FIT_FLAGS) == 0
+        assert ((tmp_path / "text" / "blv.csv").read_bytes()
+                == (tmp_path / "plain" / "blv.csv").read_bytes())
 
     def test_requires_a_rule(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)

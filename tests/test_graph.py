@@ -3,12 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_graph
 from womble import (ConstantMetricError, ValidationError, build_graph,
                     compute_border_metrics)
 from womble.graph import (AreaGraph, DissimilarityData, alpha_min,
                           alpha_natural_limit, alpha_prior_upper, evaluate_w)
+from womble.simulate import lattice_graph
 
 LN2 = np.log(2.0)
+
+
+def scipy_components(n, borders):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    k, j = np.asarray(borders, dtype=np.int64).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(k.size), (k, j)), shape=(n, n))
+    return int(connected_components(adj, directed=False)[0])
 
 
 class TestBuildGraph:
@@ -25,6 +35,24 @@ class TestBuildGraph:
     def test_disjoint_edges_components(self):
         g = build_graph([(0, 1), (2, 3)])
         assert g.n_components == 2
+
+    @pytest.mark.parametrize("n, borders", [
+        (26, lattice_graph(5, 5).borders),                       # isolated area
+        (32, np.vstack([lattice_graph(4, 4).borders,
+                        lattice_graph(4, 4).borders + 16])),     # two islands
+        (5, np.zeros((0, 2), dtype=np.int64)),                    # no borders
+        # a path listed from its far end
+        (9, np.array([(k, k + 1) for k in range(7, -1, -1)])),
+    ], ids=["isolated-area", "disconnected", "no-borders", "path"])
+    def test_components_match_scipy(self, n, borders):
+        assert AreaGraph(n, borders).n_components == scipy_components(n, borders)
+
+    def test_components_match_scipy_on_random_graphs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n, borders = random_graph(rng, n_max=40, n_min=1, p=rng.uniform(0.0, 0.15))
+            borders = rng.permutation(n)[borders]   # areas in no particular order
+            assert AreaGraph(n, borders).n_components == scipy_components(n, borders)
 
     def test_unordered_normalization(self):
         g = build_graph([(1, 0), (2, 1)])

@@ -92,10 +92,14 @@ class TestSummaryWriter:
         data = ObservedData(y=rng.poisson(50, 9).astype(float),
                             E=np.full(9, 50.0))
         cfg = ChainConfig(n_chains=1, burn_in=50, keep=20, seed=0)
-        samples = run_chains(data, g, None, cfg)
+        samples = run_chains(data, g, None, cfg, deviance=True)
         io.write_posterior_summary(samples, tmp_path / "ps.csv")
         _, rows = io.read_table(tmp_path / "ps.csv")
         assert {r["param"] for r in rows} == {"mu", "tau2", "deviance"}
+        # without the deviance, as the smoothing runs sample, its rows go
+        io.write_posterior_summary(run_chains(data, g, None, cfg), tmp_path / "ps.csv")
+        _, rows = io.read_table(tmp_path / "ps.csv")
+        assert {r["param"] for r in rows} == {"mu", "tau2"}
 
     def test_float_roundtrip_exact(self, tmp_path):
         vals = [0.1, 1 / 3, np.pi, 1e-300, 12345.6789]

@@ -845,16 +845,16 @@ class TestRunChains:
     def test_determinism(self):
         g, data, dis = self._tiny_inputs()
         cfg = ChainConfig(n_chains=2, burn_in=100, keep=50, seed=7)
-        s1 = run_chains(data, g, dis, cfg)
-        s2 = run_chains(data, g, dis, cfg)
+        s1 = run_chains(data, g, dis, cfg, deviance=True)
+        s2 = run_chains(data, g, dis, cfg, deviance=True)
         assert_same_draws(s1, s2)
 
     def test_worker_pool_matches_sequential(self):
         g, data, dis = self._tiny_inputs()
         cfg1 = ChainConfig(n_chains=2, burn_in=60, keep=30, seed=3, workers=1)
         cfg2 = ChainConfig(n_chains=2, burn_in=60, keep=30, seed=3, workers=2)
-        s1 = run_chains(data, g, dis, cfg1)
-        s2 = run_chains(data, g, dis, cfg2)
+        s1 = run_chains(data, g, dis, cfg1, deviance=True)
+        s2 = run_chains(data, g, dis, cfg2, deviance=True)
         assert_same_draws(s1, s2)
 
     def test_logdet_memo_leaves_draws_unchanged(self, monkeypatch):
@@ -872,10 +872,10 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        memo = run_chains(data, g, dis, cfg)
+        memo = run_chains(data, g, dis, cfg, deviance=True)
         with_memo = len(calls)
         monkeypatch.setattr(mcmc, "LOGDET_MEMO_CAP", 0)
-        fresh = run_chains(data, g, dis, cfg)
+        fresh = run_chains(data, g, dis, cfg, deviance=True)
         assert with_memo < len(calls) - with_memo
         assert_same_draws(memo, fresh)
 
@@ -896,9 +896,9 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        shared = run_chains(data, g, dis, cfg)
+        shared = run_chains(data, g, dis, cfg, deviance=True)
         assert 1 < len(set(keys)) == len(keys) <= mcmc.LOGDET_MEMO_CAP
-        pooled = run_chains(data, g, dis, replace(cfg, workers=3))
+        pooled = run_chains(data, g, dis, replace(cfg, workers=3), deviance=True)
         assert_same_draws(shared, pooled)
 
     def test_each_run_starts_an_empty_memo(self, monkeypatch):
@@ -931,7 +931,7 @@ class TestRunChains:
         data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
                             E=np.full(36, 80.0))
         cfg = ChainConfig(n_chains=2, burn_in=burn_in, keep=keep, thin=thin, seed=21)
-        samples = run_chains(data, g, dis, cfg)
+        samples = run_chains(data, g, dis, cfg, deviance=True)
         assert len({w.tobytes() for w in samples.pooled("w")}) > 1 or not q
         assert_matches_reference(samples, data, g, dis, cfg)
 
@@ -951,10 +951,10 @@ class TestRunChains:
             return build_precision(adj, rho)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
-        samples = run_chains(data, g, dis, cfg)
+        samples = run_chains(data, g, dis, cfg, deviance=True)
         bounded = len(calls)
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
-        unbounded = run_chains(data, g, dis, cfg)
+        unbounded = run_chains(data, g, dis, cfg, deviance=True)
         assert 0 < bounded < len(calls) - bounded
         assert_same_draws(samples, unbounded)
         assert_matches_reference(samples, data, g, dis, cfg)
@@ -979,7 +979,7 @@ class TestRunChains:
 
         def run():
             del calls[:]
-            return run_chains(data, g, dis, cfg), len(calls)
+            return run_chains(data, g, dis, cfg, deviance=True), len(calls)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         samples, bounded = run()
@@ -999,7 +999,7 @@ class TestRunChains:
         kept = np.arange(g.n_borders) % 4 != 0
         g = AreaGraph(g.n, g.borders[kept])
         cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=22)
-        samples = run_chains(data, g, None, cfg)
+        samples = run_chains(data, g, None, cfg, deviance=True)
         assert_matches_reference(samples, data, g, None, cfg)
 
     def test_carried_quadform_is_fresh(self, monkeypatch):
@@ -1115,8 +1115,8 @@ class TestPoolSize:
     def test_two_chains_open_two_workers(self, pool):
         g, data, dis = TestRunChains()._tiny_inputs()
         cfg = ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1, workers=32)
-        pooled = run_chains(data, g, dis, cfg)
-        alone = run_chains(data, g, dis, replace(cfg, workers=1))
+        pooled = run_chains(data, g, dis, cfg, deviance=True)
+        alone = run_chains(data, g, dis, replace(cfg, workers=1), deviance=True)
         assert pool["sizes"] == [2]
         assert_same_draws(pooled, alone)
 
@@ -1129,9 +1129,10 @@ class TestPoolSize:
     def test_chains_share_the_graph(self, pool):
         g, data, dis = TestRunChains()._tiny_inputs()
         cfg = ChainConfig(n_chains=3, burn_in=20, keep=10, seed=1, workers=2)
-        pooled = run_chains(data, g, dis, cfg)
+        pooled = run_chains(data, g, dis, cfg, deviance=True)
         self._assert_tasks_carry_only_an_index(pool["tasks"], 3)
-        assert_same_draws(pooled, run_chains(data, g, dis, replace(cfg, workers=1)))
+        assert_same_draws(pooled, run_chains(data, g, dis, replace(cfg, workers=1),
+                                             deviance=True))
 
     def test_replicates_share_the_graph(self, pool):
         g = lattice_graph(8, 8)
@@ -1155,8 +1156,10 @@ class TestBandPlanBeforeFork:
     the workers inside the pickled graph, and the alpha block's cut and
     restore bounds, one resistance recursion each, are built once per
     run_chains call before its chains start; without metrics none of them,
-    nor any factorization, is made. Each call logs its pid here, so a forked
-    worker that built its own would show."""
+    nor any factorization, is made. ln(y!) is built in the parent too, only
+    when the deviance is asked for, which the simulation never does. Each
+    call logs its pid here, so a forked worker that built its own would
+    show."""
 
     @pytest.fixture
     def pids(self, tmp_path, monkeypatch):
@@ -1176,6 +1179,10 @@ class TestBandPlanBeforeFork:
                             logged("resistances", car._resistances))
         monkeypatch.setattr(mcmc, "build_precision",
                             logged("factorize", mcmc.build_precision))
+        # ObservedData.lgamma_y imports it from scipy.special when called
+        import scipy.special
+        monkeypatch.setattr(scipy.special, "gammaln",
+                            logged("lgamma", scipy.special.gammaln))
         return lambda kind: [pid for k, pid in map(str.split, log.read_text().splitlines())
                              if k == kind]
 
@@ -1186,9 +1193,10 @@ class TestBandPlanBeforeFork:
         data = ObservedData(y=np.random.default_rng(3).poisson(100.0, 16),
                             E=np.full(16, 100.0))
         cfg = ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1, workers=2)
-        run_chains(data, g, dis, cfg)
+        run_chains(data, g, dis, cfg, deviance=True)
         me = str(os.getpid())
         assert pids("plan") == [me]
+        assert pids("lgamma") == [me]
         assert pids("resistances") == [me, me]
         assert pids("factorize")
         # chains run in this process leave neither the log|Q| memo nor a
@@ -1205,6 +1213,7 @@ class TestBandPlanBeforeFork:
         assert pids("plan") == []
         assert pids("resistances") == []
         assert pids("factorize") == []
+        assert pids("lgamma") == []
         assert "band_plan" not in g._cache
 
     def test_run_study(self, pids):
@@ -1219,6 +1228,7 @@ class TestBandPlanBeforeFork:
         recursions = pids("resistances")
         assert len(recursions) == 4 and me not in recursions
         assert all(recursions.count(pid) % 2 == 0 for pid in recursions)
+        assert pids("lgamma") == []
 
 
 class TestRetainedPhi:
@@ -1290,7 +1300,7 @@ class TestRetainedPhi:
         if width is not None:
             monkeypatch.setattr(mcmc, "RISK_BLOCK_BYTES", 8 * draws * width)
         samples = run_chains(data, g, dis, ChainConfig(
-            n_chains=n_chains, burn_in=40, keep=keep, seed=2))
+            n_chains=n_chains, burn_in=40, keep=keep, seed=2), deviance=True)
         # draw-major, as the one-shot reductions read it
         pooled = np.ascontiguousarray(read_phi(samples).T)
         by_area = np.exp(pooled.T.copy())
@@ -1400,6 +1410,68 @@ class TestRetainedPhi:
         assert len(os.listdir("/proc/self/fd")) == before
 
 
+class TestDevianceOnDemand:
+    """The per-draw Poisson deviance is computed only when run_chains is
+    asked for it, which `fit`, the one command that writes the DIC, does."""
+
+    @pytest.fixture
+    def deviances(self, monkeypatch):
+        calls = []
+        deviance = mcmc._deviance
+
+        def counting(*args):
+            calls.append(1)
+            return deviance(*args)
+
+        monkeypatch.setattr(mcmc, "_deviance", counting)
+        return calls
+
+    @staticmethod
+    def _io_flags(tmp_path):
+        g, data, _ = TestRunChains()._tiny_inputs()
+        metric = np.random.default_rng(1).normal(size=g.n)
+        areas, adjacency = tmp_path / "areas.csv", tmp_path / "adjacency.csv"
+        areas.write_text("area_id,y,E,m\n" + "".join(
+            f"{a},{int(y)},{float(e)!r},{float(m)!r}\n"
+            for a, y, e, m in zip(g.area_ids, data.y, data.E, metric)))
+        adjacency.write_text("area_id_1,area_id_2\n" + "".join(
+            f"{g.area_ids[k]},{g.area_ids[j]}\n" for k, j in g.borders))
+        return ["--areas", str(areas), "--adjacency", str(adjacency),
+                "--burnin", "20", "--seed", "1", "--out", str(tmp_path / "out")]
+
+    def test_fit_computes_one_per_retained_draw(self, tmp_path, deviances):
+        from womble.cli import main
+        assert main(["fit", "--chains", "3", "--keep", "10", "--thin", "3"]
+                    + self._io_flags(tmp_path)) == 0
+        # chains x (keep // thin) in the chains, and the DIC's plug-in
+        assert len(deviances) == 3 * (10 // 3) + 1
+
+    def test_blv_computes_none(self, tmp_path, deviances):
+        from womble.cli import main
+        assert main(["blv", "--c2", "10", "--chains", "2", "--keep", "10"]
+                    + self._io_flags(tmp_path)) == 0
+        assert deviances == []
+
+    def test_simulate_computes_none(self, deviances):
+        g = lattice_graph(8, 8)
+        cfg = SimConfig(graph=g, true_partition=five_block_partition(8, 8),
+                        k1=0.4, k2=3.0, replicates=2)
+        run_study(cfg, ChainConfig(n_chains=2, burn_in=20, keep=10, seed=1))
+        assert deviances == []
+
+    def test_draws_without_the_deviance_are_the_same(self):
+        g, data, dis = TestRunChains()._tiny_inputs()
+        cfg = ChainConfig(n_chains=2, burn_in=60, keep=30, thin=2, seed=3, workers=2)
+        without = run_chains(data, g, dis, cfg)
+        assert without.deviance is None and "lgamma_y" not in data.__dict__
+        with_deviance = run_chains(data, g, dis, cfg, deviance=True)
+        assert with_deviance.deviance.shape == (2, 15)
+        for name in DRAWS:
+            if name != "deviance":
+                a, b = draws_of(without, name), draws_of(with_deviance, name)
+                assert a.tobytes() == b.tobytes(), name
+
+
 class TestDic:
     def test_single_sample_degenerate(self):
         g = lattice_graph(3, 3)
@@ -1409,7 +1481,7 @@ class TestDic:
         dis = DissimilarityData.from_border_values(
             g, rng.gamma(2.0, 1.0, g.n_borders))
         cfg = ChainConfig(n_chains=1, burn_in=20, keep=1, seed=4)
-        samples = run_chains(data, g, dis, cfg)
+        samples = run_chains(data, g, dis, cfg, deviance=True)
         res = dic(samples.pooled("deviance"), samples.risk_summary().mean, data)
         assert res.p_d == pytest.approx(0.0, abs=1e-9)
         assert res.dic == pytest.approx(samples.deviance[0, 0], abs=1e-9)
@@ -1447,7 +1519,8 @@ class TestDic:
             cfg = ChainConfig(n_chains=1, burn_in=800, keep=600, seed=rep)
             dic_true, dic_cut = (
                 dic(s.pooled("deviance"), s.risk_summary().mean, data).dic
-                for s in (run_chains(data, graph, None, cfg) for graph in (g, cut)))
+                for s in (run_chains(data, graph, None, cfg, deviance=True)
+                          for graph in (g, cut)))
             wins += dic_true < dic_cut
         assert wins >= 0.8 * n_rep
 
@@ -1522,6 +1595,17 @@ class TestObservedData:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValidationError):
             ObservedData(y=np.array([1.5]), E=np.array([1.0]))
+
+    def test_log_factorials_built_on_first_use(self):
+        y = np.array([0.0, 1.0, 7.0, 170.0])
+        data = ObservedData(y=y, E=np.ones(4))
+        assert "lgamma_y" not in data.__dict__
+        lgamma_y = data.lgamma_y
+        assert lgamma_y.tobytes() == gammaln(y + 1.0).tobytes()
+        assert not lgamma_y.flags.writeable and data.lgamma_y is lgamma_y
+        # a pickled copy, as a spawned worker receives it, keeps them
+        assert pickle.loads(pickle.dumps(data)).__dict__["lgamma_y"].tobytes() == (
+            lgamma_y.tobytes())
 
 
 class TestAlphaConcentration:
