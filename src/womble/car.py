@@ -33,12 +33,13 @@ Resistances are read from the band of the inverse of Q(w) by a block
 Takahashi recursion over the same banded factor; `run_chains` calls both
 functions once per run, before the chains start.
 
-scipy is imported by the band plan, not by this module: `run_chains` builds
-the plan in the parent process before the chains fork, so pool workers
-receive it inside the pickled graph with scipy already loaded, and commands
-that never factorize Q load neither scipy.linalg nor scipy.sparse: `diagnose`
-and `blv`, whose smoothing model samples no alpha and writes no DIC, run on
-numpy alone.
+The reverse-Cuthill-McKee ordering is womble.graph's, on numpy. scipy.linalg
+is imported by the band plan (its banded Cholesky) and by the resistance
+recursion, not by this module: `run_chains` builds the plan in the parent
+process before the chains fork, so pool workers receive it inside the
+pickled graph with scipy.linalg already loaded, and commands that never
+factorize Q load no scipy at all: `diagnose` and `blv`, whose smoothing
+model samples no alpha and writes no DIC, run on numpy alone.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
-                    adjacency_from_w, evaluate_w)
+                    adjacency_from_w, evaluate_w, reverse_cuthill_mckee)
 
 RHO = 0.99  # the dependence parameter every fit uses
 
@@ -57,14 +58,10 @@ class _BandPlan:
 
     def __init__(self, graph: AreaGraph):
         from scipy.linalg import cholesky_banded
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         n, borders = graph.n, graph.borders
-        pattern = csr_matrix((np.ones(len(borders)), borders.T), shape=(n, n))
-        perm = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
         pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n)
+        pos[reverse_cuthill_mckee(graph)] = np.arange(n)
         pk, pj = pos[borders[:, 0]], pos[borders[:, 1]]
         self.offsets = np.abs(pk - pj)
         self.low = np.minimum(pk, pj)

@@ -70,23 +70,8 @@ class AreaGraph:
 
     @cached_property
     def n_components(self) -> int:
-        """Connected-component count. Disconnection is legal, just reported.
-
-        Min-label propagation: every area points at a smaller or equal one
-        of its component; each round flattens the pointers to roots (pointer
-        jumping), then hooks the larger root of each border that joins two
-        onto the smaller. When no border joins two roots, each component
-        has one, its smallest area."""
-        label = np.arange(self.n)
-        k, j = self.borders.T
-        while True:
-            while not np.array_equal(label[label], label):
-                label = label[label]
-            a, b = label[k], label[j]
-            joins = a != b
-            if not joins.any():
-                return len(np.unique(label))
-            np.minimum.at(label, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+        """Connected-component count. Disconnection is legal, just reported."""
+        return len(np.unique(_component_roots(self.n, self.borders)))
 
     @cached_property
     def incidence(self):
@@ -122,6 +107,72 @@ class AreaGraph:
     def __repr__(self):
         return (f"AreaGraph(n={self.n}, borders={self.n_borders}, "
                 f"components={self.n_components})")
+
+
+def _component_roots(n: int, borders: np.ndarray) -> np.ndarray:
+    """(n,) each area's smallest area in its component.
+
+    Min-label propagation: every area points at a smaller or equal one of
+    its component; each round flattens the pointers to roots (pointer
+    jumping), then hooks the larger root of each border that joins two onto
+    the smaller. When no border joins two roots, each component has one,
+    its smallest area."""
+    label = np.arange(n)
+    k, j = borders.T
+    while True:
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        a, b = label[k], label[j]
+        joins = a != b
+        if not joins.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+
+
+def reverse_cuthill_mckee(graph: AreaGraph) -> np.ndarray:
+    """(n,) reverse Cuthill-McKee ordering of the areas (Cuthill & McKee
+    1969; George & Liu 1981), the permutation that scipy.sparse.csgraph's
+    reverse_cuthill_mckee gives for the contiguity pattern.
+
+    Each component is searched breadth first from its first area in
+    np.argsort order of the int32 degrees, one of lowest degree. The
+    unvisited neighbours of a level are claimed by their first parent in
+    level order, in ascending index (the order of graph.incidence), and then
+    stably sorted by degree within that parent. Components follow one
+    another in the order of their first areas, and the whole order is
+    reversed. Every component's search advances one level per round, so an
+    area of degree 0, a component of its own, costs no round.
+    """
+    n = graph.n
+    nbrs, _ = graph.incidence
+    flat = np.concatenate(nbrs)
+    degree = np.bincount(graph.borders.ravel(), minlength=n).astype(np.int32)
+    starts = np.cumsum(degree, dtype=np.int64) - degree
+    by_degree = np.argsort(degree)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_degree] = np.arange(n)
+    # each area's component, as the rank of the component's first area
+    component = _component_roots(n, rank[graph.borders])[rank]
+    level = by_degree[np.unique(component)]
+    visited = np.zeros(n, dtype=bool)
+    visited[level] = True
+    levels = [level]
+    while level.size:
+        # every neighbour of the level, parent by parent
+        counts = degree[level]
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(level.size), counts)
+        reached = flat[np.arange(ends[-1]) + np.repeat(starts[level] - ends + counts, counts)]
+        fresh = ~visited[reached]
+        reached, parent = reached[fresh], parent[fresh]
+        _, first = np.unique(reached, return_index=True)
+        first.sort()
+        reached, parent = reached[first], parent[first]
+        level = reached[np.lexsort((degree[reached], parent))]
+        visited[level] = True
+        levels.append(level)
+    order = np.concatenate(levels)
+    return order[np.argsort(component[order], kind="stable")][::-1]
 
 
 def build_graph(adjacency_input, area_ids=None, polygons=None) -> AreaGraph:

@@ -49,15 +49,16 @@ Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
 whether chains run sequentially or in a process pool. The graph's band plan
-(RCM ordering and scipy's banded Cholesky) and the run's _LogDets, with
-metrics, and ln(y!), when the caller asks for the per-draw deviance (as
-`fit`, which writes the DIC, does), are built in the parent before the pool
-forks. The pool's workers get the graph, the data, the settings and
-the _LogDets once (each its own memo), through its initializer (inherited,
-not pickled, where the pool forks), with the scipy modules they use already
-loaded, and each task carries only its chain index. Without metrics nothing
-reads log|Q|, so a run factorizes nothing and loads no scipy.linalg or
-scipy.sparse; without the deviance it loads no scipy.special.
+(womble.graph's RCM ordering and scipy.linalg's banded Cholesky) and the
+run's _LogDets, with metrics, and ln(y!), when the caller asks for the
+per-draw deviance (as `fit`, which writes the DIC, does), are built in the
+parent before the pool forks. The pool's workers get the graph, the data,
+the settings and the _LogDets once (each its own memo), through its
+initializer (inherited, not pickled, where the pool forks), with
+scipy.linalg already loaded where they use it, and each task carries only
+its chain index. Without metrics nothing reads log|Q|, so a run factorizes
+nothing and loads no scipy; ln(y!) is a port of Cephes lgam on the standard
+library (_log_factorial), so the deviance loads none either.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices through _DrawLayout.writer: phi in buffers of a few megabytes
@@ -143,12 +144,50 @@ class ObservedData:
 
     @cached_property
     def lgamma_y(self) -> np.ndarray:
-        """ln(y!) per area, built on first use (it imports scipy.special)
-        and kept."""
-        from scipy.special import gammaln
-        lgamma_y = gammaln(self.y + 1.0)
+        """ln(y!) per area (`_log_factorial`), built on first use and kept."""
+        lgamma_y = _log_factorial(self.y)
         lgamma_y.setflags(write=False)
         return lgamma_y
+
+
+# Cephes lgam (Moshier), the ln Gamma of scipy.special.gammaln: the
+# coefficients of its Stirling correction below 1000, ln sqrt(2 pi), and the
+# argument above which ln Gamma overflows
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+
+
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """ln(y!) for an array of non-negative integer-valued floats, bit for bit
+    what scipy.special.gammaln(y + 1) gives, once per distinct count."""
+    values, inverse = np.unique(y, return_inverse=True)
+    return np.array([_lgam(v + 1.0) for v in values.tolist()], dtype=float)[inverse]
+
+
+def _lgam(x: float) -> float:
+    """Cephes lgam at an integer x >= 1: below 13 the log of the exact
+    product (x - 1)!; above, the Stirling series, with the polynomial
+    correction below 1000, the short one up to 1e8 and none beyond, and inf
+    above _MAXLGM. Each log is libm's, through math.log, as Cephes takes it:
+    numpy's vectorized log may round differently."""
+    if x < 13.0:
+        return math.log(float(math.factorial(int(x) - 1)))
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        a = a * p + c
+    return q + a / x
 
 
 @dataclass(frozen=True)

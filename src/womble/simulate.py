@@ -19,7 +19,9 @@ depends strongly on it (larger values bury the k1 step under smooth field
 variation), and it is exposed as configuration.
 
 scipy is imported inside the functions that call it, so importing this
-module (and the CLI) loads numpy alone.
+module (and the CLI) loads numpy alone. A study loads scipy.linalg, for the
+band plan's banded Cholesky (its RCM ordering is numpy's), and scipy.special
+only for a Matern smoothness other than 2.5.
 """
 
 import math
@@ -362,8 +364,9 @@ def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
     if not tb.any() or tb.all():
         raise ValidationError("partition must yield both boundaries and non-boundaries")
     # built before the pool forks: the surface and band plans reach every
-    # worker inside the graph, which each task shares rather than carries.
-    # The replicates write no DIC, so nothing needs ln(y!) or scipy.special
+    # worker inside the graph, which each task shares rather than carries,
+    # with scipy.linalg loaded. The replicates write no DIC, so nothing
+    # builds ln(y!)
     _prepare(config)
     _band_plan(config.graph)
     results = run_tasks(_replicate_result, (config, chain_config),

@@ -488,10 +488,11 @@ class TestRetainedPhiReadOnce:
 
 
 class TestStartupImports:
-    """Importing womble, building ObservedData and running diagnose or blv
-    load numpy but not scipy: blv never factorizes Q and writes no DIC, so
-    it needs no ln(y!). fit imports scipy.special for the DIC and, with
-    metrics, the banded Cholesky's modules; simulate those alone."""
+    """Importing womble, building ObservedData and running diagnose, blv or
+    a metric-free fit load numpy but not scipy: without metrics nothing
+    factorizes Q, and ln(y!) for the DIC is computed without scipy. fit with
+    metrics and simulate load scipy.linalg for the banded Cholesky, and
+    neither scipy.sparse nor scipy.special."""
 
     @pytest.mark.parametrize("module", ["womble", "womble.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -519,19 +520,20 @@ class TestStartupImports:
                 "--burnin", "10", "--keep", "2", "--out", str(tmp_path / "out")]
         code = f"from womble.cli import main\nassert main({argv!r}) == 0"
         loaded = scipy_modules_after(code)
-        for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.special"):
-            assert repr(name) in loaded
+        assert repr("scipy.linalg") in loaded
+        # the RCM ordering and ln(y!) are computed on numpy
+        assert "scipy.sparse" not in loaded and "scipy.special" not in loaded
 
-    def test_metric_free_fit_loads_scipy_special_alone(self, tmp_path):
-        # no alpha, so no band plan; the components are counted on numpy
+    def test_metric_free_fit_loads_no_scipy(self, tmp_path):
+        # no alpha, so no band plan; the components are counted, and ln(y!)
+        # for the DIC computed, without scipy
         _, paths = write_dataset(tmp_path, metric=False)
         argv = ["fit", "--areas", str(paths["areas"]),
                 "--adjacency", str(paths["adjacency"]), "--chains", "1",
                 "--burnin", "10", "--keep", "2", "--out", str(tmp_path / "out")]
         code = f"from womble.cli import main\nassert main({argv!r}) == 0"
-        loaded = scipy_modules_after(code)
-        assert repr("scipy.special") in loaded
-        assert "scipy.linalg" not in loaded and "scipy.sparse" not in loaded
+        assert scipy_modules_after(code) == "[]"
+        assert (tmp_path / "out" / "dic.csv").exists()
 
     def test_blv_loads_no_scipy(self, tmp_path):
         # the smoothing model samples no alpha, so nothing reads log|Q|: no
@@ -545,15 +547,16 @@ class TestStartupImports:
         assert scipy_modules_after(code) == "[]"
 
     def test_simulate_loads_no_scipy_special(self, tmp_path):
-        # at the default kappa the Matern kernel has a closed form, and the
-        # replicates, run in this process, write no DIC
+        # at the default kappa the Matern kernel has a closed form, the
+        # replicates, run in this process, write no DIC, and the band plan's
+        # ordering is computed on numpy
         argv = ["simulate", "--nrows", "8", "--ncols", "8", "--replicates", "2",
                 "--chains", "1", "--burnin", "10", "--keep", "5",
                 "--out", str(tmp_path / "sim")]
         code = f"from womble.cli import main\nassert main({argv!r}) == 0"
         loaded = scipy_modules_after(code)
         assert repr("scipy.linalg") in loaded
-        assert "scipy.special" not in loaded
+        assert "scipy.special" not in loaded and "scipy.sparse" not in loaded
 
     def test_observed_data_loads_no_scipy(self):
         # y and E are still checked when the object is built

@@ -7,7 +7,8 @@ from oracles import random_graph
 from womble import (ConstantMetricError, ValidationError, build_graph,
                     compute_border_metrics)
 from womble.graph import (AreaGraph, DissimilarityData, alpha_min,
-                          alpha_natural_limit, alpha_prior_upper, evaluate_w)
+                          alpha_natural_limit, alpha_prior_upper, evaluate_w,
+                          reverse_cuthill_mckee)
 from womble.simulate import lattice_graph
 
 LN2 = np.log(2.0)
@@ -19,6 +20,74 @@ def scipy_components(n, borders):
     k, j = np.asarray(borders, dtype=np.int64).reshape(-1, 2).T
     adj = csr_matrix((np.ones(k.size), (k, j)), shape=(n, n))
     return int(connected_components(adj, directed=False)[0])
+
+
+def scipy_rcm(graph):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee as rcm
+    n, borders = graph.n, graph.borders
+    pattern = csr_matrix((np.ones(len(borders)), borders.T), shape=(n, n))
+    return rcm(pattern + pattern.T, symmetric_mode=True)
+
+
+def delaunay_graph(n, seed):
+    """The Delaunay triangulation of n seeded uniform points: a map whose
+    areas have irregular degrees, unlike a lattice's."""
+    from scipy.spatial import Delaunay
+    tri = Delaunay(np.random.default_rng(seed).random((n, 2))).simplices
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
+    return AreaGraph(n, np.unique(edges, axis=0))
+
+
+class TestReverseCuthillMcKee:
+    """The band plan's ordering is scipy's reverse_cuthill_mckee permutation
+    exactly, so every banded factor, and every output, is the same."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        (1, 1), (1, 2), (1, 7), (7, 1), (1, 40), (40, 1), (3, 50),
+        (16, 16), (64, 64), (128, 128)])
+    def test_lattices(self, rows, cols):
+        g = lattice_graph(rows, cols)
+        assert np.array_equal(reverse_cuthill_mckee(g), scipy_rcm(g))
+
+    @pytest.mark.parametrize("n", [300, 7000])
+    def test_delaunay_maps(self, n):
+        g = delaunay_graph(n, seed=n)
+        assert np.array_equal(reverse_cuthill_mckee(g), scipy_rcm(g))
+
+    def test_random_graphs(self):
+        # isolated areas and several components, areas in no particular order
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            n, borders = random_graph(rng, n_max=60, n_min=1, p=rng.uniform(0.0, 0.12))
+            g = AreaGraph(n, rng.permutation(n)[borders])
+            assert np.array_equal(reverse_cuthill_mckee(g), scipy_rcm(g))
+        for n, n_borders in [(1000, 400), (3000, 4000), (2000, 2500)]:
+            pairs = rng.integers(0, n, size=(n_borders, 2))
+            pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+            g = AreaGraph(n, pairs)
+            assert g.n_components > 1
+            assert np.array_equal(reverse_cuthill_mckee(g), scipy_rcm(g))
+
+    def test_borderless(self):
+        for n in (1, 5, 40, 3000):
+            g = AreaGraph(n, np.zeros((0, 2), dtype=np.int64))
+            assert np.array_equal(reverse_cuthill_mckee(g), scipy_rcm(g))
+
+    def test_components_are_searched_together(self, monkeypatch):
+        # 600 isolated areas and 200 separate pairs: one round reaches every
+        # pair's second area and one finds nothing more, so the search takes
+        # two rounds, not one per component
+        pairs = 600 + 2 * np.arange(200)
+        g = AreaGraph(1000, np.column_stack([pairs, pairs + 1]))
+        rounds = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: rounds.append(1) or lexsort(keys))
+        order = reverse_cuthill_mckee(g)
+        monkeypatch.undo()
+        assert len(rounds) == 2
+        assert np.array_equal(order, scipy_rcm(g))
 
 
 class TestBuildGraph:

@@ -1179,10 +1179,8 @@ class TestBandPlanBeforeFork:
                             logged("resistances", car._resistances))
         monkeypatch.setattr(mcmc, "build_precision",
                             logged("factorize", mcmc.build_precision))
-        # ObservedData.lgamma_y imports it from scipy.special when called
-        import scipy.special
-        monkeypatch.setattr(scipy.special, "gammaln",
-                            logged("lgamma", scipy.special.gammaln))
+        monkeypatch.setattr(mcmc, "_log_factorial",
+                            logged("lgamma", mcmc._log_factorial))
         return lambda kind: [pid for k, pid in map(str.split, log.read_text().splitlines())
                              if k == kind]
 
@@ -1606,6 +1604,39 @@ class TestObservedData:
         # a pickled copy, as a spawned worker receives it, keeps them
         assert pickle.loads(pickle.dumps(data)).__dict__["lgamma_y"].tobytes() == (
             lgamma_y.tobytes())
+
+
+class TestLogFactorial:
+    """ln(y!) is a port of Cephes lgam, bit for bit scipy.special.gammaln(y + 1),
+    so the DIC and the deviance rows stay byte-identical."""
+
+    @staticmethod
+    def assert_gammaln(y):
+        y = np.asarray(y, dtype=float)
+        got = mcmc._log_factorial(y)
+        assert got.tobytes() == gammaln(y + 1.0).tobytes()
+
+    def test_small_counts(self):
+        self.assert_gammaln(np.arange(200_001))
+
+    def test_branch_edges(self):
+        # x = y + 1 around 13 (the exact product), 1000 (the short series)
+        # and 1e8 (no correction), and past MAXLGM (inf)
+        edges = [x - 1 + d for x in (13.0, 1000.0, 1e8) for d in range(-3, 4)]
+        top = [mcmc._MAXLGM, np.nextafter(mcmc._MAXLGM, np.inf), 1e306, 1.7e308]
+        y = np.floor(np.array(edges + top))
+        self.assert_gammaln(y)
+        assert np.isinf(mcmc._log_factorial(y[-3:])).all()
+
+    def test_seeded_large_counts(self):
+        y = np.floor(np.random.default_rng(2027).random(20_000) * 1e12)
+        self.assert_gammaln(y)
+
+    def test_repeated_counts(self):
+        y = np.array([5.0, 0.0, 5.0, 1e9, 0.0, 5.0])
+        got = mcmc._log_factorial(y)
+        assert got.tobytes() == gammaln(y + 1.0).tobytes()
+        assert got.shape == y.shape
 
 
 class TestAlphaConcentration:
