@@ -15,10 +15,11 @@ log |Q| enters the sampler's ratio for every alpha proposal that changes the
 border assignment, so it is computed through a banded Cholesky factorization
 under a reverse-Cuthill-McKee ordering. The ordering, bandwidth, and banded
 index layout depend only on the contiguity pattern, never on which borders
-are currently severed, so the symbolic work is done once per graph and each
-evaluation is a vectorized assembly plus one LAPACK pbtrf call. The result
-is a deterministic function of the assignment, which lets the chains one
-process runs share one memo of it per run (see womble.mcmc._LogDets).
+are currently severed, so the symbolic work (a _BandPlan) is done once per
+run and each evaluation is a vectorized assembly plus one LAPACK pbtrf call.
+The result is a deterministic function of the assignment, which lets the
+chains one process runs share one memo of it per run (see
+womble.mcmc._LogDets).
 
 `cut_bounds` gives, per border b, h_b = ln(1 - rho R_b) < 0, with R_b the
 border's resistance under Q with every border kept. Severing a set F of
@@ -30,19 +31,21 @@ reaches: restoring a set F onto any reachable assignment raises log |Q| by
 at most the sum of g_b over F, which lets the sampler reject a
 border-restoring proposal without factorizing.
 Resistances are read from the band of the inverse of Q(w) by a block
-Takahashi recursion over the same banded factor; `run_chains` calls both
-functions once per run, before the chains start.
+Takahashi recursion over the same banded factor; `run_chains` builds one
+plan per run and calls both functions with it once, before the chains start.
 
 The reverse-Cuthill-McKee ordering is womble.graph's, on numpy. scipy.linalg
 is imported by the band plan (its banded Cholesky) and by the resistance
 recursion, not by this module: `run_chains` builds the plan in the parent
-process before the chains fork, so pool workers receive it inside the
-pickled graph with scipy.linalg already loaded, and commands that never
-factorize Q load no scipy at all: `diagnose` and `blv`, whose smoothing
-model samples no alpha and writes no DIC, run on numpy alone.
+process before the chains fork, so pool workers inherit it with scipy.linalg
+already loaded, and commands that never factorize Q load no scipy at all:
+`diagnose` and `blv`, whose smoothing model samples no alpha and writes no
+DIC, run on numpy alone.
 """
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -53,7 +56,7 @@ RHO = 0.99  # the dependence parameter every fit uses
 
 
 class _BandPlan:
-    """Per-graph symbolic layout for banded assembly of Q, and the banded
+    """One graph's symbolic layout for banded assembly of Q, and the banded
     Cholesky factorizer that uses it."""
 
     def __init__(self, graph: AreaGraph):
@@ -63,19 +66,25 @@ class _BandPlan:
         pos = np.empty(n, dtype=np.int64)
         pos[reverse_cuthill_mckee(graph)] = np.arange(n)
         pk, pj = pos[borders[:, 0]], pos[borders[:, 1]]
+        self.graph = graph
         self.offsets = np.abs(pk - pj)
         self.low = np.minimum(pk, pj)
         self.bandwidth = int(self.offsets.max(initial=0))
         self.pos = pos
         self.cholesky_banded = cholesky_banded
 
-
-def _band_plan(graph: AreaGraph) -> _BandPlan:
-    plan = graph._cache.get("band_plan")
-    if plan is None:
-        plan = _BandPlan(graph)
-        graph._cache["band_plan"] = plan
-    return plan
+    def factor(self, adj: AdjacencyState, rho: float) -> np.ndarray:
+        """The lower banded Cholesky factor of Q for one assignment of this
+        plan's graph, in the plan's ordering: factor[d, c] = L[c + d, c]."""
+        # Fortran order lets LAPACK factorize the fresh buffer in place
+        ab = np.zeros((self.bandwidth + 1, self.graph.n), order="F")
+        ab[0, self.pos] = precision_diagonal(adj, rho)
+        ab[self.offsets, self.low] = -rho * adj.w.astype(np.float64)
+        try:
+            return self.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                        check_finite=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
+            raise NumericError(f"precision factorization failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -94,53 +103,41 @@ def precision_diagonal(adj: AdjacencyState, rho: float) -> np.ndarray:
     return rho * adj.row_sums + (1.0 - rho)
 
 
-def _factor(adj: AdjacencyState, rho: float):
-    """The band plan and the lower banded Cholesky factor of Q for one
-    assignment, in the plan's ordering: factor[d, c] = L[c + d, c]."""
-    graph = adj.graph
-    plan = _band_plan(graph)
-    # Fortran order lets LAPACK factorize the fresh buffer in place
-    ab = np.zeros((plan.bandwidth + 1, graph.n), order="F")
-    ab[0, plan.pos] = precision_diagonal(adj, rho)
-    ab[plan.offsets, plan.low] = -rho * adj.w.astype(np.float64)
-    try:
-        factor = plan.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                      check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - PD by construction
-        raise NumericError(f"precision factorization failed: {exc}") from exc
-    return plan, factor
-
-
-def build_precision(adj: AdjacencyState, rho: float) -> PrecisionStructure:
-    """Assemble and factorize Q for one adjacency assignment.
+def build_precision(adj: AdjacencyState, rho: float,
+                    plan: Optional[_BandPlan] = None) -> PrecisionStructure:
+    """Assemble and factorize Q for one adjacency assignment, through `plan`
+    (a _BandPlan of adj's graph), or through a plan of its own if none.
 
     Positive definiteness is guaranteed for rho in [0, 1); a factorization
     failure therefore signals a programming error, not bad input.
     """
     if not 0.0 <= rho < 1.0:
         raise ValidationError("rho must lie in [0, 1)")
-    _, factor = _factor(adj, rho)
-    log_det = 2.0 * float(np.log(factor[0]).sum())
+    if plan is None:
+        plan = _BandPlan(adj.graph)
+    log_det = 2.0 * float(np.log(plan.factor(adj, rho)[0]).sum())
     return PrecisionStructure(adj=adj, rho=rho, log_det=log_det)
 
 
-def cut_bounds(graph: AreaGraph, rho: float) -> np.ndarray:
+def cut_bounds(plan: _BandPlan, rho: float) -> np.ndarray:
     """(B,) h_b = ln(1 - rho R_b), where R_b = (e_k - e_j)^T Q_all^{-1}
-    (e_k - e_j) is border b's resistance with every border kept.
+    (e_k - e_j) is border b's resistance with every border of the plan's
+    graph kept.
 
     Severing a set F of retained borders from any assignment w changes log|Q|
     by at most sum_{b in F} h_b: by the determinant lemma and Hadamard's
     inequality the change is at most sum_F ln(1 - rho R_b(w)), and
     R_b(w) >= R_b because Q(w) <= Q_all.
     """
+    graph = plan.graph
     every = adjacency_from_w(graph, np.ones(graph.n_borders, dtype=np.uint8))
-    return np.log1p(-rho * _resistances(every, rho))
+    return np.log1p(-rho * _resistances(plan, every, rho))
 
 
-def restore_bounds(graph: AreaGraph, rho: float, dis: DissimilarityData,
+def restore_bounds(plan: _BandPlan, rho: float, dis: DissimilarityData,
                    M: np.ndarray) -> np.ndarray:
     """(B,) g_b = ln(1 + rho R'_b), where R'_b is border b's resistance under
-    Q(w_M) and w_M = evaluate_w(graph, dis, M).
+    Q(w_M) and w_M = evaluate_w(graph, dis, M), graph the plan's.
 
     w never grows with any alpha_i, so every assignment alpha <= M reaches
     contains w_M, and Q(w) >= Q(w_M). Restoring a border b that w severs
@@ -148,16 +145,16 @@ def restore_bounds(graph: AreaGraph, rho: float, dis: DissimilarityData,
     resistance falling as Q grows), so restoring a set F raises log|Q| by at
     most sum_{b in F} g_b; only borders that w_M severs are ever restored.
     """
-    return np.log1p(rho * _resistances(evaluate_w(graph, dis, M), rho))
+    return np.log1p(rho * _resistances(plan, evaluate_w(plan.graph, dis, M), rho))
 
 
-def _resistances(adj: AdjacencyState, rho: float) -> np.ndarray:
+def _resistances(plan: _BandPlan, adj: AdjacencyState, rho: float) -> np.ndarray:
     """R_b = (e_k - e_j)^T Sigma (e_k - e_j) for every border, from the band
-    of Sigma = Q(w)^{-1}, w the assignment `adj`.
+    of Sigma = Q(w)^{-1}, w the assignment `adj` of the plan's graph.
 
-    The band ordering is the full graph's, so it holds every border whether
-    w keeps it or not, and makes Q(w) block tridiagonal in blocks of the
-    bandwidth: both ends of a border lie in one block or in adjacent ones.
+    The plan's band ordering is the full graph's, so it holds every border
+    whether w keeps it or not, and makes Q(w) block tridiagonal in blocks of
+    the bandwidth: both ends of a border lie in one block or in adjacent ones.
     With D_I and C_I the diagonal and subdiagonal blocks of its Cholesky
     factor and G_I = C_I D_I^{-1}, the block Takahashi recursion runs from
     the last block up:
@@ -170,11 +167,10 @@ def _resistances(adj: AdjacencyState, rho: float) -> np.ndarray:
     """
     from scipy.linalg import solve_triangular
 
-    graph = adj.graph
-    n, n_borders = graph.n, graph.n_borders
+    n, n_borders = plan.graph.n, plan.graph.n_borders
     if n_borders == 0:
         return np.zeros(0)
-    plan, factor = _factor(adj, rho)
+    factor = plan.factor(adj, rho)
     size, low = plan.bandwidth, plan.low
     high = low + plan.offsets
     diag = np.empty(n)

@@ -26,7 +26,7 @@ from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
                        classify_boundaries, classify_effect)
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
-from .graph import alpha_min, build_graph, compute_border_metrics
+from .graph import AreaGraph, alpha_min, build_graph, compute_border_metrics
 from .mcmc import (ChainConfig, ObservedData, alpha_upper_bounds, dic,
                    median_interval, run_chains)
 from .simulate import SimConfig, five_block_partition, lattice_graph, run_study
@@ -167,11 +167,14 @@ def _chain_config(args) -> ChainConfig:
 
 
 def _load_graph(args, area_ids):
-    adj_input = io.read_adjacency(args.adjacency, area_ids)
+    adjacency, is_matrix = io.read_adjacency(args.adjacency, area_ids)
     polygons = None
     if getattr(args, "geojson", None):
         polygons = io.read_geojson_polygons(args.geojson, area_ids)
-    return build_graph(adj_input, area_ids=area_ids, polygons=polygons)
+    if is_matrix:
+        return build_graph(adjacency, area_ids=area_ids, polygons=polygons)
+    # not through build_graph, which reads any (2, 2) 0/1 array as a matrix
+    return AreaGraph(len(area_ids), adjacency, area_ids, polygons=polygons)
 
 
 def _fit_outputs(out, samples, data, graph, dis):
@@ -308,7 +311,7 @@ def cmd_simulate(args) -> int:
     # every cell shares one surface; set up here, a NumericError exits
     # before --out exists. It goes through the module so that a wrapper on
     # simulate._prepare (bench/traced.py) times the set-up.
-    simulate._prepare(configs[0])
+    surface = simulate._prepare(configs[0])
     out = io.ensure_outdir(args.out)
     scores = []
     for detail, config in zip(cells, configs):
@@ -316,7 +319,7 @@ def cmd_simulate(args) -> int:
         if args.verbose:
             print(f"simulate: cell k1={k1:g} k2={k2:g} "
                   f"lattice={args.nrows}x{args.ncols} reps={args.replicates}")
-        score = run_study(config, chain_cfg)
+        score = run_study(config, chain_cfg, surface=surface)
         scores.append(score)
         io.write_replicates_csv(score, out / detail)
         if args.verbose:
@@ -357,8 +360,7 @@ def _expected_counts(args, graph):
 def cmd_diagnose(args) -> int:
     fit_dir = Path(args.fit_dir)
     ids, y, E, r_med, resid = io.read_residuals_csv(fit_dir / "residuals.csv")
-    adj_input = io.read_adjacency(args.adjacency, ids)
-    graph = build_graph(adj_input, area_ids=ids)
+    graph = _load_graph(args, ids)
     result = moran_permutation_test(resid, graph, n_perm=args.n_perm,
                                     seed=args.seed)
     out = io.ensure_outdir(args.out) if args.out else fit_dir

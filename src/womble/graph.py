@@ -62,7 +62,6 @@ class AreaGraph:
         self.area_ids = tuple(area_ids)
         self.centroids = None if centroids is None else np.asarray(centroids, dtype=float)
         self.polygons = polygons
-        self._cache: dict = {}
 
     @property
     def n_borders(self) -> int:

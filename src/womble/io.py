@@ -110,7 +110,9 @@ def read_adjacency(path, area_ids):
 
     A file with exactly n rows of n fields, all 0/1, is a matrix (rows in
     areas-file order); anything else is a pair list of area ids with an
-    optional `area_id_1,area_id_2` header. Returns input for build_graph.
+    optional `area_id_1,area_id_2` header. Returns (adjacency, is_matrix):
+    the n x n matrix, or the (B, 2) area-index pairs, which the caller builds
+    as pairs whatever their shape.
     """
     n = len(area_ids)
     with open(path, newline="") as fh:
@@ -120,7 +122,7 @@ def read_adjacency(path, area_ids):
     stripped = [[c.strip() for c in row] for row in rows]
     if (len(stripped) == n and all(len(r) == n for r in stripped)
             and all(c in ("0", "1") for r in stripped for c in r)):
-        return np.array([[int(c) for c in r] for r in stripped], dtype=np.int64)
+        return np.array([[int(c) for c in r] for r in stripped], dtype=np.int64), True
     body = stripped
     if body and [c.lower() for c in body[0]] == ["area_id_1", "area_id_2"]:
         body = body[1:]
@@ -135,7 +137,7 @@ def read_adjacency(path, area_ids):
             raise ValidationError(f"{path}: unknown area_id {exc.args[0]!r}") from None
     if not pairs:
         raise ValidationError(f"{path}: no border pairs")
-    return np.array(pairs, dtype=np.int64)
+    return np.array(pairs, dtype=np.int64), False
 
 
 def read_geojson_polygons(path, area_ids):

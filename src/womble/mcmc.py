@@ -48,17 +48,17 @@ and takes each colour's conditional moments from car.conditional_moments.
 Chains are independent: each derives its own random stream from
 (seed, chain index) and owns all mutable state but the log|Q| memo, whose
 entries are the same whichever chain made them, so results are identical
-whether chains run sequentially or in a process pool. The graph's band plan
-(womble.graph's RCM ordering and scipy.linalg's banded Cholesky) and the
-run's _LogDets, with metrics, and ln(y!), when the caller asks for the
-per-draw deviance (as `fit`, which writes the DIC, does), are built in the
-parent before the pool forks. The pool's workers get the graph, the data,
-the settings and the _LogDets once (each its own memo), through its
-initializer (inherited, not pickled, where the pool forks), with
-scipy.linalg already loaded where they use it, and each task carries only
-its chain index. Without metrics nothing reads log|Q|, so a run factorizes
-nothing and loads no scipy; ln(y!) is a port of Cephes lgam on the standard
-library (_log_factorial), so the deviance loads none either.
+whether chains run sequentially or in a process pool. The run's _LogDets,
+with metrics (its band plan: womble.graph's RCM ordering and scipy.linalg's
+banded Cholesky), and ln(y!), when the caller asks for the per-draw deviance
+(as `fit`, which writes the DIC, does), are built in the parent before the
+pool forks. The pool's workers get the graph, the data, the settings and
+the _LogDets once (each its own memo), through its initializer (inherited,
+not pickled, where the pool forks), with scipy.linalg already loaded where
+they use it, and each task carries only its chain index. Without metrics
+nothing reads log|Q|, so a run factorizes nothing and loads no scipy; ln(y!)
+is a port of Cephes lgam on the standard library (_log_factorial), so the
+deviance loads none either.
 
 Retained phi and w go to one temporary file under TMPDIR, each chain writing
 its own slices through _DrawLayout.writer: phi in buffers of a few megabytes
@@ -85,9 +85,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .car import (RHO, PrecisionStructure, build_precision, conditional_moments,
-                  cut_bounds, log_density_phi, precision_diagonal,
-                  precision_quadform, quadform_terms, restore_bounds)
+from .car import (RHO, PrecisionStructure, _BandPlan, build_precision,
+                  conditional_moments, cut_bounds, log_density_phi,
+                  precision_diagonal, precision_quadform, quadform_terms,
+                  restore_bounds)
 from .errors import NumericError, ValidationError
 from .graph import (AdjacencyState, AreaGraph, DissimilarityData,
                     adjacency_from_w, alpha_prior_upper, evaluate_w)
@@ -244,45 +245,45 @@ class ModelState:
 
 class _LogDets:
     """One run's log|Q| at `rho`, memoized per process (packed assignment ->
-    log|Q|, the oldest of over LOGDET_MEMO_CAP evicted), and the alpha block's
-    (cut, restore) bounds at rho and M; built only when alpha is sampled."""
+    log|Q|, the oldest of over LOGDET_MEMO_CAP evicted), through the run's
+    one band plan, and the alpha block's (cut, restore) bounds at rho and M;
+    built only when alpha is sampled."""
 
-    def __init__(self, rho: float, bounds: tuple):
-        self.rho, self.bounds, self.memo = rho, bounds, {}
+    def __init__(self, graph: AreaGraph, rho: float, dis: DissimilarityData,
+                 M: np.ndarray):
+        self.plan, self.rho, self.memo = _BandPlan(graph), rho, {}
+        self.bounds = (cut_bounds(self.plan, rho),
+                       restore_bounds(self.plan, rho, dis, M))
 
     def __call__(self, adj: AdjacencyState) -> float:
         log_det = self.memo.get(adj.key)
         if log_det is None:
-            log_det = self.memo[adj.key] = build_precision(adj, self.rho).log_det
+            log_det = self.memo[adj.key] = build_precision(adj, self.rho, self.plan).log_det
             while len(self.memo) > LOGDET_MEMO_CAP:
                 del self.memo[next(iter(self.memo))]
         return log_det
 
 
-def _sweep_tables(graph: AreaGraph) -> list:
-    """Per-colour edge incidence (members, rows, nbr, bidx), once per graph."""
-    tables = graph._cache.get("sweep_tables")
-    if tables is None:
-        nbrs, bids = graph.incidence
-        tables = [(members,
-                   np.repeat(np.arange(members.shape[0]), [len(nbrs[k]) for k in members]),
-                   np.concatenate([nbrs[k] for k in members]),
-                   np.concatenate([bids[k] for k in members]))
-                  for members in graph.coloring]
-        graph._cache["sweep_tables"] = tables
-    return tables
-
-
 class _Sweep:
-    """One chain's per-colour phi-sweep inputs: y and E gathers, and per
-    assignment the border weights and Q's diagonal."""
+    """One chain's phi-sweep inputs: per colour its edge incidence (members,
+    rows, nbr, bidx), the y and E gathers of `data`, and per assignment the
+    border weights and Q's diagonal."""
 
     def __init__(self, graph: AreaGraph, data: Optional[ObservedData]):
-        self.tables = _sweep_tables(graph)
+        nbrs, bids = graph.incidence
+        self.tables = [(members,
+                        np.repeat(np.arange(members.shape[0]),
+                                  [len(nbrs[k]) for k in members]),
+                        np.concatenate([nbrs[k] for k in members]),
+                        np.concatenate([bids[k] for k in members]))
+                       for members in graph.coloring]
+        self.observe(data)
+        self.adj = self.rho = None
+
+    def observe(self, data: Optional[ObservedData]):
         self.data = data
         self.obs = [(None, None) if data is None else (data.y[t[0]], data.E[t[0]])
                     for t in self.tables]
-        self.adj = self.rho = None
 
     def weights(self, adj: AdjacencyState, rho: float) -> list:
         if adj is not self.adj or rho != self.rho:
@@ -304,8 +305,10 @@ def update_phi(state: ModelState, data: Optional[ObservedData],
     CAR prior alone (used by sampler-validation tests).
     """
     sweep = state.sweep
-    if sweep is None or sweep.data is not data:
+    if sweep is None:
         sweep = state.sweep = _Sweep(state.adj.graph, data)
+    elif sweep.data is not data:
+        sweep.observe(data)
     mu, tau2, rho, phi = state.mu, state.tau2, state.rho, state.phi
     accept = np.zeros(phi.shape[0], dtype=bool)
     for (members, rows, nbr, _), (wsel, diag), (y, E) in zip(
@@ -700,20 +703,16 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     The Poisson deviance of each retained draw, which only the DIC reads, is
     computed when `deviance` is set, and `samples.deviance` is None if not.
 
-    With metrics, the graph's band plan and the run's _LogDets (a log|Q|
-    memo freed with the run, and the alpha block's bounds) are built here,
-    before the pool forks; without them nothing reads log|Q| and neither is
-    built. ln(y!) is built here too, only with `deviance` (see the module
+    With metrics, the run's _LogDets (its one band plan, a log|Q| memo freed
+    with the run, and the alpha block's bounds) is built here, before the
+    pool forks; without them nothing reads log|Q| and none of it is built.
+    ln(y!) is built here too, only with `deviance` (see the module
     docstring). `config` was checked when it was built.
     """
     if data.n != graph.n:
         raise ValidationError("data length does not match the graph")
     M = alpha_upper_bounds(dis, config.max_boundary_fraction)
-    log_dets = None
-    if M.size:
-        # the cut recursion builds the graph's band plan, before the pool forks
-        log_dets = _LogDets(RHO, (cut_bounds(graph, RHO),
-                                  restore_bounds(graph, RHO, dis, M)))
+    log_dets = _LogDets(graph, RHO, dis, M) if M.size else None
     if deviance:
         data.lgamma_y   # built before the pool forks, so workers inherit it
 

@@ -9,7 +9,8 @@ On the lattice C is stationary, so phi is the corner window of a field drawn
 by FFT on a P x P torus that C wraps onto (Wood & Chan 1994). P doubles from
 twice the longer side until no torus eigenvalue is below -1e-8 times the
 largest; the negative ones left are zeroed. The range and the spectrum
-depend on the lattice, kappa and the target alone: a run sets them up once.
+depend on the lattice, kappa and the target alone: `_prepare` sets them up
+as a value, which `run_study` takes (or builds) and hands to each replicate.
 The single dissimilarity metric is drawn per border as |N(1, 0.5^2)| off the
 true boundaries and |N(1 + k2, 0.5^2)| on them, then standardized to unit
 standard deviation over borders like any other metric.
@@ -20,18 +21,17 @@ variation), and it is exposed as configuration.
 
 scipy is imported inside the functions that call it, so importing this
 module (and the CLI) loads numpy alone. A study loads scipy.linalg, for the
-band plan's banded Cholesky (its RCM ordering is numpy's), and scipy.special
-only for a Matern smoothness other than 2.5.
+band plan's banded Cholesky (its RCM ordering is numpy's), before its pool
+forks, and scipy.special only for a Matern smoothness other than 2.5.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .boundary import classify_boundaries
-from .car import _band_plan
 from .errors import NumericError, ValidationError
 from .graph import AreaGraph, DissimilarityData
 from .mcmc import ChainConfig, ObservedData, run_chains, run_tasks
@@ -246,13 +246,8 @@ class SimConfig:
 
 def _prepare(config: SimConfig) -> dict:
     """The surface's range, lattice shape and square-rooted torus spectrum,
-    set up once per (graph, kappa, target) and kept on the graph."""
-    graph = config.graph
-    key = ("surface", config.kappa, config.target_median_correlation)
-    surface = graph._cache.get(key)
-    if surface is not None:
-        return surface
-    nrows, ncols = _lattice_shape(graph)
+    which depend on the graph, kappa and the target alone."""
+    nrows, ncols = _lattice_shape(config.graph)
     rng_val = calibrate_range(nrows, ncols, config.target_median_correlation,
                               config.kappa)
     side = 2 * max(nrows, ncols)
@@ -266,15 +261,13 @@ def _prepare(config: SimConfig) -> dict:
     else:
         raise NumericError(f"no torus of side up to {MAX_TORUS_SIDE} embeds the "
                            f"correlation on {nrows}x{ncols}: lower --target-median-corr")
-    surface = {"range": rng_val, "shape": (nrows, ncols),
-               "spectrum": np.sqrt(np.clip(eig, 0.0, None))}
-    graph._cache[key] = surface
-    return surface
+    return {"range": rng_val, "shape": (nrows, ncols),
+            "spectrum": np.sqrt(np.clip(eig, 0.0, None))}
 
 
-def gen_surface(config: SimConfig, rng: np.random.Generator):
-    """Draw one log-risk surface; returns (phi_true, R_true)."""
-    surface = _prepare(config)
+def gen_surface(config: SimConfig, surface: dict, rng: np.random.Generator):
+    """Draw one log-risk surface from `surface`, the cell's _prepare(config);
+    returns (phi_true, R_true)."""
     spectrum, (nrows, ncols) = surface["spectrum"], surface["shape"]
     torus = np.fft.ifft2(spectrum * np.fft.fft2(rng.standard_normal(spectrum.shape)))
     mean = np.where(config.true_partition == 0, 0.0, config.k1)
@@ -323,12 +316,12 @@ class SimScore:
     per_replicate: dict
 
 
-def _replicate_result(rep: int, config: SimConfig,
-                      chain_config: ChainConfig) -> dict:
+def _replicate_result(rep: int, config: SimConfig, chain_config: ChainConfig,
+                      surface: dict) -> dict:
     data_rng = derive_rng(chain_config.seed, REPLICATE, rep, 0)
     chain_seed = int(np.random.SeedSequence(
         chain_config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
-    phi_true, r_true = gen_surface(config, data_rng)
+    phi_true, r_true = gen_surface(config, surface, data_rng)
     raw = gen_dissimilarity(config, data_rng)
     y = gen_counts(r_true, config.E, data_rng)
     dis = DissimilarityData.from_border_values(config.graph, raw,
@@ -352,24 +345,26 @@ def _replicate_result(rep: int, config: SimConfig,
     }
 
 
-def run_study(config: SimConfig, chain_config: ChainConfig) -> SimScore:
+def run_study(config: SimConfig, chain_config: ChainConfig,
+              surface: Optional[dict] = None) -> SimScore:
     """Generate, fit, and score `config.replicates` independent replicates.
 
     Replicates derive their streams from (`chain_config.seed`, replicate
     index) and run in a pool of `chain_config.workers` processes; the chains
     of one replicate run without a pool. Results are identical either way.
-    Cells on one graph with the same kappa and target share one surface.
+    Every replicate draws from `surface`, _prepare(config) if None; cells on
+    one graph with the same kappa and target may pass one surface.
     """
     tb = true_boundary_mask(config.graph, config.true_partition)
     if not tb.any() or tb.all():
         raise ValidationError("partition must yield both boundaries and non-boundaries")
-    # built before the pool forks: the surface and band plans reach every
-    # worker inside the graph, which each task shares rather than carries,
-    # with scipy.linalg loaded. The replicates write no DIC, so nothing
+    if surface is None:
+        surface = _prepare(config)
+    # loaded before the pool forks, so that no worker imports it for its
+    # replicates' band plans. The replicates write no DIC, so nothing
     # builds ln(y!)
-    _prepare(config)
-    _band_plan(config.graph)
-    results = run_tasks(_replicate_result, (config, chain_config),
+    import scipy.linalg  # noqa: F401
+    results = run_tasks(_replicate_result, (config, chain_config, surface),
                         config.replicates, chain_config.workers)
 
     def col(name):

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import womble
 from womble import build_graph
 from womble.graph import AreaGraph, DissimilarityData, adjacency_from_w
 
@@ -29,6 +31,23 @@ def path_graph5():
 def pair_graph():
     """Two areas, one border."""
     return AreaGraph(2, np.array([[0, 1]]))
+
+
+def fresh_env():
+    """The environment for a fresh interpreter that imports this womble."""
+    src = str(Path(womble.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# what an AreaGraph may hold: its constructor's fields and its cached
+# properties; no run, study or command leaves set-up on it
+GRAPH_FIELDS = {"n", "borders", "area_ids", "centroids", "polygons"}
+GRAPH_CACHED = {"incidence", "coloring", "n_components"}
+
+
+def assert_holds_no_setup(graph):
+    assert GRAPH_FIELDS <= set(vars(graph)) <= GRAPH_FIELDS | GRAPH_CACHED, vars(graph).keys()
 
 
 def all_ones_adj(graph):

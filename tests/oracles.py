@@ -53,6 +53,17 @@ def random_graph(rng, n_max=8, n_min=2, p=0.5):
     return n, np.array(borders, dtype=np.int64).reshape(-1, 2)
 
 
+def delaunay_graph(n, seed):
+    """The Delaunay triangulation of n seeded uniform points: a map whose
+    areas have irregular degrees, unlike a lattice's."""
+    from scipy.spatial import Delaunay
+
+    from womble.graph import AreaGraph
+    tri = Delaunay(np.random.default_rng(seed).random((n, 2))).simplices
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
+    return AreaGraph(n, np.unique(edges, axis=0))
+
+
 def poisson_deviance(y, E, r):
     from scipy.special import gammaln
     mean = E * r

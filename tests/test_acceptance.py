@@ -254,9 +254,9 @@ def test_criterion_4_sampler_validity():
     labels = five_block_partition(16, 16)
     cfg = SimConfig(graph=graph16, true_partition=labels, k1=0.4, k2=3.0,
                     field_sd=0.2, E=100.0, replicates=1)
-    from womble.simulate import gen_counts, gen_dissimilarity, gen_surface
+    from womble.simulate import _prepare, gen_counts, gen_dissimilarity, gen_surface
     rng_d = np.random.default_rng(909)
-    _, r_true = gen_surface(cfg, rng_d)
+    _, r_true = gen_surface(cfg, _prepare(cfg), rng_d)
     raw = gen_dissimilarity(cfg, rng_d)
     y = gen_counts(r_true, cfg.E, rng_d)
     dis = DissimilarityData.from_border_values(graph16, raw)

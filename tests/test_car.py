@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from oracles import (conditional_from_joint, dense_log_density,
                      dense_precision, random_graph)
 from womble import ValidationError
-from womble.car import (_band_plan, _resistances, build_precision,
+from womble.car import (_BandPlan, _resistances, build_precision,
                         cut_bounds, full_conditional_phi, log_density_phi,
                         precision_quadform, restore_bounds)
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
                           evaluate_w)
 from womble.simulate import lattice_graph
-from conftest import all_ones_adj
+from conftest import all_ones_adj, assert_holds_no_setup
 
 
 def _graph(n, borders):
@@ -53,6 +53,17 @@ class TestBuildPrecision:
             _, logdet = np.linalg.slogdet(dense)
             assert abs(prec.log_det - logdet) < 1e-10
 
+    def test_given_plan_factorizes_alike(self):
+        # a plan passed in, and reused, gives the log|Q| of a plan of its own
+        g = lattice_graph(5, 7)
+        plan = _BandPlan(g)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            adj = adjacency_from_w(g, rng.integers(0, 2, g.n_borders).astype(np.uint8))
+            assert (build_precision(adj, 0.99, plan).log_det
+                    == build_precision(adj, 0.99).log_det)
+        assert_holds_no_setup(g)
+
     def test_rho_bounds(self):
         g = _graph(2, [(0, 1)])
         with pytest.raises(ValidationError):
@@ -92,28 +103,30 @@ class TestCutBounds:
     def test_resistances_match_dense_inverse(self, name, graph):
         # with every border kept, and with about half of them severed, which
         # the restore bounds read under Q(w_M)
-        bandwidth = _band_plan(graph).bandwidth
+        plan = _BandPlan(graph)
         if name == "lattice":
-            assert graph.n % bandwidth != 0
+            assert graph.n % plan.bandwidth != 0
         some = (np.random.default_rng(3).random(graph.n_borders) < 0.5).astype(np.uint8)
         for w in (np.ones(graph.n_borders, dtype=np.uint8), some):
             for rho in (0.5, 0.99):
                 np.testing.assert_allclose(
-                    _resistances(adjacency_from_w(graph, w), rho),
+                    _resistances(plan, adjacency_from_w(graph, w), rho),
                     self._dense_resistances(graph, w, rho),
                     rtol=1e-12, atol=1e-12)
 
     def test_pure_function_of_graph_and_rho(self):
         g = lattice_graph(3, 4)
-        h = cut_bounds(g, 0.99)
-        np.testing.assert_array_equal(cut_bounds(g, 0.99), h)
-        assert not np.array_equal(cut_bounds(g, 0.5), h)
+        plan = _BandPlan(g)
+        h = cut_bounds(plan, 0.99)
+        np.testing.assert_array_equal(cut_bounds(_BandPlan(g), 0.99), h)
+        assert not np.array_equal(cut_bounds(plan, 0.5), h)
         assert (h < 0).all()
-        # the band plan is the only thing left on the graph
-        assert list(g._cache) == ["band_plan"]
+        # the plan is the caller's: the bounds leave nothing on the graph
+        assert plan.graph is g
+        assert_holds_no_setup(g)
 
     def test_no_borders(self):
-        assert cut_bounds(_graph(3, []), 0.99).shape == (0,)
+        assert cut_bounds(_BandPlan(_graph(3, [])), 0.99).shape == (0,)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -133,7 +146,7 @@ class TestCutBounds:
         w_cut = np.where(cut, 0, w).astype(np.uint8)
         change = (build_precision(adjacency_from_w(g, w_cut), rho).log_det
                   - build_precision(adjacency_from_w(g, w), rho).log_det)
-        assert change <= cut_bounds(g, rho)[cut].sum() + 1e-9
+        assert change <= cut_bounds(_BandPlan(g), rho)[cut].sum() + 1e-9
 
 
 class TestRestoreBounds:
@@ -166,20 +179,22 @@ class TestRestoreBounds:
         g = lattice_graph(3, 4)
         rng = np.random.default_rng(1)
         dis, M = self._random_metrics(rng, g, 1), np.array([1.0])
-        g_b = restore_bounds(g, 0.99, dis, M)
-        np.testing.assert_array_equal(restore_bounds(g, 0.99, dis, M.copy()), g_b)
+        plan = _BandPlan(g)
+        g_b = restore_bounds(plan, 0.99, dis, M)
+        np.testing.assert_array_equal(restore_bounds(_BandPlan(g), 0.99, dis, M.copy()),
+                                      g_b)
         assert (g_b > 0).all()
         other = self._random_metrics(rng, g, 1)
-        assert not np.array_equal(restore_bounds(g, 0.99, other, M), g_b)
-        assert not np.array_equal(restore_bounds(g, 0.5, dis, M), g_b)
-        # the band plan is the only thing left on the graph
-        assert list(g._cache) == ["band_plan"]
+        assert not np.array_equal(restore_bounds(plan, 0.99, other, M), g_b)
+        assert not np.array_equal(restore_bounds(plan, 0.5, dis, M), g_b)
+        # the plan is the caller's: the bounds leave nothing on the graph
+        assert_holds_no_setup(g)
 
     def test_no_borders(self):
         g = _graph(3, [])
         dis = DissimilarityData(q=1, metric_names=("m",),
                                 border_metrics=np.zeros((0, 1)), scales=np.ones(1))
-        assert restore_bounds(g, 0.99, dis, np.array([1.0])).shape == (0,)
+        assert restore_bounds(_BandPlan(g), 0.99, dis, np.array([1.0])).shape == (0,)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -207,7 +222,7 @@ class TestRestoreBounds:
         w_restored = np.where(restore, 1, w).astype(np.uint8)
         change = (build_precision(adjacency_from_w(g, w_restored), rho).log_det
                   - build_precision(adjacency_from_w(g, w), rho).log_det)
-        assert change <= restore_bounds(g, rho, dis, M)[restore].sum() + 1e-9
+        assert change <= restore_bounds(_BandPlan(g), rho, dis, M)[restore].sum() + 1e-9
 
 
 class TestLogDensity:

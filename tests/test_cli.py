@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import womble
 from womble import NumericError, io
 from womble.simulate import lattice_graph
 from womble.cli import main
+from conftest import assert_holds_no_setup, fresh_env
 
 
 def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
@@ -328,14 +328,15 @@ class TestEffectVerdict:
     def test_near_perfect_metric_substantial(self, tmp_path):
         # clean group-separating covariate: the fitted effect must come out
         # substantial and recover the true boundary set
-        from womble.simulate import SimConfig, five_block_partition, gen_surface
+        from womble.simulate import (SimConfig, _prepare, five_block_partition,
+                                     gen_surface)
 
         g = lattice_graph(8, 8)
         labels = five_block_partition(8, 8)
         cfg = SimConfig(graph=g, true_partition=labels, k1=0.4, k2=3.0,
                         field_sd=0.2, E=100.0, replicates=1)
         rng = np.random.default_rng(31)
-        _, risk = gen_surface(cfg, rng)
+        _, risk = gen_surface(cfg, _prepare(cfg), rng)
         y = rng.poisson(100.0 * risk)
         cov = labels * 4.0 + rng.normal(0, 0.05, size=g.n)
         areas = tmp_path / "areas.csv"
@@ -409,13 +410,6 @@ class TestDiagnose:
         assert rc == 3
         assert "IO:" in capsys.readouterr().err
         assert not fit_dir.exists()
-
-
-def fresh_env():
-    """The environment for a fresh interpreter that imports this womble."""
-    src = str(Path(womble.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def scipy_modules_after(code):
@@ -729,6 +723,25 @@ class TestSimulateCommand:
                          "--out", str(alone)] + flags) == 0
             name = f"replicates_k1_{k1}_k2_{k2}.csv"
             assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_cells_leave_nothing_on_the_graph(self, tmp_path, monkeypatch):
+        # the surface is passed to each cell as a value, and each replicate
+        # builds its band plan and sweep tables for itself
+        import womble.cli as cli
+
+        studies = []
+        run_study = cli.run_study
+
+        def recorded(config, *args, **kwargs):
+            studies.append(config)
+            return run_study(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_study", recorded)
+        assert main(["simulate", "--k1", "0.2,0.4", "--nrows", "8", "--ncols", "8",
+                     "--replicates", "2", "--chains", "1", "--burnin", "20",
+                     "--keep", "10", "--out", str(tmp_path / "sim")]) == 0
+        assert len(studies) == 2 and studies[0].graph is studies[1].graph
+        assert_holds_no_setup(studies[0].graph)
 
     def test_expected_csv_per_area(self, tmp_path):
         g = lattice_graph(8, 8)
@@ -1069,6 +1082,37 @@ class TestReaders:
                    "--adjacency", str(bad),
                    "--out", str(tmp_path / "out")] + FIT_FLAGS)
         assert rc == 2
+
+    @pytest.mark.parametrize("ids, pairs", [
+        ("a,b", "a,b\nb,a\n"),
+        ("a,b,c", "a,b\nb,a\n"),
+        ("a,b,c", "a,b\na,b\n"),
+    ], ids=["two-areas", "three-areas", "same-order"])
+    def test_two_row_pair_list_is_read_as_pairs(self, tmp_path, capsys, ids,
+                                                pairs):
+        # two pairs make a 2 x 2 array of 0s and 1s; it is still a pair list,
+        # whose one border is listed twice
+        areas, adjacency = tmp_path / "areas.csv", tmp_path / "adjacency.csv"
+        areas.write_text("area_id,y,E\n" + "".join(f"{a},5,5.0\n"
+                                                   for a in ids.split(",")))
+        adjacency.write_text(pairs)
+        rc = main(["blv", "--areas", str(areas), "--adjacency", str(adjacency),
+                   "--c2", "10", "--chains", "1", "--burnin", "10", "--keep", "10",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "duplicate border pair" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_area_matrix_is_read_as_a_matrix(self, tmp_path):
+        areas, adjacency = tmp_path / "areas.csv", tmp_path / "adjacency.csv"
+        areas.write_text("area_id,y,E\na,5,5.0\nb,7,5.0\n")
+        adjacency.write_text("0,1\n1,0\n")
+        rc = main(["blv", "--areas", str(areas), "--adjacency", str(adjacency),
+                   "--c2", "10", "--chains", "1", "--burnin", "10", "--keep", "10",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        header, rows = io.read_table(tmp_path / "out" / "blv.csv")
+        assert len(rows) == 1
 
     @pytest.mark.parametrize("column, value, named", [
         (1, "nan", "y must be non-negative integer (row 4)"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_graph
+from oracles import delaunay_graph, random_graph
 from womble import (ConstantMetricError, ValidationError, build_graph,
                     compute_border_metrics)
 from womble.graph import (AreaGraph, DissimilarityData, alpha_min,
@@ -28,15 +28,6 @@ def scipy_rcm(graph):
     n, borders = graph.n, graph.borders
     pattern = csr_matrix((np.ones(len(borders)), borders.T), shape=(n, n))
     return rcm(pattern + pattern.T, symmetric_mode=True)
-
-
-def delaunay_graph(n, seed):
-    """The Delaunay triangulation of n seeded uniform points: a map whose
-    areas have irregular degrees, unlike a lattice's."""
-    from scipy.spatial import Delaunay
-    tri = Delaunay(np.random.default_rng(seed).random((n, 2))).simplices
-    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
-    return AreaGraph(n, np.unique(edges, axis=0))
 
 
 class TestReverseCuthillMcKee:

@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import Future
@@ -11,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oracles import dense_precision, poisson_deviance
+from conftest import assert_holds_no_setup, fresh_env
+from oracles import delaunay_graph, dense_precision, poisson_deviance
 from womble import (ChainConfig, NumericError, ObservedData, ValidationError,
                     classify_boundaries, compute_border_metrics, run_chains)
-from womble import car, mcmc
+from womble import car, mcmc, simulate
 from womble.car import (PrecisionStructure, build_precision,
                         full_conditional_phi, log_density_phi,
                         precision_quadform)
@@ -49,8 +52,7 @@ def quad_of(state):
 def log_dets_of(graph, dis, M, rho=0.99):
     """The log|Q| memo and (cut, restore) bounds at rho, as run_chains hands
     them to update_alpha."""
-    return mcmc._LogDets(rho, (car.cut_bounds(graph, rho),
-                               car.restore_bounds(graph, rho, dis, M)))
+    return mcmc._LogDets(graph, rho, dis, M)
 
 
 def reference_update_alpha(state, dis, steps, M, rng):
@@ -867,9 +869,9 @@ class TestRunChains:
         cfg = ChainConfig(n_chains=2, burn_in=150, keep=100, seed=4)
         calls = []
 
-        def counting(adj, rho):
+        def counting(*args):
             calls.append(1)
-            return build_precision(adj, rho)
+            return build_precision(*args)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         memo = run_chains(data, g, dis, cfg, deviance=True)
@@ -891,9 +893,9 @@ class TestRunChains:
         cfg = ChainConfig(n_chains=3, burn_in=150, keep=100, seed=4, workers=1)
         keys = []
 
-        def counting(adj, rho):
+        def counting(adj, rho, *args):
             keys.append((adj.key, rho))
-            return build_precision(adj, rho)
+            return build_precision(adj, rho, *args)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         shared = run_chains(data, g, dis, cfg, deviance=True)
@@ -908,9 +910,9 @@ class TestRunChains:
         cfg = ChainConfig(n_chains=2, burn_in=150, keep=100, seed=4, workers=1)
         calls = []
 
-        def counting(adj, rho):
+        def counting(*args):
             calls.append(1)
-            return build_precision(adj, rho)
+            return build_precision(*args)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         run_chains(data, g, dis, cfg)
@@ -918,22 +920,41 @@ class TestRunChains:
         run_chains(data, g, dis, cfg)
         assert 0 < first == len(calls) - first
 
-    @pytest.mark.parametrize("q, burn_in, keep, thin", [
-        (2, 250, 120, 2),   # burn-in not a multiple of the adaptation window
-        (1, 0, 120, 1),     # no burn-in: the kept run takes the initial steps
-        (0, 150, 121, 3),   # no metrics; keep not a multiple of thin
-    ], ids=["q2", "q1-no-burn-in", "q0-thin3"])
-    def test_q2_lattice_matches_reference(self, q, burn_in, keep, thin):
-        g = lattice_graph(6, 6)
-        cov = np.random.default_rng(8).normal(size=(36, 2))
+    @staticmethod
+    def _map_inputs(name, q):
+        # a 6 x 6 lattice, or a seeded Delaunay map of 300 areas: 7 colours
+        # and an RCM bandwidth of 53, against the lattice's 2 colours and
+        # bandwidth of sqrt(n)
+        g = lattice_graph(6, 6) if name == "lattice" else delaunay_graph(300, seed=2)
+        cov = np.random.default_rng(8).normal(size=(g.n, 2))
         dis = (compute_border_metrics(g, cov[:, :q], metric_names=["a", "b"][:q])
                if q else None)
-        data = ObservedData(y=np.random.default_rng(9).poisson(80.0, 36),
-                            E=np.full(36, 80.0))
+        data = ObservedData(y=np.random.default_rng(9).poisson(80.0, g.n),
+                            E=np.full(g.n, 80.0))
+        return g, data, dis
+
+    @pytest.mark.parametrize("name, q, burn_in, keep, thin", [
+        ("lattice", 2, 250, 120, 2),   # burn-in not a multiple of the adaptation window
+        ("lattice", 1, 0, 120, 1),     # no burn-in: the kept run takes the initial steps
+        ("lattice", 0, 150, 121, 3),   # no metrics; keep not a multiple of thin
+        ("delaunay", 2, 250, 120, 2),  # an irregular map
+    ], ids=["q2", "q1-no-burn-in", "q0-thin3", "delaunay-q2"])
+    def test_q2_lattice_matches_reference(self, name, q, burn_in, keep, thin):
+        g, data, dis = self._map_inputs(name, q)
         cfg = ChainConfig(n_chains=2, burn_in=burn_in, keep=keep, thin=thin, seed=21)
         samples = run_chains(data, g, dis, cfg, deviance=True)
         assert len({w.tobytes() for w in samples.pooled("w")}) > 1 or not q
         assert_matches_reference(samples, data, g, dis, cfg)
+
+    def test_irregular_map_same_draws_in_a_pool(self):
+        g, data, dis = self._map_inputs("delaunay", 2)
+        assert len(g.coloring) == 7
+        cfg = ChainConfig(n_chains=2, burn_in=250, keep=120, thin=2, seed=21,
+                          workers=1)
+        alone = run_chains(data, g, dis, cfg, deviance=True)
+        pooled = run_chains(data, g, dis, replace(cfg, workers=2), deviance=True)
+        assert_same_draws(alone, pooled)
+        assert_holds_no_setup(g)
 
     def test_cut_bound_skips_factorizations(self, monkeypatch):
         # cuts that the bound rejects are never factorized, yet the draws are
@@ -946,9 +967,9 @@ class TestRunChains:
         cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=23)
         calls = []
 
-        def counting(adj, rho):
+        def counting(*args):
             calls.append(1)
-            return build_precision(adj, rho)
+            return build_precision(*args)
 
         monkeypatch.setattr(mcmc, "build_precision", counting)
         samples = run_chains(data, g, dis, cfg, deviance=True)
@@ -973,9 +994,9 @@ class TestRunChains:
         cfg = ChainConfig(n_chains=2, burn_in=200, keep=100, seed=23)
         calls = []
 
-        def counting(adj, rho):
+        def counting(*args):
             calls.append(1)
-            return build_precision(adj, rho)
+            return build_precision(*args)
 
         def run():
             del calls[:]
@@ -984,7 +1005,7 @@ class TestRunChains:
         monkeypatch.setattr(mcmc, "build_precision", counting)
         samples, bounded = run()
         monkeypatch.setattr(mcmc, "restore_bounds",
-                            lambda graph, *args: np.full(graph.n_borders, math.inf))
+                            lambda plan, *args: np.full(plan.graph.n_borders, math.inf))
         cut_only, cut_calls = run()
         monkeypatch.setattr(mcmc, "CUT_BOUND_SLACK", math.inf)
         unbounded, all_calls = run()
@@ -1152,14 +1173,13 @@ class TestPoolSize:
 
 
 class TestBandPlanBeforeFork:
-    """The band plan is built in the parent before the pool forks and reaches
-    the workers inside the pickled graph, and the alpha block's cut and
-    restore bounds, one resistance recursion each, are built once per
-    run_chains call before its chains start; without metrics none of them,
-    nor any factorization, is made. ln(y!) is built in the parent too, only
-    when the deviance is asked for, which the simulation never does. Each
-    call logs its pid here, so a forked worker that built its own would
-    show."""
+    """One band plan per run_chains call, and the alpha block's cut and
+    restore bounds, one resistance recursion each, are built in the process
+    that calls it, before the chains start and the pool forks; without
+    metrics none of them, nor any factorization, is made. ln(y!) is built
+    in the parent too, only when the deviance is asked for, which the
+    simulation never does. Nothing is left on the graph. Each call logs its
+    pid here, so a forked worker that built its own would show."""
 
     @pytest.fixture
     def pids(self, tmp_path, monkeypatch):
@@ -1197,11 +1217,12 @@ class TestBandPlanBeforeFork:
         assert pids("lgamma") == [me]
         assert pids("resistances") == [me, me]
         assert pids("factorize")
-        # chains run in this process leave neither the log|Q| memo nor a
-        # bound on the graph
+        # a second run builds its own plan and bounds; chains run in this
+        # process leave neither set-up nor the log|Q| memo on the graph
         run_chains(data, g, dis, replace(cfg, workers=1))
+        assert pids("plan") == [me, me]
         assert pids("resistances") == [me] * 4
-        assert set(g._cache) == {"band_plan", "sweep_tables"}
+        assert_holds_no_setup(g)
 
     def test_run_chains_without_metrics(self, pids):
         g, data, _ = TestRunChains()._tiny_inputs()
@@ -1212,7 +1233,7 @@ class TestBandPlanBeforeFork:
         assert pids("resistances") == []
         assert pids("factorize") == []
         assert pids("lgamma") == []
-        assert "band_plan" not in g._cache
+        assert_holds_no_setup(g)
 
     def test_run_study(self, pids):
         g = lattice_graph(8, 8)
@@ -1221,12 +1242,44 @@ class TestBandPlanBeforeFork:
         run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10, seed=1,
                                    workers=2))
         me = str(os.getpid())
-        assert pids("plan") == [me]
-        # two per replicate, each replicate's in the worker that runs it
-        recursions = pids("resistances")
-        assert len(recursions) == 4 and me not in recursions
-        assert all(recursions.count(pid) % 2 == 0 for pid in recursions)
+        # one plan and two recursions per replicate, each replicate's in the
+        # worker that runs it
+        plans = pids("plan")
+        assert len(plans) == 2 and me not in plans
+        assert sorted(pids("resistances")) == sorted(plans * 2)
         assert pids("lgamma") == []
+        assert_holds_no_setup(g)
+
+    def test_run_study_workers_inherit_scipy_linalg(self, tmp_path):
+        # in a fresh interpreter, so that scipy.linalg is loaded only by
+        # what the study does: the parent loads it before the pool forks,
+        # and no worker imports it for its plans
+        log = tmp_path / "plans"
+        code = (
+            "import os, sys\n"
+            "from womble import car\n"
+            "from womble.mcmc import ChainConfig\n"
+            "from womble.simulate import (SimConfig, five_block_partition,\n"
+            "                             lattice_graph, run_study)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "init = car._BandPlan.__init__\n"
+            "def logged(self, graph):\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        fh.write(f\"{os.getpid()} {'scipy.linalg' in sys.modules}\\n\")\n"
+            "    init(self, graph)\n"
+            "car._BandPlan.__init__ = logged\n"
+            "cfg = SimConfig(graph=lattice_graph(8, 8), k1=0.4, k2=3.0,\n"
+            "                true_partition=five_block_partition(8, 8), replicates=2)\n"
+            "run_study(cfg, ChainConfig(n_chains=1, burn_in=20, keep=10, seed=1,\n"
+            "                           workers=2))\n"
+            "print(os.getpid())\n")
+        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        parent = done.stdout.split()[-1]
+        plans = [line.split() for line in log.read_text().splitlines()]
+        assert len(plans) == 2
+        assert all(pid != parent and loaded == "True" for pid, loaded in plans)
 
 
 class TestRetainedPhi:
@@ -1507,11 +1560,12 @@ class TestDic:
         labels = np.zeros(64, dtype=int)
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.0, k2=0.0,
                             field_sd=0.3, E=100.0, replicates=1)
+        surface = simulate._prepare(cfg_sim)
         wins = 0
         n_rep = 20
         for rep in range(n_rep):
             rng = np.random.default_rng(1000 + rep)
-            phi, r_true = gen_surface(cfg_sim, rng)
+            phi, r_true = gen_surface(cfg_sim, surface, rng)
             y = gen_counts(r_true, np.full(64, 100.0), rng)
             data = ObservedData(y=y.astype(float), E=np.full(64, 100.0))
             cfg = ChainConfig(n_chains=1, burn_in=800, keep=600, seed=rep)
@@ -1648,7 +1702,7 @@ class TestAlphaConcentration:
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.4, k2=3.0,
                             field_sd=0.2, E=100.0, replicates=1)
         rng = np.random.default_rng(5)
-        phi, r_true = gen_surface(cfg_sim, rng)
+        phi, r_true = gen_surface(cfg_sim, simulate._prepare(cfg_sim), rng)
         raw = gen_dissimilarity(cfg_sim, rng)
         y = gen_counts(r_true, np.full(64, 100.0), rng)
         dis = DissimilarityData.from_border_values(g, raw)

@@ -163,10 +163,11 @@ class TestGenSurface:
         cfg = small_config(k1=0.4)
         reps = 200
         bg = cfg.true_partition == 0
+        surface = sim._prepare(cfg)
         means = np.empty(reps)
         for r in range(reps):
             rng = np.random.default_rng(10_000 + r)
-            phi, _ = gen_surface(cfg, rng)
+            phi, _ = gen_surface(cfg, surface, rng)
             means[r] = phi[bg].mean()
         se = means.std(ddof=1) / np.sqrt(reps)
         assert abs(means.mean()) < 3 * se
@@ -175,10 +176,11 @@ class TestGenSurface:
         cfg = small_config(k1=0.4)
         reps = 200
         blk = cfg.true_partition == 1
+        surface = sim._prepare(cfg)
         means = np.empty(reps)
         for r in range(reps):
             rng = np.random.default_rng(20_000 + r)
-            phi, _ = gen_surface(cfg, rng)
+            phi, _ = gen_surface(cfg, surface, rng)
             means[r] = phi[blk].mean()
         se = means.std(ddof=1) / np.sqrt(reps)
         assert abs(means.mean() - 0.4) < 3 * se
@@ -187,14 +189,14 @@ class TestGenSurface:
         # fixed adjacent pair, correlated across independent replicates:
         # the draws are iid bivariate normal with the Matern correlation
         cfg = small_config(k1=0.0)
-        plan_range = sim._prepare(cfg)["range"]
-        target = matern_correlation(1.0, plan_range)
+        surface = sim._prepare(cfg)
+        target = matern_correlation(1.0, surface["range"])
         k, j = cfg.graph.borders[0]
         reps = 200
         pairs = np.empty((reps, 2))
         for r in range(reps):
             rng = np.random.default_rng(30_000 + r)
-            phi, _ = gen_surface(cfg, rng)
+            phi, _ = gen_surface(cfg, surface, rng)
             pairs[r] = phi[k], phi[j]
         r_hat = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         # Fisher z: 3 SE margin with SE = 1/sqrt(reps - 3)
@@ -203,7 +205,7 @@ class TestGenSurface:
     def test_risk_is_exp_phi(self):
         cfg = small_config()
         rng = np.random.default_rng(0)
-        phi, r = gen_surface(cfg, rng)
+        phi, r = gen_surface(cfg, sim._prepare(cfg), rng)
         np.testing.assert_allclose(r, np.exp(phi))
 
     @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5])
