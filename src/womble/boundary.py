@@ -106,16 +106,18 @@ def classify_effect(alpha_samples: np.ndarray, alpha_min_i: float) -> str:
     return INCONCLUSIVE
 
 
-def boundary_segments(graph: AreaGraph, border_indices) -> list:
+def boundary_segments(graph: AreaGraph, polygons, border_indices) -> list:
     """Shared-edge polylines for selected borders, for map overlay export.
 
-    Requires topologically clean polygons: two neighbouring areas must share
-    edge vertices exactly (after rounding to VERTEX_DECIMALS). Each selected
-    border yields a list of polylines covering the shared segment.
+    `polygons` holds each area's rings (a list of rings, each a list of
+    [x, y]), or None for an area without geometry. Requires topologically
+    clean polygons: two neighbouring areas must share edge vertices exactly
+    (after rounding to VERTEX_DECIMALS). Each selected border yields a list
+    of polylines covering the shared segment.
     """
-    if graph.polygons is None:
-        raise ValidationError("graph has no polygons")
-    edge_sets = [_edge_set(graph.polygons[k]) for k in range(graph.n)]
+    if polygons is None or len(polygons) != graph.n:
+        raise ValidationError("polygons must give one entry per area")
+    edge_sets = [_edge_set(p) for p in polygons]
     out = []
     for b in border_indices:
         k, j = graph.borders[b]

@@ -26,7 +26,7 @@ from .boundary import (blv, blv_rule_a, blv_rule_b, check_rule_b,
                        classify_boundaries, classify_effect)
 from .diagnostics import moran_permutation_test, pearson_residuals
 from .errors import NumericError, ValidationError
-from .graph import AreaGraph, alpha_min, build_graph, compute_border_metrics
+from .graph import alpha_min, build_graph, compute_border_metrics
 from .mcmc import (ChainConfig, ObservedData, alpha_upper_bounds, dic,
                    median_interval, run_chains)
 from .simulate import SimConfig, five_block_partition, lattice_graph, run_study
@@ -167,17 +167,10 @@ def _chain_config(args) -> ChainConfig:
 
 
 def _load_graph(args, area_ids):
-    adjacency, is_matrix = io.read_adjacency(args.adjacency, area_ids)
-    polygons = None
-    if getattr(args, "geojson", None):
-        polygons = io.read_geojson_polygons(args.geojson, area_ids)
-    if is_matrix:
-        return build_graph(adjacency, area_ids=area_ids, polygons=polygons)
-    # not through build_graph, which reads any (2, 2) 0/1 array as a matrix
-    return AreaGraph(len(area_ids), adjacency, area_ids, polygons=polygons)
+    return build_graph(io.read_adjacency(args.adjacency, area_ids), area_ids=area_ids)
 
 
-def _fit_outputs(out, samples, data, graph, dis):
+def _fit_outputs(out, samples, data, graph, dis, polygons):
     # phi is read back before the first write, so a failed read leaves no file
     risk = samples.risk_summary()
     io.write_posterior_summary(samples, out / "posterior_summary.csv")
@@ -195,8 +188,8 @@ def _fit_outputs(out, samples, data, graph, dis):
     resid = pearson_residuals(data.y, data.E, risk.median)
     io.write_residuals_csv(graph.area_ids, data.y, data.E, risk.median, resid,
                            out / "residuals.csv")
-    if graph.polygons is not None:
-        io.write_boundary_geojson(graph, bset, out / "boundary_overlay.geojson")
+    if polygons is not None:
+        io.write_boundary_geojson(graph, polygons, bset, out / "boundary_overlay.geojson")
     return bset
 
 
@@ -208,6 +201,7 @@ def cmd_fit(args) -> int:
         metric_cols = [c for c in args.metrics.split(",") if c]
     ids, y, E, metrics = io.read_areas_csv(args.areas, metric_cols)
     graph = _load_graph(args, ids)
+    polygons = io.read_geojson_polygons(args.geojson, ids) if args.geojson else None
     data = ObservedData(y=y, E=E)
     dis = None
     if metrics:
@@ -225,7 +219,7 @@ def cmd_fit(args) -> int:
               f"+ {config.keep} keep), seed={config.seed}, "
               f"metrics={list(metrics) or None}")
     samples = run_chains(data, graph, dis, config, deviance=True)
-    bset = _fit_outputs(out, samples, data, graph, dis)
+    bset = _fit_outputs(out, samples, data, graph, dis, polygons)
     if args.verbose:
         for name in sorted(p.name for p in out.iterdir()):
             print(f"fit: wrote {out / name}")

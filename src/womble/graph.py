@@ -30,16 +30,14 @@ class AreaGraph:
     borders : (B, 2) int array of unordered area-index pairs, each listed once.
     area_ids : optional sequence of unique string identifiers (defaults to
         stringified indices).
-    centroids : optional (n, 2) planar coordinates, used by the simulation
-        machinery to build correlation surfaces.
-    polygons : optional per-area ring geometry (list of polygons, each a list
-        of rings, each ring a list of [x, y]) used only for map export.
+    centroids : optional (n, 2) planar coordinates; `lattice_graph` sets them
+        to its (row, col) grid, which the simulation study checks for and
+        reads its lattice shape from.
     """
 
     def __init__(self, n: int, borders: np.ndarray,
                  area_ids: Optional[Sequence[str]] = None,
-                 centroids: Optional[np.ndarray] = None,
-                 polygons: Optional[list] = None):
+                 centroids: Optional[np.ndarray] = None):
         if n <= 0:
             raise ValidationError("graph must contain at least one area")
         borders = np.asarray(borders, dtype=np.int64).reshape(-1, 2)
@@ -61,7 +59,6 @@ class AreaGraph:
         self.borders.setflags(write=False)
         self.area_ids = tuple(area_ids)
         self.centroids = None if centroids is None else np.asarray(centroids, dtype=float)
-        self.polygons = polygons
 
     @property
     def n_borders(self) -> int:
@@ -174,82 +171,68 @@ def reverse_cuthill_mckee(graph: AreaGraph) -> np.ndarray:
     return order[np.argsort(component[order], kind="stable")][::-1]
 
 
-def build_graph(adjacency_input, area_ids=None, polygons=None) -> AreaGraph:
-    """Build an AreaGraph from a border-pair list or a 0/1 adjacency matrix.
+def build_graph(pairs, area_ids=None) -> AreaGraph:
+    """Build an AreaGraph from a sequence of (k, j) area-index border pairs.
 
-    Matrix input must be square, symmetric, with a zero diagonal. Pair input
-    is a sequence of (k, j) index pairs; the stored list is normalized to
-    unordered pairs, each listed once.
+    The area count is len(area_ids), or else one more than the largest
+    index, so an empty list needs area_ids. Each border may be listed in
+    either order but only once; the stored list is normalized to unordered
+    pairs. `io.read_adjacency` turns a pair-list or 0/1 matrix file into
+    such pairs.
     """
-    arr = np.asarray(adjacency_input)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[1] != 2:
-        return _graph_from_matrix(arr, area_ids, polygons)
-    if arr.ndim == 2 and arr.shape == (2, 2):
-        # ambiguous shape: a 2x2 0/1 matrix is read as a matrix
-        if np.isin(arr, (0, 1)).all():
-            return _graph_from_matrix(arr, area_ids, polygons)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        pairs = arr.astype(np.int64, copy=False)
-        if pairs.shape[0] == 0:
-            raise ValidationError("empty border list; pass a matrix for border-free graphs")
-        n = int(pairs.max()) + 1 if area_ids is None else len(area_ids)
-        return AreaGraph(n, pairs, area_ids, polygons=polygons)
-    if arr.size == 0:
-        raise ValidationError("empty adjacency input")
-    raise ValidationError("adjacency input must be an (B, 2) pair list or a square 0/1 matrix")
-
-
-def _graph_from_matrix(mat, area_ids, polygons) -> AreaGraph:
-    mat = np.asarray(mat)
-    if mat.shape[0] == 0:
-        raise ValidationError("empty adjacency matrix")
-    if not np.isin(mat, (0, 1)).all():
-        raise ValidationError("adjacency matrix entries must be 0 or 1")
-    if np.any(np.diag(mat) != 0):
-        raise ValidationError("adjacency matrix must have a zero diagonal")
-    if np.any(mat != mat.T):
-        raise ValidationError("adjacency matrix must be symmetric")
-    k, j = np.nonzero(np.triu(mat, 1))
-    return AreaGraph(mat.shape[0], np.column_stack([k, j]), area_ids,
-                     polygons=polygons)
+    pairs = np.asarray(pairs)
+    if pairs.size == 0:
+        if area_ids is None:
+            raise ValidationError("empty border list: pass area_ids to give the area count")
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("border pairs must be a (B, 2) array of area indices")
+    n = int(pairs.max()) + 1 if area_ids is None else len(area_ids)
+    return AreaGraph(n, pairs, area_ids)
 
 
 @dataclass(frozen=True)
 class DissimilarityData:
     """Standardized border dissimilarity metrics.
 
-    ``border_metrics[b, i]`` is the non-negative standardized dissimilarity of
-    metric ``i`` across border ``b``; ``scales[i]`` is the sample standard
-    deviation (over borders) of the raw absolute differences that produced it,
-    so every metric has unit standard deviation over borders.
+    ``border_metrics[b, i]`` is the non-negative dissimilarity of metric
+    ``metric_names[i]`` across border ``b``. `from_border_values` and
+    `compute_border_metrics` divide each metric's raw values by their sample
+    standard deviation over borders, so every metric has unit standard
+    deviation.
     """
 
-    q: int
     metric_names: tuple
     border_metrics: np.ndarray
-    scales: np.ndarray
 
     def __post_init__(self):
         bm = np.asarray(self.border_metrics, dtype=float)
-        if bm.ndim != 2 or bm.shape[1] != self.q:
-            raise ValidationError("border_metrics must be a (B, q) array")
+        if bm.ndim != 2 or bm.shape[1] != len(self.metric_names):
+            raise ValidationError("border_metrics must be a (B, q) array, "
+                                  "one column per metric name")
         if not np.isfinite(bm).all() or (bm < 0).any():
             raise ValidationError("border metrics must be finite and non-negative")
         object.__setattr__(self, "border_metrics", bm)
         bm.setflags(write=False)
 
+    @property
+    def q(self) -> int:
+        """The number of metrics."""
+        return self.border_metrics.shape[1]
+
     @staticmethod
     def from_border_values(graph: AreaGraph, values: np.ndarray,
                            metric_names=None) -> "DissimilarityData":
-        """Standardize border-level raw metric values directly.
+        """Standardize border-level raw metric values directly: a (B,) array
+        is one metric, a (B, q) array q metrics.
 
         Used when the dissimilarity is observed per border rather than derived
         from per-area covariates; the same unit-SD standardization applies.
         """
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] == 1 and graph.n_borders != 1:
-            values = values.T
-        if values.shape[0] != graph.n_borders:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.ndim != 2 or values.shape[0] != graph.n_borders:
             raise ValidationError("one row of metric values per border required")
         if (values < 0).any() or not np.isfinite(values).all():
             raise ValidationError("border metric values must be finite and non-negative")
@@ -270,12 +253,11 @@ def _standardize(graph: AreaGraph, raw: np.ndarray,
     if graph.n_borders < 2:
         raise ValidationError(
             "standard deviation over borders is undefined with fewer than 2 borders")
-    scales = raw.std(axis=0, ddof=1)
-    for i, s in enumerate(scales):
+    sd = raw.std(axis=0, ddof=1)
+    for i, s in enumerate(sd):
         if s == 0.0:
             raise ConstantMetricError(names[i])
-    return DissimilarityData(q=q, metric_names=names,
-                             border_metrics=raw / scales, scales=scales)
+    return DissimilarityData(metric_names=names, border_metrics=raw / sd)
 
 
 def compute_border_metrics(graph: AreaGraph, covariates: np.ndarray,

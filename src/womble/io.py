@@ -106,13 +106,12 @@ def read_areas_csv(path, metric_columns=None):
 
 
 def read_adjacency(path, area_ids):
-    """Read a border-pair list or square 0/1 matrix; auto-detected by shape.
+    """Read a border-pair list or square 0/1 matrix as (B, 2) area-index pairs.
 
     A file with exactly n rows of n fields, all 0/1, is a matrix (rows in
-    areas-file order); anything else is a pair list of area ids with an
-    optional `area_id_1,area_id_2` header. Returns (adjacency, is_matrix):
-    the n x n matrix, or the (B, 2) area-index pairs, which the caller builds
-    as pairs whatever their shape.
+    areas-file order), which must be symmetric with a zero diagonal; its
+    borders are the 1s above the diagonal. Anything else is a pair list of
+    area ids with an optional `area_id_1,area_id_2` header.
     """
     n = len(area_ids)
     with open(path, newline="") as fh:
@@ -122,7 +121,12 @@ def read_adjacency(path, area_ids):
     stripped = [[c.strip() for c in row] for row in rows]
     if (len(stripped) == n and all(len(r) == n for r in stripped)
             and all(c in ("0", "1") for r in stripped for c in r)):
-        return np.array([[int(c) for c in r] for r in stripped], dtype=np.int64), True
+        mat = np.array([[int(c) for c in r] for r in stripped], dtype=np.int64)
+        if np.any(np.diag(mat) != 0):
+            raise ValidationError("adjacency matrix must have a zero diagonal")
+        if np.any(mat != mat.T):
+            raise ValidationError("adjacency matrix must be symmetric")
+        return np.column_stack(np.nonzero(np.triu(mat, 1)))
     body = stripped
     if body and [c.lower() for c in body[0]] == ["area_id_1", "area_id_2"]:
         body = body[1:]
@@ -137,13 +141,15 @@ def read_adjacency(path, area_ids):
             raise ValidationError(f"{path}: unknown area_id {exc.args[0]!r}") from None
     if not pairs:
         raise ValidationError(f"{path}: no border pairs")
-    return np.array(pairs, dtype=np.int64), False
+    return np.array(pairs, dtype=np.int64)
 
 
 def read_geojson_polygons(path, area_ids):
     """Polygon rings per area from a FeatureCollection keyed by `area_id`.
 
-    Areas without a feature get None and are skipped by the overlay writer.
+    Areas without a feature get None and are skipped by the overlay writer;
+    the rings of several features with one area_id are joined, as those of
+    a MultiPolygon are.
     """
     with open(path) as fh:
         try:
@@ -171,7 +177,7 @@ def read_geojson_polygons(path, area_ids):
         if gtype not in ("Polygon", "MultiPolygon"):
             raise ValidationError(
                 f"{path}: feature {i} has unsupported geometry type {gtype!r}")
-        by_id[str(aid)] = rings
+        by_id.setdefault(str(aid), []).extend(rings)
     return [by_id.get(a) for a in area_ids]
 
 
@@ -285,11 +291,12 @@ def write_replicates_csv(score, path):
         _py(np.asarray(per["boundary_count"]).astype(np.int64))))
 
 
-def write_boundary_geojson(graph: AreaGraph, bset: BoundarySet, path):
-    """LineString overlay of the boundary borders' shared polygon edges."""
+def write_boundary_geojson(graph: AreaGraph, polygons, bset: BoundarySet, path):
+    """LineString overlay of the boundary borders' shared polygon edges;
+    `polygons` as `read_geojson_polygons` gives them."""
     idx = np.where(bset.is_boundary)[0]
     features = []
-    for b, lines in boundary_segments(graph, idx):
+    for b, lines in boundary_segments(graph, polygons, idx):
         k, j = graph.borders[b]
         for line in lines:
             features.append({

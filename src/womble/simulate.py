@@ -41,12 +41,9 @@ RANGE_CAP_FACTOR = 1e9
 MAX_TORUS_SIDE = 2048   # one complex FFT of it takes 64 MB
 
 
-def lattice_graph(nrows: int, ncols: int, with_polygons: bool = False) -> AreaGraph:
-    """Rectangular rook-adjacency lattice with unit spacing.
-
-    Centroids are (row, col); optional polygons are the unit squares around
-    them, so the GeoJSON overlay path can be exercised on generated data.
-    """
+def lattice_graph(nrows: int, ncols: int) -> AreaGraph:
+    """Rectangular rook-adjacency lattice with unit spacing; centroids are
+    (row, col)."""
     if nrows < 1 or ncols < 1:
         raise ValidationError("lattice dimensions must be positive")
     borders = []
@@ -58,16 +55,9 @@ def lattice_graph(nrows: int, ncols: int, with_polygons: bool = False) -> AreaGr
             if r + 1 < nrows:
                 borders.append((k, (r + 1) * ncols + c))
     centroids = np.column_stack(np.divmod(np.arange(nrows * ncols), ncols)).astype(float)
-    polygons = None
-    if with_polygons:
-        polygons = []
-        for r, c in centroids:
-            ring = [[r - 0.5, c - 0.5], [r - 0.5, c + 0.5],
-                    [r + 0.5, c + 0.5], [r + 0.5, c - 0.5], [r - 0.5, c - 0.5]]
-            polygons.append([ring])
     ids = [f"a{r}_{c}" for r in range(nrows) for c in range(ncols)]
     return AreaGraph(nrows * ncols, np.array(borders, dtype=np.int64),
-                     area_ids=ids, centroids=centroids, polygons=polygons)
+                     area_ids=ids, centroids=centroids)
 
 
 # 16x16 template: one background group plus five rectangular blocks placed

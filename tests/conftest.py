@@ -42,7 +42,7 @@ def fresh_env():
 
 # what an AreaGraph may hold: its constructor's fields and its cached
 # properties; no run, study or command leaves set-up on it
-GRAPH_FIELDS = {"n", "borders", "area_ids", "centroids", "polygons"}
+GRAPH_FIELDS = {"n", "borders", "area_ids", "centroids"}
 GRAPH_CACHED = {"incidence", "coloring", "n_components"}
 
 

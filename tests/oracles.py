@@ -64,6 +64,13 @@ def delaunay_graph(n, seed):
     return AreaGraph(n, np.unique(edges, axis=0))
 
 
+def unit_squares(graph):
+    """The rings of the unit square around each of a lattice_graph's
+    (row, col) centroids, one polygon per area."""
+    return [[[[r - 0.5, c - 0.5], [r - 0.5, c + 0.5], [r + 0.5, c + 0.5],
+              [r + 0.5, c - 0.5], [r - 0.5, c - 0.5]]] for r, c in graph.centroids]
+
+
 def poisson_deviance(y, E, r):
     from scipy.special import gammaln
     mean = E * r

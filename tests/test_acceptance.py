@@ -90,9 +90,8 @@ def test_criterion_2_adjacency_model():
         graph = AreaGraph(b + 1, np.array([(k, k + 1) for k in range(b)]))
         q = int(rng.integers(1, 4))
         z = rng.gamma(1.0, 1.0, size=(b, q))
-        dis = DissimilarityData(q=q,
-                                metric_names=tuple(f"m{i}" for i in range(q)),
-                                border_metrics=z, scales=np.ones(q))
+        dis = DissimilarityData(metric_names=tuple(f"m{i}" for i in range(q)),
+                                border_metrics=z)
         lo = rng.uniform(0, 2, size=q)
         hi = lo + rng.uniform(0, 2, size=q)
         if ((evaluate_w(graph, dis, lo).w == 0).sum()
@@ -108,8 +107,7 @@ def test_criterion_2_adjacency_model():
         z[rng.random(b) < 0.25] = 0.0
         if z.max() == 0.0:
             z[0] = 1.0
-        dis = DissimilarityData(q=1, metric_names=("m",),
-                                border_metrics=z[:, None], scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=z[:, None])
         amin = alpha_min(dis, 0)
         if (evaluate_w(graph, dis, np.array([amin])).w == 0).sum() != 0:
             endpoint_ok = False

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from womble import ValidationError, classify_boundaries
+from oracles import unit_squares
+from womble import ValidationError, build_graph, classify_boundaries, io
 from womble.boundary import (INCONCLUSIVE, NO_EFFECT, SUBSTANTIAL, blv,
                              blv_rule_a, blv_rule_b, boundary_segments,
                              classify_effect)
@@ -171,9 +173,9 @@ class TestClassifyEffect:
 
 class TestBoundarySegments:
     def test_lattice_shared_edges(self):
-        g = lattice_graph(2, 2, with_polygons=True)
+        g = lattice_graph(2, 2)
         # border between a0_0 (cell r0,c0) and a0_1 (cell r0,c1)
-        segs = boundary_segments(g, [0])
+        segs = boundary_segments(g, unit_squares(g), [0])
         b, lines = segs[0]
         assert b == 0
         assert len(lines) == 1
@@ -186,7 +188,24 @@ class TestBoundarySegments:
     def test_missing_polygons_rejected(self):
         g = lattice_graph(2, 2)
         with pytest.raises(ValidationError, match="polygons"):
-            boundary_segments(g, [0])
+            boundary_segments(g, None, [0])
+        with pytest.raises(ValidationError, match="polygons"):
+            boundary_segments(g, unit_squares(g)[:3], [0])
+
+    def test_second_feature_of_an_area_adds_its_rings(self, tmp_path):
+        # area a is a square beside b, then a distant square: both are kept,
+        # so the overlay still finds the a|b edge
+        def square(x, y):
+            return [[[x, y], [x + 1, y], [x + 1, y + 1], [x, y + 1], [x, y]]]
+        features = [{"type": "Feature", "properties": {"area_id": a},
+                     "geometry": {"type": "Polygon", "coordinates": square(x, y)}}
+                    for a, x, y in [("a", 0, 0), ("b", 1, 0), ("a", 10, 10)]]
+        path = tmp_path / "areas.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        g = build_graph([(0, 1)], area_ids=["a", "b"])
+        polygons = io.read_geojson_polygons(path, g.area_ids)
+        assert polygons[0] == square(0, 0) + square(10, 10)
+        assert boundary_segments(g, polygons, [0]) == [(0, [[[1, 0], [1, 1]]])]
 
     def test_chaining_produces_polyline(self):
         from womble.boundary import _chain_edges

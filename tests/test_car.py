@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (conditional_from_joint, dense_log_density,
+from oracles import (conditional_from_joint, delaunay_graph, dense_log_density,
                      dense_precision, random_graph)
 from womble import ValidationError
 from womble.car import (_BandPlan, _resistances, build_precision,
                         cut_bounds, full_conditional_phi, log_density_phi,
                         precision_quadform, restore_bounds)
 from womble.graph import (AreaGraph, DissimilarityData, adjacency_from_w,
-                          evaluate_w)
+                          alpha_prior_upper, evaluate_w)
 from womble.simulate import lattice_graph
 from conftest import all_ones_adj, assert_holds_no_setup
 
@@ -99,6 +99,8 @@ class TestCutBounds:
         ("isolated area", _graph(26, lattice_graph(5, 5).borders)),
         ("disconnected", _graph(32, np.vstack([lattice_graph(4, 4).borders,
                                                lattice_graph(4, 4).borders + 16]))),
+        # irregular degrees, a band plan unlike a lattice's
+        ("delaunay", delaunay_graph(300, seed=2)),
     ])
     def test_resistances_match_dense_inverse(self, name, graph):
         # with every border kept, and with about half of them severed, which
@@ -154,8 +156,8 @@ class TestRestoreBounds:
     def _random_metrics(rng, g, q):
         # non-negative, with about a fifth of them zero
         z = rng.gamma(1.0, 1.0, size=(g.n_borders, q)) * (rng.random((g.n_borders, q)) < 0.8)
-        return DissimilarityData(q=q, metric_names=tuple(f"m{i}" for i in range(q)),
-                                 border_metrics=z, scales=np.ones(q))
+        return DissimilarityData(metric_names=tuple(f"m{i}" for i in range(q)),
+                                 border_metrics=z)
 
     def test_every_reachable_assignment_contains_the_sparsest(self):
         # w never grows with any alpha_i, in floating point too: on a map the
@@ -192,8 +194,7 @@ class TestRestoreBounds:
 
     def test_no_borders(self):
         g = _graph(3, [])
-        dis = DissimilarityData(q=1, metric_names=("m",),
-                                border_metrics=np.zeros((0, 1)), scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=np.zeros((0, 1)))
         assert restore_bounds(_BandPlan(g), 0.99, dis, np.array([1.0])).shape == (0,)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -223,6 +224,40 @@ class TestRestoreBounds:
         change = (build_precision(adjacency_from_w(g, w_restored), rho).log_det
                   - build_precision(adjacency_from_w(g, w), rho).log_det)
         assert change <= restore_bounds(_BandPlan(g), rho, dis, M)[restore].sum() + 1e-9
+
+
+class TestBoundsOnAnIrregularMap:
+    def test_cut_and_restore_bounds_hold(self):
+        # on a Delaunay map, severing random sets of kept borders and
+        # restoring random sets of severed ones moves the exact log|Q| by no
+        # more than the sum of their cut and restore bounds
+        g = delaunay_graph(300, seed=2)
+        rng = np.random.default_rng(8)
+        q = 2
+        dis = TestRestoreBounds._random_metrics(rng, g, q)
+        M = np.array([alpha_prior_upper(dis, i, 0.3) for i in range(q)])
+        plan = _BandPlan(g)
+
+        def log_det(w, rho):
+            return build_precision(adjacency_from_w(g, w), rho, plan).log_det
+
+        for rho in (0.5, 0.99):
+            h, g_b = cut_bounds(plan, rho), restore_bounds(plan, rho, dis, M)
+            for _ in range(10):
+                alpha = np.where(rng.random(q) < 0.3, M, M * rng.random(q))
+                w = evaluate_w(g, dis, alpha).w
+                kept, severed = np.nonzero(w)[0], np.nonzero(w == 0)[0]
+                assert kept.size and severed.size
+                cut = np.zeros(g.n_borders, dtype=bool)
+                cut[rng.choice(kept, int(rng.integers(1, kept.size + 1)), replace=False)] = True
+                restore = np.zeros(g.n_borders, dtype=bool)
+                restore[rng.choice(severed, int(rng.integers(1, severed.size + 1)),
+                                   replace=False)] = True
+                base = log_det(w, rho)
+                assert log_det(np.where(cut, 0, w).astype(np.uint8), rho) - base \
+                    <= h[cut].sum() + 1e-9
+                assert log_det(np.where(restore, 1, w).astype(np.uint8), rho) - base \
+                    <= g_b[restore].sum() + 1e-9
 
 
 class TestLogDensity:

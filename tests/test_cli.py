@@ -15,12 +15,13 @@ from womble import NumericError, io
 from womble.simulate import lattice_graph
 from womble.cli import main
 from conftest import assert_holds_no_setup, fresh_env
+from oracles import unit_squares
 
 
 def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
                   geojson=False, matrix=False):
     """Small lattice dataset with one informative metric column."""
-    g = lattice_graph(nrows, ncols, with_polygons=True)
+    g = lattice_graph(nrows, ncols)
     rng = np.random.default_rng(seed)
     n = g.n
     labels = np.zeros(n, dtype=int)
@@ -60,12 +61,12 @@ def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
     if geojson:
         gj = tmp / "areas.geojson"
         features = []
-        for k in range(n):
+        for k, polygon in enumerate(unit_squares(g)):
             features.append({
                 "type": "Feature",
                 "properties": {"area_id": g.area_ids[k]},
                 "geometry": {"type": "Polygon",
-                             "coordinates": g.polygons[k]},
+                             "coordinates": polygon},
             })
         gj.write_text(json.dumps({"type": "FeatureCollection",
                                   "features": features}))
@@ -151,13 +152,26 @@ class TestFit:
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes(), f1.name
 
-    def test_matrix_adjacency_detected(self, tmp_path):
-        _, paths = write_dataset(tmp_path, matrix=True)
-        out = tmp_path / "out"
-        rc = main(["fit", "--areas", str(paths["areas"]),
-                   "--adjacency", str(paths["adjacency"]),
-                   "--out", str(out)] + FIT_FLAGS)
-        assert rc == 0
+    def test_matrix_adjacency_detected(self, tmp_path, capsys):
+        # the same map as a 0/1 matrix file and as a pair list is one graph,
+        # so the two fits write the same bytes
+        outs = []
+        for matrix in (True, False):
+            inputs = tmp_path / f"matrix{matrix}"
+            inputs.mkdir()
+            _, paths = write_dataset(inputs, matrix=matrix)
+            out = inputs / "out"
+            rc = main(["fit", "--areas", str(paths["areas"]),
+                       "--adjacency", str(paths["adjacency"]),
+                       "--out", str(out)] + FIT_FLAGS)
+            assert rc == 0
+            outs.append((out, capsys.readouterr().out))
+        (out1, stdout1), (out2, stdout2) = outs
+        assert paths["adjacency"].read_text().startswith("area_id_1,area_id_2\n")
+        assert stdout1 == stdout2
+        assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir())
+        for f1 in sorted(out1.iterdir()):
+            assert f1.read_bytes() == (out2 / f1.name).read_bytes(), f1.name
 
     def test_missing_metric_column_validation_exit(self, tmp_path, capsys):
         _, paths = write_dataset(tmp_path)
@@ -1113,6 +1127,17 @@ class TestReaders:
         assert rc == 0
         header, rows = io.read_table(tmp_path / "out" / "blv.csv")
         assert len(rows) == 1
+
+    def test_all_zero_matrix_has_no_borders(self, tmp_path):
+        # a matrix of 0s is a map without borders: blv writes its header only
+        areas, adjacency = tmp_path / "areas.csv", tmp_path / "adjacency.csv"
+        areas.write_text("area_id,y,E\na,5,5.0\nb,7,5.0\nc,6,5.0\n")
+        adjacency.write_text("0,0,0\n0,0,0\n0,0,0\n")
+        rc = main(["blv", "--areas", str(areas), "--adjacency", str(adjacency),
+                   "--c2", "10", "--chains", "1", "--burnin", "10", "--keep", "10",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "blv.csv").read_text() == "area_id_1,area_id_2,blv,rule_b\n"
 
     @pytest.mark.parametrize("column, value, named", [
         (1, "nan", "y must be non-negative integer (row 4)"),

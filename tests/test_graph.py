@@ -5,13 +5,21 @@ from hypothesis import strategies as st
 
 from oracles import delaunay_graph, random_graph
 from womble import (ConstantMetricError, ValidationError, build_graph,
-                    compute_border_metrics)
+                    compute_border_metrics, io)
 from womble.graph import (AreaGraph, DissimilarityData, alpha_min,
                           alpha_natural_limit, alpha_prior_upper, evaluate_w,
                           reverse_cuthill_mckee)
 from womble.simulate import lattice_graph
 
 LN2 = np.log(2.0)
+
+
+def matrix_graph(tmp_path, mat):
+    """The graph of a 0/1 matrix file, read as the CLI reads it."""
+    path = tmp_path / "adjacency.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in mat))
+    ids = [str(k) for k in range(len(mat))]
+    return build_graph(io.read_adjacency(path, ids), area_ids=ids)
 
 
 def scipy_components(n, borders):
@@ -82,8 +90,8 @@ class TestReverseCuthillMcKee:
 
 
 class TestBuildGraph:
-    def test_matrix_transcription(self):
-        g = build_graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    def test_matrix_transcription(self, tmp_path):
+        g = matrix_graph(tmp_path, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert g.n == 3
         assert [tuple(b) for b in g.borders] == [(0, 1), (1, 2)]
 
@@ -118,22 +126,24 @@ class TestBuildGraph:
         g = build_graph([(1, 0), (2, 1)])
         assert [tuple(b) for b in g.borders] == [(0, 1), (1, 2)]
 
-    def test_asymmetric_matrix_rejected(self):
+    def test_asymmetric_matrix_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="symmetric"):
-            build_graph(np.array([[0, 1], [0, 0]]))
+            matrix_graph(tmp_path, [[0, 1], [0, 0]])
 
-    def test_nonzero_diagonal_rejected(self):
+    def test_nonzero_diagonal_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="diagonal"):
-            build_graph(np.array([[1, 1], [1, 0]]))
+            matrix_graph(tmp_path, [[1, 1], [1, 0]])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError, match="self-loop"):
             build_graph([(0, 0), (1, 2)])
 
-    def test_ambiguous_2x2_zero_one_is_matrix(self):
-        # a 2x2 all-0/1 input reads as a matrix, not as two index pairs
-        g = build_graph(np.array([(0, 1), (1, 0)]))
-        assert g.n == 2 and g.n_borders == 1
+    def test_two_pairs_are_never_read_as_a_matrix(self):
+        # a 2 x 2 array of 0s and 1s is two index pairs, here one border
+        # listed twice
+        for area_ids in (None, ["a", "b", "c"]):
+            with pytest.raises(ValidationError, match="duplicate border pair"):
+                build_graph(np.array([(0, 1), (1, 0)]), area_ids=area_ids)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -147,13 +157,13 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph(np.zeros((0, 0)))
 
-    def test_isolated_areas_fine_via_matrix(self):
+    def test_isolated_areas_fine_via_matrix(self, tmp_path):
         mat = np.zeros((3, 3), dtype=int)
-        g = build_graph(mat)
+        g = matrix_graph(tmp_path, mat)
         assert g.n == 3 and g.n_borders == 0 and g.n_components == 3
         assert [a.tolist() for a in g.incidence[0]] == [[], [], []]
         mat[0, 1] = mat[1, 0] = 1
-        g = build_graph(mat)
+        g = matrix_graph(tmp_path, mat)
         assert g.n == 3 and g.n_borders == 1 and g.n_components == 2
         assert [a.tolist() for a in g.incidence[0]] == [[1], [0], []]
 
@@ -196,7 +206,7 @@ class TestBorderMetrics:
         # raw absolute differences 2 and 4 -> sample SD sqrt(2)
         g = build_graph([(0, 1), (1, 2)])
         dis = compute_border_metrics(g, np.array([0.0, 2.0, 6.0]))
-        assert dis.scales[0] == pytest.approx(np.sqrt(2.0))
+        assert dis.border_metrics[:, 0].std(ddof=1) == pytest.approx(1.0)
         np.testing.assert_allclose(dis.border_metrics[:, 0],
                                    [2.0 / np.sqrt(2), 4.0 / np.sqrt(2)])
 
@@ -233,7 +243,8 @@ class TestBorderMetrics:
         via_cov = compute_border_metrics(g, cov, metric_names=names)
         direct = DissimilarityData.from_border_values(g, raw, metric_names=names)
         assert via_cov.border_metrics.tobytes() == direct.border_metrics.tobytes()
-        assert via_cov.scales.tobytes() == direct.scales.tobytes()
+        assert via_cov.border_metrics.shape == direct.border_metrics.shape == (20, q)
+        np.testing.assert_allclose(via_cov.border_metrics.std(axis=0, ddof=1), 1.0)
         assert via_cov.metric_names == direct.metric_names
 
 
@@ -241,9 +252,7 @@ class TestEvaluateW:
     def setup_method(self):
         self.g = build_graph([(0, 1), (1, 2), (2, 3)])
         self.dis = DissimilarityData(
-            q=1, metric_names=("m",),
-            border_metrics=np.array([[0.0], [2.0], [4.0]]),
-            scales=np.array([1.0]))
+            metric_names=("m",), border_metrics=np.array([[0.0], [2.0], [4.0]]))
 
     def test_alpha_zero_keeps_everything(self):
         adj = evaluate_w(self.g, self.dis, np.array([0.0]))
@@ -294,9 +303,8 @@ class TestAlphaThresholds:
     def _dis(self, values):
         g = build_graph([(k, k + 1) for k in range(len(values))])
         return DissimilarityData(
-            q=1, metric_names=("m",),
-            border_metrics=np.asarray(values, dtype=float)[:, None],
-            scales=np.array([1.0]))
+            metric_names=("m",),
+            border_metrics=np.asarray(values, dtype=float)[:, None])
 
     def test_alpha_min_matches_reported_threshold(self):
         # a metric maxing at ln(2)/0.131 has no-effect threshold 0.131
@@ -338,9 +346,7 @@ class TestAlphaThresholds:
         assert alpha_natural_limit(dis, 0) == pytest.approx(LN2 / 1.0)
 
     def test_single_border_full_fraction(self):
-        dis = DissimilarityData(q=1, metric_names=("m",),
-                                border_metrics=np.array([[2.5]]),
-                                scales=np.array([1.0]))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=np.array([[2.5]]))
         assert alpha_prior_upper(dis, 0, 1.0) == pytest.approx(LN2 / 2.5)
 
     def test_zero_quantile_rejected(self):
@@ -364,8 +370,8 @@ class TestAdjacencyProperties:
         g = build_graph([(k, k + 1) for k in range(b)])
         q = int(rng.integers(1, 4))
         metrics = rng.gamma(1.0, 1.0, size=(b, q))
-        dis = DissimilarityData(q=q, metric_names=tuple(f"m{i}" for i in range(q)),
-                                border_metrics=metrics, scales=np.ones(q))
+        dis = DissimilarityData(metric_names=tuple(f"m{i}" for i in range(q)),
+                                border_metrics=metrics)
         a_lo = rng.uniform(0.0, 2.0, size=q)
         a_hi = a_lo + rng.uniform(0.0, 2.0, size=q)
         lo = int((evaluate_w(g, dis, a_lo).w == 0).sum())
@@ -382,8 +388,7 @@ class TestAdjacencyProperties:
         z[rng.random(b) < 0.2] = 0.0
         if z.max() == 0.0:
             z[0] = 1.0
-        dis = DissimilarityData(q=1, metric_names=("m",),
-                                border_metrics=z[:, None], scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=z[:, None])
         amin = alpha_min(dis, 0)
         assert (evaluate_w(g, dis, np.array([amin])).w == 0).sum() == 0
         upper = alpha_natural_limit(dis, 0)
@@ -400,8 +405,7 @@ class TestAdjacencyProperties:
         b = int(rng.integers(2, 25))
         g = build_graph([(k, k + 1) for k in range(b)])
         z = rng.gamma(1.0, 1.0, size=b) + 1e-6
-        dis = DissimilarityData(q=1, metric_names=("m",),
-                                border_metrics=z[:, None], scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=z[:, None])
         m = alpha_prior_upper(dis, 0, fraction)
         for a in (m, 0.5 * m, 0.0):
             adj = evaluate_w(g, dis, np.array([a]))

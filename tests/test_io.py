@@ -16,23 +16,22 @@ class TestAdjacencyDetection:
     def test_matrix_requires_square_zero_one(self, tmp_path):
         p = tmp_path / "adj.csv"
         p.write_text("0,1\n1,0\n")
-        out, is_matrix = io.read_adjacency(p, ["a", "b"])
-        assert is_matrix
-        assert out.shape == (2, 2)
+        out = io.read_adjacency(p, ["a", "b"])
+        # read as a matrix: as pairs, "0" and "1" are no area ids
+        assert out.tolist() == [[0, 1]]
+        assert out.shape == (1, 2)
         assert out.dtype == np.int64
 
     def test_pair_list_without_header(self, tmp_path):
         p = tmp_path / "adj.csv"
         p.write_text("a,b\nb,c\n")
-        out, is_matrix = io.read_adjacency(p, ["a", "b", "c"])
-        assert not is_matrix
+        out = io.read_adjacency(p, ["a", "b", "c"])
         assert out.tolist() == [[0, 1], [1, 2]]
 
     def test_pair_list_with_header(self, tmp_path):
         p = tmp_path / "adj.csv"
         p.write_text("area_id_1,area_id_2\na,b\n")
-        out, is_matrix = io.read_adjacency(p, ["a", "b"])
-        assert not is_matrix
+        out = io.read_adjacency(p, ["a", "b"])
         assert out.tolist() == [[0, 1]]
 
     def test_empty_file_rejected(self, tmp_path):

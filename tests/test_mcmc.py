@@ -17,7 +17,7 @@ from conftest import assert_holds_no_setup, fresh_env
 from oracles import delaunay_graph, dense_precision, poisson_deviance
 from womble import (ChainConfig, NumericError, ObservedData, ValidationError,
                     classify_boundaries, compute_border_metrics, run_chains)
-from womble import car, mcmc, simulate
+from womble import car, io, mcmc, simulate
 from womble.car import (PrecisionStructure, build_precision,
                         full_conditional_phi, log_density_phi,
                         precision_quadform)
@@ -558,8 +558,7 @@ class TestUpdateTau2:
 class TestUpdateAlpha:
     def _flat_dis(self, graph, value=2.0):
         z = np.full((graph.n_borders, 1), value)
-        return DissimilarityData(q=1, metric_names=("m",), border_metrics=z,
-                                 scales=np.ones(1))
+        return DissimilarityData(metric_names=("m",), border_metrics=z)
 
     def test_same_pattern_always_accepted(self):
         g = path_graph(6)
@@ -596,8 +595,7 @@ class TestUpdateAlpha:
         # a path whose six possible assignments the chain keeps revisiting
         g = path_graph(6)
         z = np.linspace(0.5, 3.0, g.n_borders)[:, None]
-        dis = DissimilarityData(q=1, metric_names=("m",), border_metrics=z,
-                                scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=z)
         state = make_state(g, alpha=np.array([0.0]),
                            phi=np.random.default_rng(1).normal(size=6))
         rng = derive_rng(seed, 0)
@@ -662,8 +660,7 @@ class TestUpdateAlpha:
         # six assignments; each must get log|Q| at its own rho
         g = path_graph(6)
         z = np.linspace(0.5, 3.0, g.n_borders)[:, None]
-        dis = DissimilarityData(q=1, metric_names=("m",), border_metrics=z,
-                                scales=np.ones(1))
+        dis = DissimilarityData(metric_names=("m",), border_metrics=z)
         phi = np.random.default_rng(1).normal(size=6)
         states = [make_state(g, rho=rho, alpha=np.array([0.0]), phi=phi.copy())
                   for rho in (0.99, 0.5)]
@@ -1551,12 +1548,14 @@ class TestDic:
         assert deviance_at(r, data) == pytest.approx(
             poisson_deviance(y, E, r), rel=1e-12)
 
-    def test_true_w_beats_all_boundaries_on_correlated_data(self):
+    def test_true_w_beats_all_boundaries_on_correlated_data(self, tmp_path):
         # strongly correlated surfaces: severing every border must cost DIC.
         # With every border cut Q = (1 - rho) I, the precision of a graph
-        # without borders.
+        # without borders, here read from an all-zero matrix file.
         g = lattice_graph(8, 8)
-        cut = build_graph(np.zeros((64, 64), dtype=int))
+        zeros = tmp_path / "adjacency.csv"
+        zeros.write_text(("0," * 63 + "0\n") * 64)
+        cut = build_graph(io.read_adjacency(zeros, g.area_ids), area_ids=g.area_ids)
         labels = np.zeros(64, dtype=int)
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.0, k2=0.0,
                             field_sd=0.3, E=100.0, replicates=1)
