@@ -27,20 +27,20 @@ class AreaGraph:
 
     Parameters
     ----------
-    borders : (B, 2) int array of unordered area-index pairs, each listed once.
+    borders : (B, 2) integer array of unordered area-index pairs, each listed
+        once; float or boolean indices are rejected, not truncated.
     area_ids : optional sequence of unique string identifiers (defaults to
         stringified indices).
-    centroids : optional (n, 2) planar coordinates; `lattice_graph` sets them
-        to its (row, col) grid, which the simulation study checks for and
-        reads its lattice shape from.
     """
 
     def __init__(self, n: int, borders: np.ndarray,
-                 area_ids: Optional[Sequence[str]] = None,
-                 centroids: Optional[np.ndarray] = None):
+                 area_ids: Optional[Sequence[str]] = None):
         if n <= 0:
             raise ValidationError("graph must contain at least one area")
-        borders = np.asarray(borders, dtype=np.int64).reshape(-1, 2)
+        borders = np.asarray(borders)
+        if borders.size and borders.dtype.kind not in "iu":
+            raise ValidationError("border indices must be integers")
+        borders = borders.astype(np.int64, copy=False).reshape(-1, 2)
         if borders.size and (borders.min() < 0 or borders.max() >= n):
             raise ValidationError("border index out of range")
         if np.any(borders[:, 0] == borders[:, 1]):
@@ -58,7 +58,6 @@ class AreaGraph:
         self.borders = borders
         self.borders.setflags(write=False)
         self.area_ids = tuple(area_ids)
-        self.centroids = None if centroids is None else np.asarray(centroids, dtype=float)
 
     @property
     def n_borders(self) -> int:

@@ -5,15 +5,16 @@ Each replicate draws a fresh log-risk surface phi ~ MVN(m, field_sd^2 C),
 where m is 0 in the background group and k1 elsewhere, and C is a Matern
 correlation matrix whose range is calibrated so the median inter-area
 correlation hits a target (0.5 by default). Counts are Poisson(E exp(phi)).
-On the lattice C is stationary, so phi is the corner window of a field drawn
-by FFT on a P x P torus that C wraps onto (Wood & Chan 1994). P doubles from
-twice the longer side until no torus eigenvalue is below -1e-8 times the
-largest; the negative ones left are zeroed. The range and the spectrum
-depend on the lattice, kappa and the target alone: `_prepare` sets them up
-as a value, which `run_study` takes (or builds) and hands to each replicate.
-The single dissimilarity metric is drawn per border as |N(1, 0.5^2)| off the
-true boundaries and |N(1 + k2, 0.5^2)| on them, then standardized to unit
-standard deviation over borders like any other metric.
+On a `Lattice`, which keeps its (nrows, ncols), C is stationary, so phi is
+the corner window of a field drawn by FFT on a P x P torus that C wraps onto
+(Wood & Chan 1994). P doubles from twice the longer side until no torus
+eigenvalue is below -1e-8 times the largest; the negative ones left are
+zeroed. The spectrum depends on the shape, kappa and the target alone:
+`_prepare` sets it up as one array, which `run_study` takes (or builds) and
+hands to each replicate. The single dissimilarity metric is drawn per border
+as |N(1, 0.5^2)| off the true boundaries (which `SimConfig` derives once)
+and |N(1 + k2, 0.5^2)| on them, then standardized to unit standard
+deviation over borders like any other metric.
 
 The field's marginal standard deviation defaults to 0.2; detection quality
 depends strongly on it (larger values bury the k1 step under smooth field
@@ -26,7 +27,7 @@ forks, and scipy.special only for a Matern smoothness other than 2.5.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -41,23 +42,25 @@ RANGE_CAP_FACTOR = 1e9
 MAX_TORUS_SIDE = 2048   # one complex FFT of it takes 64 MB
 
 
-def lattice_graph(nrows: int, ncols: int) -> AreaGraph:
-    """Rectangular rook-adjacency lattice with unit spacing; centroids are
-    (row, col)."""
-    if nrows < 1 or ncols < 1:
-        raise ValidationError("lattice dimensions must be positive")
-    borders = []
-    for r in range(nrows):
-        for c in range(ncols):
-            k = r * ncols + c
-            if c + 1 < ncols:
-                borders.append((k, k + 1))
-            if r + 1 < nrows:
-                borders.append((k, (r + 1) * ncols + c))
-    centroids = np.column_stack(np.divmod(np.arange(nrows * ncols), ncols)).astype(float)
-    ids = [f"a{r}_{c}" for r in range(nrows) for c in range(ncols)]
-    return AreaGraph(nrows * ncols, np.array(borders, dtype=np.int64),
-                     area_ids=ids, centroids=centroids)
+class Lattice(AreaGraph):
+    """Rectangular rook-adjacency lattice of unit cells: area r * ncols + c,
+    id a{r}_{c}, is the cell in row r and column c. `shape` is
+    (nrows, ncols), the window the simulation study draws its surface on."""
+
+    def __init__(self, nrows: int, ncols: int):
+        if nrows < 1 or ncols < 1:
+            raise ValidationError("lattice dimensions must be positive")
+        k = np.arange(nrows * ncols).reshape(nrows, ncols)
+        borders = np.concatenate([
+            np.column_stack([k[:, :-1].ravel(), k[:, 1:].ravel()]),
+            np.column_stack([k[:-1].ravel(), k[1:].ravel()])])
+        super().__init__(nrows * ncols, borders,
+                         [f"a{r}_{c}" for r in range(nrows) for c in range(ncols)])
+        self.shape = (nrows, ncols)
+
+
+# the one way to build a lattice, by the name `cli` calls
+lattice_graph = Lattice
 
 
 # 16x16 template: one background group plus five rectangular blocks placed
@@ -181,21 +184,13 @@ def calibrate_range(nrows: int, ncols: int, target_median: float = 0.5,
     raise NumericError("range calibration did not converge")
 
 
-def _lattice_shape(graph: AreaGraph) -> tuple:
-    """(nrows, ncols) of a graph whose centroids are lattice_graph's grid."""
-    xy = graph.centroids
-    ncols = 0 if xy is None or xy.shape != (graph.n, 2) else int(np.sum(xy[:, 0] == 0))
-    if ncols == 0 or graph.n % ncols or not np.array_equal(
-            xy, np.column_stack(np.divmod(np.arange(graph.n), ncols))):
-        raise ValidationError("graph centroids are not a full lattice_graph grid")
-    return graph.n // ncols, ncols
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """One cell of the simulation study, checked when built."""
+    """One cell of the simulation study, checked when built. `true_boundaries`
+    is derived there: the (B,) mask of borders whose areas the partition
+    puts in different groups."""
 
-    graph: AreaGraph
+    graph: Lattice
     true_partition: np.ndarray
     k1: float
     k2: float
@@ -204,6 +199,7 @@ class SimConfig:
     field_sd: float = 0.2
     E: Union[float, np.ndarray] = 100.0
     replicates: int = 20
+    true_boundaries: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # NaN fails no comparison, so finiteness is checked first
@@ -223,21 +219,26 @@ class SimConfig:
         labels = np.asarray(self.true_partition, dtype=np.int64)
         if labels.shape != (self.graph.n,):
             raise ValidationError("true_partition must label every area")
-        _lattice_shape(self.graph)
+        if not isinstance(self.graph, Lattice):
+            raise ValidationError("the study's graph must be a Lattice (lattice_graph)")
         E = np.asarray(self.E, dtype=float)
         if E.shape not in ((), (self.graph.n,)):
             raise ValidationError("expected counts must be one value or one per area")
         E = np.broadcast_to(E, (self.graph.n,)).copy()
         if (E <= 0).any() or not np.isfinite(E).all():
             raise ValidationError("expected counts must be positive and finite")
+        tb = true_boundary_mask(self.graph, labels)
+        if not tb.any() or tb.all():
+            raise ValidationError("partition must yield both boundaries and non-boundaries")
         object.__setattr__(self, "true_partition", labels)
         object.__setattr__(self, "E", E)
+        object.__setattr__(self, "true_boundaries", tb)
 
 
-def _prepare(config: SimConfig) -> dict:
-    """The surface's range, lattice shape and square-rooted torus spectrum,
-    which depend on the graph, kappa and the target alone."""
-    nrows, ncols = _lattice_shape(config.graph)
+def _prepare(config: SimConfig) -> np.ndarray:
+    """The square-rooted spectrum of the torus the Matern correlation wraps
+    onto, which depends on the lattice's shape, kappa and the target alone."""
+    nrows, ncols = config.graph.shape
     rng_val = calibrate_range(nrows, ncols, config.target_median_correlation,
                               config.kappa)
     side = 2 * max(nrows, ncols)
@@ -251,14 +252,13 @@ def _prepare(config: SimConfig) -> dict:
     else:
         raise NumericError(f"no torus of side up to {MAX_TORUS_SIDE} embeds the "
                            f"correlation on {nrows}x{ncols}: lower --target-median-corr")
-    return {"range": rng_val, "shape": (nrows, ncols),
-            "spectrum": np.sqrt(np.clip(eig, 0.0, None))}
+    return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def gen_surface(config: SimConfig, surface: dict, rng: np.random.Generator):
-    """Draw one log-risk surface from `surface`, the cell's _prepare(config);
-    returns (phi_true, R_true)."""
-    spectrum, (nrows, ncols) = surface["spectrum"], surface["shape"]
+def gen_surface(config: SimConfig, spectrum: np.ndarray, rng: np.random.Generator):
+    """Draw one log-risk surface from `spectrum`, the cell's _prepare(config),
+    and take its lattice-sized corner; returns (phi_true, R_true)."""
+    nrows, ncols = config.graph.shape
     torus = np.fft.ifft2(spectrum * np.fft.fft2(rng.standard_normal(spectrum.shape)))
     mean = np.where(config.true_partition == 0, 0.0, config.k1)
     phi = mean + config.field_sd * torus.real[:nrows, :ncols].ravel()
@@ -269,8 +269,7 @@ def gen_dissimilarity(config: SimConfig, rng: np.random.Generator) -> np.ndarray
     """Raw border metric draws: |N(1, 0.5^2)| off-boundary, |N(1+k2, 0.5^2)|
     on-boundary. Standardization to unit SD happens when the values are turned
     into DissimilarityData."""
-    tb = true_boundary_mask(config.graph, config.true_partition)
-    return np.abs(rng.normal(np.where(tb, 1.0 + config.k2, 1.0), 0.5))
+    return np.abs(rng.normal(np.where(config.true_boundaries, 1.0 + config.k2, 1.0), 0.5))
 
 
 def gen_counts(R_true: np.ndarray, E: np.ndarray,
@@ -307,7 +306,7 @@ class SimScore:
 
 
 def _replicate_result(rep: int, config: SimConfig, chain_config: ChainConfig,
-                      surface: dict) -> dict:
+                      surface: np.ndarray) -> dict:
     data_rng = derive_rng(chain_config.seed, REPLICATE, rep, 0)
     chain_seed = int(np.random.SeedSequence(
         chain_config.seed, spawn_key=(REPLICATE, rep, 1)).generate_state(1)[0])
@@ -320,7 +319,7 @@ def _replicate_result(rep: int, config: SimConfig, chain_config: ChainConfig,
     cfg = replace(chain_config, seed=chain_seed, workers=1)
     samples = run_chains(data, config.graph, dis, cfg)
     bset = classify_boundaries(samples)
-    tb = true_boundary_mask(config.graph, config.true_partition)
+    tb = config.true_boundaries
     ba = 100.0 * float(np.mean(bset.is_boundary[tb]))
     nba = 100.0 * float(np.mean(~bset.is_boundary[~tb]))
     r_hat = samples.risk_summary().median
@@ -336,18 +335,16 @@ def _replicate_result(rep: int, config: SimConfig, chain_config: ChainConfig,
 
 
 def run_study(config: SimConfig, chain_config: ChainConfig,
-              surface: Optional[dict] = None) -> SimScore:
+              surface: Optional[np.ndarray] = None) -> SimScore:
     """Generate, fit, and score `config.replicates` independent replicates.
 
     Replicates derive their streams from (`chain_config.seed`, replicate
     index) and run in a pool of `chain_config.workers` processes; the chains
     of one replicate run without a pool. Results are identical either way.
-    Every replicate draws from `surface`, _prepare(config) if None; cells on
-    one graph with the same kappa and target may pass one surface.
+    Every replicate draws from `surface`, the torus spectrum _prepare(config)
+    gives if None; cells on one lattice with the same kappa and target may
+    pass one. The partition was checked when `config` was built.
     """
-    tb = true_boundary_mask(config.graph, config.true_partition)
-    if not tb.any() or tb.all():
-        raise ValidationError("partition must yield both boundaries and non-boundaries")
     if surface is None:
         surface = _prepare(config)
     # loaded before the pool forks, so that no worker imports it for its

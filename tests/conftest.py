@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import womble
 from womble import build_graph
 from womble.graph import AreaGraph, DissimilarityData, adjacency_from_w
+from womble.simulate import Lattice
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -40,14 +41,16 @@ def fresh_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-# what an AreaGraph may hold: its constructor's fields and its cached
-# properties; no run, study or command leaves set-up on it
-GRAPH_FIELDS = {"n", "borders", "area_ids", "centroids"}
+# what an AreaGraph may hold: its constructor's fields (and a Lattice's
+# shape) and its cached properties; no run, study or command leaves set-up
+# on it
+GRAPH_FIELDS = {"n", "borders", "area_ids"}
 GRAPH_CACHED = {"incidence", "coloring", "n_components"}
 
 
 def assert_holds_no_setup(graph):
-    assert GRAPH_FIELDS <= set(vars(graph)) <= GRAPH_FIELDS | GRAPH_CACHED, vars(graph).keys()
+    fields = GRAPH_FIELDS | ({"shape"} if isinstance(graph, Lattice) else set())
+    assert fields <= set(vars(graph)) <= fields | GRAPH_CACHED, vars(graph).keys()
 
 
 def all_ones_adj(graph):

@@ -64,11 +64,28 @@ def delaunay_graph(n, seed):
     return AreaGraph(n, np.unique(edges, axis=0))
 
 
+def lattice_loop(nrows, ncols):
+    """A lattice's (B, 2) borders and area ids by the per-cell double loop:
+    each cell's right, then lower, neighbour, cells in row-major order."""
+    borders = []
+    for r in range(nrows):
+        for c in range(ncols):
+            k = r * ncols + c
+            if c + 1 < ncols:
+                borders.append((k, k + 1))
+            if r + 1 < nrows:
+                borders.append((k, (r + 1) * ncols + c))
+    ids = [f"a{r}_{c}" for r in range(nrows) for c in range(ncols)]
+    return np.array(borders, dtype=np.int64).reshape(-1, 2), ids
+
+
 def unit_squares(graph):
-    """The rings of the unit square around each of a lattice_graph's
-    (row, col) centroids, one polygon per area."""
+    """The rings of the unit square around each (row, col) cell of a
+    Lattice, one polygon per area."""
+    rows, cols = np.divmod(np.arange(graph.n), graph.shape[1])
     return [[[[r - 0.5, c - 0.5], [r - 0.5, c + 0.5], [r + 0.5, c + 0.5],
-              [r + 0.5, c - 0.5], [r - 0.5, c - 0.5]]] for r, c in graph.centroids]
+              [r + 0.5, c - 0.5], [r - 0.5, c - 0.5]]]
+            for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def poisson_deviance(y, E, r):

@@ -149,6 +149,26 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             AreaGraph(2, np.array([[0, 5]]))
 
+    @pytest.mark.parametrize("pairs", [
+        [(0.5, 1.7), (1.2, 2.9)],      # truncated, a 3-area graph
+        [(True, False)],               # read as 1 and 0, a 1-border graph
+        np.array([(0.0, 1.0)]),
+    ], ids=["fractional", "boolean", "integral-float"])
+    def test_non_integer_indices_rejected(self, pairs):
+        with pytest.raises(ValidationError, match="integers"):
+            build_graph(pairs)
+        with pytest.raises(ValidationError, match="integers"):
+            AreaGraph(3, pairs)
+
+    def test_empty_and_int32_pairs_build(self):
+        # an empty list is a float64 array; its area count comes from area_ids
+        g = build_graph([], area_ids=["a", "b"])
+        assert g.n == 2 and g.n_borders == 0 and g.borders.dtype == np.int64
+        g = build_graph(np.array([(1, 0), (1, 2)], dtype=np.int32))
+        assert g.borders.dtype == np.int64 and g.borders.tolist() == [[0, 1], [1, 2]]
+        # Delaunay simplices are int32
+        assert delaunay_graph(30, seed=1).borders.dtype == np.int64
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             build_graph([(0, 1), (1, 0), (1, 2)])

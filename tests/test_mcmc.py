@@ -1556,7 +1556,10 @@ class TestDic:
         zeros = tmp_path / "adjacency.csv"
         zeros.write_text(("0," * 63 + "0\n") * 64)
         cut = build_graph(io.read_adjacency(zeros, g.area_ids), area_ids=g.area_ids)
+        # at k1 = 0 the partition moves no mean; one area in its own group
+        # gives the cell the boundaries a SimConfig requires
         labels = np.zeros(64, dtype=int)
+        labels[0] = 1
         cfg_sim = SimConfig(graph=g, true_partition=labels, k1=0.0, k2=0.0,
                             field_sd=0.3, E=100.0, replicates=1)
         surface = simulate._prepare(cfg_sim)

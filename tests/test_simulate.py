@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,13 +9,43 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 import womble.simulate as sim
+from oracles import lattice_loop
 from womble import ChainConfig, NumericError, ValidationError
-from womble.simulate import (SimConfig, calibrate_range, five_block_partition,
-                             gen_counts, gen_dissimilarity, gen_surface,
-                             lattice_graph, matern_correlation, run_study,
-                             true_boundary_mask)
+from womble.graph import AreaGraph
+from womble.simulate import (Lattice, SimConfig, calibrate_range,
+                             five_block_partition, gen_counts,
+                             gen_dissimilarity, gen_surface, lattice_graph,
+                             matern_correlation, run_study, true_boundary_mask)
 
 MATERN_AT_RANGE = (1.0 + np.sqrt(5.0) + 5.0 / 3.0) * np.exp(-np.sqrt(5.0))
+
+
+def cells(nrows, ncols):
+    """(n, 2) (row, col) of each area of an nrows x ncols lattice."""
+    return np.column_stack(np.divmod(np.arange(nrows * ncols), ncols))
+
+
+class TestLattice:
+    @pytest.mark.parametrize("nrows, ncols", [
+        (1, 1), (1, 7), (7, 1), (3, 50), (16, 16), (64, 64)])
+    def test_matches_double_loop(self, nrows, ncols):
+        g = lattice_graph(nrows, ncols)
+        borders, ids = lattice_loop(nrows, ncols)
+        assert isinstance(g, Lattice) and g.shape == (nrows, ncols)
+        assert g.n == nrows * ncols
+        assert g.borders.dtype == borders.dtype and g.borders.shape == borders.shape
+        assert g.borders.tobytes() == borders.tobytes()
+        assert g.area_ids == tuple(ids)
+
+    def test_dimensions_must_be_positive(self):
+        for nrows, ncols in ((0, 3), (3, 0), (-1, 2)):
+            with pytest.raises(ValidationError, match="positive"):
+                lattice_graph(nrows, ncols)
+
+    def test_shape_survives_pickle(self):
+        g = pickle.loads(pickle.dumps(lattice_graph(3, 5)))
+        assert type(g) is Lattice and g.shape == (3, 5)
+        assert g.borders.tobytes() == lattice_graph(3, 5).borders.tobytes()
 
 
 class TestMatern:
@@ -50,8 +82,7 @@ class TestMatern:
 
     def test_in_place_form_matches_formula_and_spares_input(self):
         # the closed form gives the bits of the one-line formula, d untouched
-        g = lattice_graph(12, 12)
-        d = squareform(pdist(g.centroids))
+        d = squareform(pdist(cells(12, 12)))
         before = d.copy()
         r = 3.7
         a = np.sqrt(5.0) * d / r
@@ -79,15 +110,14 @@ class TestCalibrateRange:
         assert r == pytest.approx(1.0, abs=1e-4)
 
     def test_lattice_self_check(self):
-        g = lattice_graph(16, 16)
         r = calibrate_range(16, 16, 0.5)
-        med = np.median(matern_correlation(pdist(g.centroids), r))
+        med = np.median(matern_correlation(pdist(cells(16, 16)), r))
         assert med == pytest.approx(0.5, abs=1e-6)
 
     @staticmethod
-    def _all_pairs_calibration(centroids, target, kappa):
+    def _all_pairs_calibration(points, target, kappa):
         """The bisection with the median taken over every pair."""
-        dists = pdist(centroids)
+        dists = pdist(points)
         dists = dists[dists > 0]
         median = lambda r: float(np.median(matern_correlation(dists, r, kappa)))
         lo = hi = float(np.median(dists))
@@ -109,10 +139,9 @@ class TestCalibrateRange:
     def test_middle_distances_give_the_all_pairs_result(self, points, kappa):
         # 3x5, 1x2 and 1x7 have an odd number of pairs
         nrows, ncols = map(int, points.split("x"))
-        cents = lattice_graph(nrows, ncols).centroids
         for target in (0.3, 0.5):
             assert (calibrate_range(nrows, ncols, target, kappa)
-                    == self._all_pairs_calibration(cents, target, kappa))
+                    == self._all_pairs_calibration(cells(nrows, ncols), target, kappa))
 
     def test_unreachable_target_hits_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "RANGE_CAP_FACTOR", 2.0)
@@ -190,7 +219,8 @@ class TestGenSurface:
         # the draws are iid bivariate normal with the Matern correlation
         cfg = small_config(k1=0.0)
         surface = sim._prepare(cfg)
-        target = matern_correlation(1.0, surface["range"])
+        target = matern_correlation(1.0, calibrate_range(
+            *cfg.graph.shape, cfg.target_median_correlation, cfg.kappa))
         k, j = cfg.graph.borders[0]
         reps = 200
         pairs = np.empty((reps, 2))
@@ -219,15 +249,17 @@ class TestGenSurface:
         cols = np.arange(1 - ncols, ncols)
         dist = np.hypot(rows[:, None], cols[None, :])
         for target in (0.3, 0.5, 0.8):
-            cfg = SimConfig(graph=lattice_graph(nrows, ncols),
-                            true_partition=np.zeros(nrows * ncols, dtype=int),
-                            k1=0.0, k2=0.0, kappa=kappa,
-                            target_median_correlation=target)
+            # _prepare reads the lattice, kappa and the target alone; a
+            # SimConfig would also need a partition with both kinds of
+            # border, which a 1x2 lattice cannot have
+            cfg = SimpleNamespace(graph=lattice_graph(nrows, ncols), kappa=kappa,
+                                  target_median_correlation=target)
             plan = sim._prepare(cfg)
-            cov = np.fft.ifft2(plan["spectrum"] ** 2).real
+            cov = np.fft.ifft2(plan ** 2).real
             np.testing.assert_allclose(
                 cov[np.ix_(rows, cols)],
-                matern_correlation(dist, plan["range"], kappa), rtol=0, atol=1e-6)
+                matern_correlation(dist, calibrate_range(nrows, ncols, target, kappa),
+                                   kappa), rtol=0, atol=1e-6)
 
 
 class TestPrepare:
@@ -243,7 +275,7 @@ class TestPrepare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        side = plan["spectrum"].shape[0]
+        side = plan.shape[0]
         assert side <= 8 * 64
         assert peak <= 12 * 8 * side ** 2
 
@@ -343,38 +375,55 @@ class TestRunStudy:
             assert col.dtype == other.dtype and col.tobytes() == other.tobytes(), name
 
     def test_all_one_partition_rejected(self, monkeypatch):
-        # rejected once, before the pool starts: no chain runs
+        # rejected once, when the cell is built: no chain runs
         def no_chains(*args, **kwargs):
             raise AssertionError("a chain ran before the partition was checked")
 
         monkeypatch.setattr("womble.simulate.run_chains", no_chains)
         cfg = small_config()
-        bad = SimConfig(graph=cfg.graph,
-                        true_partition=np.zeros(36, dtype=int),
-                        k1=0.1, k2=1.0, replicates=1)
         with pytest.raises(ValidationError, match="boundaries"):
-            run_study(bad, self._chain_cfg())
+            SimConfig(graph=cfg.graph, true_partition=np.zeros(36, dtype=int),
+                      k1=0.1, k2=1.0, replicates=1)
+        # one group has no boundary whatever its label; a checkerboard makes
+        # every border one
+        rows, cols = np.divmod(np.arange(36), 6)
+        for labels in (np.ones(36, dtype=int), (rows + cols) % 2):
+            with pytest.raises(ValidationError, match="boundaries"):
+                SimConfig(graph=cfg.graph, true_partition=labels,
+                          k1=0.1, k2=1.0, replicates=1)
+
+    def test_true_boundaries_derived_once(self, monkeypatch):
+        cfg = small_config(replicates=1)
+        tb = cfg.true_boundaries
+        assert tb.dtype == bool
+        assert tb.tobytes() == true_boundary_mask(cfg.graph, cfg.true_partition).tobytes()
+        assert tb.sum() == 8    # the 2x2 block's perimeter
+
+        def no_mask(*args, **kwargs):
+            raise AssertionError("true boundaries derived after the cell was built")
+
+        monkeypatch.setattr("womble.simulate.true_boundary_mask", no_mask)
+        gen_dissimilarity(cfg, np.random.default_rng(0))
+        run_study(cfg, self._chain_cfg())
 
     def test_config_validation(self):
         g = lattice_graph(3, 3)
+        centre = np.zeros(9, dtype=int)
+        centre[4] = 1     # 4 boundaries, 8 non-boundaries
+        SimConfig(graph=g, true_partition=centre, k1=0.1, k2=0.0)
         with pytest.raises(ValidationError):
-            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
-                      k1=-0.1, k2=0.0)
+            SimConfig(graph=g, true_partition=centre, k1=-0.1, k2=0.0)
         with pytest.raises(ValidationError):
             SimConfig(graph=g, true_partition=np.zeros(4, dtype=int),
                       k1=0.1, k2=0.0)
-        with pytest.raises(ValidationError, match="centroids"):
-            SimConfig(graph=sim.AreaGraph(9, g.borders),
-                      true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
-        # the surface is drawn on a lattice_graph grid and no other
-        for cents in (g.centroids[::-1], np.zeros((9, 2)), g.centroids[:, ::-1] * 2,
-                      lattice_graph(2, 5).centroids[:9], np.zeros((9, 0)), np.arange(9.0)):
-            with pytest.raises(ValidationError, match="lattice_graph grid"):
-                SimConfig(graph=sim.AreaGraph(9, g.borders, centroids=cents),
-                          true_partition=np.zeros(9, dtype=int), k1=0.1, k2=0.0)
+        # the surface is drawn on a Lattice and no other graph, even one
+        # with a lattice's own borders and ids
+        for other in (AreaGraph(9, g.borders), AreaGraph(9, g.borders, g.area_ids)):
+            with pytest.raises(ValidationError, match="Lattice"):
+                SimConfig(graph=other, true_partition=centre, k1=0.1, k2=0.0)
         with pytest.raises(ValidationError, match="one per area"):
-            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+            SimConfig(graph=g, true_partition=centre,
                       k1=0.1, k2=0.0, E=np.ones(4))
         with pytest.raises(ValidationError, match="expected counts"):
-            SimConfig(graph=g, true_partition=np.zeros(9, dtype=int),
+            SimConfig(graph=g, true_partition=centre,
                       k1=0.1, k2=0.0, E=np.r_[np.ones(8), np.nan])
