@@ -250,7 +250,7 @@ def read_residuals_csv(path):
                                   f"{len(expected)} fields") from None
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric value in row {i + 2}: {exc}") from None
-        if not np.isfinite(values[-1]).all():
+        if not all(map(math.isfinite, values[-1])):
             raise ValidationError(f"{path}: non-finite value in row {i + 2}")
     y, E, r_median, resid = np.array(values).reshape(-1, 4).T.copy()
     return [r["area_id"] for r in rows], y, E, r_median, resid

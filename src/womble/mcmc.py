@@ -60,16 +60,16 @@ nothing reads log|Q|, so a run factorizes nothing and loads no scipy; ln(y!)
 is a port of Cephes lgam on the standard library (_log_factorial), so the
 deviance loads none either.
 
-Retained phi and w go to one temporary file under TMPDIR, each chain writing
-its own slices through _DrawLayout.writer: phi in buffers of a few megabytes
-of draws (RISK_BLOCK_BYTES), each stored area by area, then one row of w per
-retained draw. A chain returns only the number of retained draws in which
-each border is kept. PosteriorSamples.risk_summary is the one reader of phi:
-in one pass it reads a block of areas at a time through _PhiReader.chain,
-one read per chain and buffer, and returns the risk medians, intervals and
-the posterior mean of R that dic takes. It holds one area-major buffer of the
-widest block and one stage of a chain's share of it, so no process holds all
-retained draws.
+Retained phi goes to one temporary file under TMPDIR, each chain writing its
+own slices through _DrawLayout.writer, in buffers of a few megabytes of draws
+(RISK_BLOCK_BYTES), each stored area by area. w, a function of alpha, is not
+stored: a chain returns only the number of retained draws that keep each
+border. PosteriorSamples.risk_summary is the one reader of phi: in one pass
+it reads a block of areas at a time through _PhiReader.chain, one read per
+chain and buffer, and returns the risk medians, intervals and the posterior
+mean of R that dic takes. It holds one area-major buffer of the widest block
+and one stage of a chain's share of it, so no process holds all retained
+draws.
 """
 
 import errno
@@ -109,7 +109,7 @@ LOGDET_MEMO_CAP = 4096
 # margin of both bounds over the exact ratio, far above the rounding in
 # either log|Q|, so a bound rejection is one the exact test also makes
 CUT_BOUND_SLACK = 1e-6
-# temporary file of retained phi and w under TMPDIR (see _DrawLayout)
+# temporary file of retained phi under TMPDIR (see _DrawLayout)
 PHI_FILE_PREFIX = "womble-phi-"
 # a chain buffers at most this many bytes of retained phi per write, and
 # risk_summary reduces exp(phi) over blocks of areas of one to two times this
@@ -444,20 +444,18 @@ class _DrawLayout(NamedTuple):
     Chain c's phi fills bytes [8n c m, 8n (c + 1) m) for m = `draws`, in
     buffers of `block` draws (the last one may be shorter); a buffer of k
     draws is stored area-major, as an (n, k) float64 array, so one area's k
-    draws are contiguous. The uint8 w rows, `borders` bytes each, follow
-    all of the phi, chain by chain and draw by draw. `writer` writes them;
-    _PhiReader.chain reads phi back."""
+    draws are contiguous, and nothing else is stored. `writer` writes the
+    buffers; _PhiReader.chain reads them back."""
 
     path: str
     chains: int
     draws: int     # retained per chain
     n: int
-    borders: int
     block: int
 
     @property
     def nbytes(self) -> int:
-        return self.chains * self.draws * (8 * self.n + self.borders)
+        return self.chains * self.draws * 8 * self.n
 
     def phi_offset(self, chain: int, draw: int) -> int:
         """Where the phi buffer that starts at `draw` of `chain` begins."""
@@ -468,26 +466,21 @@ class _DrawLayout(NamedTuple):
         for start in range(0, self.draws, self.block):
             yield min(self.block, self.draws - start), self.phi_offset(chain, start)
 
-    def w_offset(self, chain: int, draw: int) -> int:
-        return (self.phi_offset(self.chains, 0)
-                + self.borders * (chain * self.draws + draw))
-
     @contextmanager
     def writer(self, chain: int):
-        """write(draw, phi, w) stores `chain`'s retained draw `draw`: phi in
-        its buffer, written when full or at the last draw, and w's row."""
+        """write(draw, phi) stores `chain`'s retained phi of draw `draw` in
+        its buffer, which one pwrite stores when full or at the last draw."""
         buffer = np.empty(self.n * self.block)
         with open(self.path, "r+b", buffering=0) as fh:
             fd = fh.fileno()
 
-            def write(draw: int, phi: np.ndarray, w: np.ndarray):
+            def write(draw: int, phi: np.ndarray):
                 j = draw % self.block
                 k = min(self.block, self.draws - draw + j)
                 buffered = buffer[:self.n * k].reshape(self.n, k)
                 buffered[:, j] = phi
                 if j == k - 1:
                     _pwrite(fd, buffered, self.phi_offset(chain, draw - j))
-                _pwrite(fd, w, self.w_offset(chain, draw))
             yield write
 
 
@@ -521,26 +514,36 @@ class _PhiReader:
 
 @dataclass
 class PosteriorSamples:
-    """Thinned multi-chain draws, with retained phi and w left on disk.
+    """Thinned multi-chain draws, with retained phi left on disk.
 
     Arrays are indexed (chain, draw, ...); pooled views flatten the first two
-    axes with chains kept contiguous. `run_chains` leaves phi and w in a
-    temporary file that is already unlinked: `phi_draws.chain` reads one
-    chain's phi of a slice of areas, area-major (areas, draws), and `w` maps
-    the w trace read-only for benchmarks; nothing in the package reads it,
-    since `w_counts` holds what boundary classification needs.
+    axes with chains kept contiguous. `run_chains` leaves phi in a temporary
+    file that is already unlinked: `phi_draws.chain` reads one chain's phi
+    of a slice of areas, area-major (areas, draws). `w_counts` holds what
+    boundary classification needs; `w` rebuilds the trace from `alpha`.
     """
 
     phi_draws: _PhiReader
     mu: np.ndarray         # (C, m)
     tau2: np.ndarray       # (C, m)
     alpha: np.ndarray      # (C, m, q)
-    w: np.ndarray          # (C, m, B) uint8
     w_counts: np.ndarray   # (C, B) int64: retained draws that keep each border
     deviance: Optional[np.ndarray]   # (C, m); None unless run_chains was asked for it
     acceptance: dict       # block -> (C, ...) post-burn-in acceptance rates
     graph: AreaGraph
     dis: Optional[DissimilarityData]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The (C, m, B) uint8 w trace the chains had, read-only: evaluate_w
+        of each retained alpha, one call per draw (all ones without metrics).
+        Each read allocates C x m x B bytes; nothing in the package reads it."""
+        w = np.ones((*self.mu.shape, self.graph.n_borders), dtype=np.uint8)
+        if self.dis is not None:
+            for c, d in np.ndindex(self.mu.shape):
+                w[c, d] = evaluate_w(self.graph, self.dis, self.alpha[c, d]).w
+        w.setflags(write=False)
+        return w
 
     def pooled(self, name: str) -> np.ndarray:
         """The draws of `name` with the chain and draw axes merged."""
@@ -621,9 +624,9 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
                dis: Optional[DissimilarityData], config: ChainConfig,
                M: np.ndarray, log_dets: Optional[_LogDets], deviance: bool,
                layout: _DrawLayout) -> dict:
-    """Run one chain, storing its retained phi and w through the layout's
-    writer; return the other draws (the deviance of each only if asked) and,
-    per border, the number of retained draws that keep it."""
+    """Run one chain, storing its retained phi through the layout's writer;
+    return the other draws (the deviance of each only if asked) and, per
+    border, the number of retained draws that keep it."""
     rng = derive_rng(config.seed, CHAIN, chain_idx)
     state = _initial_state(data, graph, dis, M, log_dets, rng)
     n, q = graph.n, M.size
@@ -672,7 +675,7 @@ def _run_chain(chain_idx: int, data: ObservedData, graph: AreaGraph,
             iterate()
             if (it + 1) % config.thin == 0:
                 idx = it // config.thin
-                write(idx, state.phi, state.adj.w)
+                write(idx, state.phi)
                 w_counts += state.adj.w
                 out_mu[idx], out_tau2[idx], out_alpha[idx] = state.mu, state.tau2, state.alpha
                 if deviance:
@@ -690,15 +693,14 @@ def run_chains(data: ObservedData, graph: AreaGraph,
 
     Alpha is sampled iff there are metrics; with dis=None every border is
     kept, the BLV baseline's smoothing model. Chains are seeded from
-    (config.seed, chain index) and initialised at dispersed locations; the
-    per-border w indicator is recorded at every retained iteration. Identical
+    (config.seed, chain index) and initialised at dispersed locations; each
+    chain counts, per border, the retained draws that keep it. Identical
     inputs produce identical output arrays, regardless of `workers`.
 
-    Retained phi and w are written to one temporary file under TMPDIR of
-    chains x (keep // thin) x (8 n + B) bytes, reserved before any chain
-    starts (an OSError if the disk cannot hold it). The file is unlinked
-    before returning; the samples read phi from it through `phi_draws` and
-    map w read-only until they are released.
+    Retained phi goes to one temporary file under TMPDIR of chains x
+    (keep // thin) x 8 n bytes, reserved before any chain starts (an OSError
+    naming the settings that size it if the disk cannot hold it) and
+    unlinked before returning; `phi_draws` reads it until released.
 
     The Poisson deviance of each retained draw, which only the DIC reads, is
     computed when `deviance` is set, and `samples.deviance` is None if not.
@@ -719,27 +721,24 @@ def run_chains(data: ObservedData, graph: AreaGraph,
     n_draws = config.keep // config.thin
     block = min(n_draws, max(1, RISK_BLOCK_BYTES // (8 * graph.n)))
     with tempfile.NamedTemporaryFile(prefix=PHI_FILE_PREFIX) as fh:
-        layout = _DrawLayout(fh.name, config.n_chains, n_draws, graph.n,
-                             graph.n_borders, block)
+        layout = _DrawLayout(fh.name, config.n_chains, n_draws, graph.n, block)
         # reserved up front, so a full disk fails here and not part-way
         # through a chain
         try:
             os.posix_fallocate(fh.fileno(), 0, layout.nbytes)
         except OSError as exc:
-            raise OSError(exc.errno, f"cannot reserve {layout.nbytes} bytes "
-                          f"for retained draws (chains x keep // thin x "
-                          f"(8 x areas + borders)) in {fh.name}: "
-                          f"{exc.strerror}") from exc
+            raise OSError(exc.errno, f"cannot reserve {layout.nbytes} bytes for "
+                          f"retained draws (chains x keep // thin x 8 x areas) in "
+                          f"{fh.name}: {exc.strerror}; lower --keep or --chains, "
+                          f"raise --thin, or point TMPDIR at a larger disk") from exc
         results = run_tasks(_run_chain,
                             (data, graph, dis, config, M, log_dets, deviance, layout),
                             config.n_chains, config.workers)
         phi_draws = _PhiReader(layout)
-        w = np.memmap(fh.name, dtype=np.uint8, mode="r", offset=layout.w_offset(0, 0),
-                      shape=(config.n_chains, n_draws, graph.n_borders))
     stack = lambda key: np.stack([r[key] for r in results])
     return PosteriorSamples(
         phi_draws=phi_draws, mu=stack("mu"), tau2=stack("tau2"),
-        alpha=stack("alpha"), w=w, w_counts=stack("w_counts"),
+        alpha=stack("alpha"), w_counts=stack("w_counts"),
         deviance=stack("deviance") if deviance else None,
         acceptance={b: stack("accept_" + b) for b in ("phi", "tau2", "alpha")},
         graph=graph, dis=dis)

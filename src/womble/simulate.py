@@ -184,11 +184,11 @@ def calibrate_range(nrows: int, ncols: int, target_median: float = 0.5,
     raise NumericError("range calibration did not converge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """One cell of the simulation study, checked when built. `true_boundaries`
     is derived there: the (B,) mask of borders whose areas the partition
-    puts in different groups."""
+    puts in different groups. Cells compare by identity, not by their arrays."""
 
     graph: Lattice
     true_partition: np.ndarray

@@ -290,8 +290,9 @@ class TestFit:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("IO:") and os.strerror(errno.ENOSPC) in err
-        # chains x keep // thin x (8 x areas + borders) on the 4x4 lattice
-        assert f"cannot reserve {2 * 100 * (8 * 16 + 24)} bytes" in err
+        # chains x keep // thin x 8 x areas on the 4x4 lattice
+        assert f"cannot reserve {2 * 100 * 8 * 16} bytes" in err
+        assert all(knob in err for knob in ("--keep", "--chains", "--thin", "TMPDIR"))
         assert list(tmp.iterdir()) == []
         assert not (tmp_path / "out").exists()
 
@@ -402,6 +403,8 @@ class TestDiagnose:
         ("a0_0,100,100.0,1.0,x\n", "non-numeric value in row 2"),
         ("a0_0,100,100.0\n", "row 2 has fewer than 5 fields"),
         ("a0_0,100,100.0,1.0,nan\n", "non-finite value in row 2"),
+        # the first failing row is named, whatever fails after it
+        ("a0_0,100,100.0,inf,1.0\na0_1,100,100.0,1.0,x\n", "non-finite value in row 2"),
     ])
     def test_malformed_residuals_rejected(self, tmp_path, capsys, row, named):
         _, paths = write_dataset(tmp_path)

@@ -685,7 +685,9 @@ JOINT_CASES = pytest.mark.parametrize("graph, q, rho", [
     (AreaGraph(12, np.vstack([lattice_graph(2, 3).borders,
                               lattice_graph(2, 3).borders + 6])), 1, 0.9),
     (AreaGraph(10, lattice_graph(3, 3).borders), 1, 0.9),
-], ids=["lattice-q1", "lattice-q2", "disconnected", "isolated-area"])
+    # an irregular map: 77 borders, 5 colours
+    (delaunay_graph(30, seed=1), 1, 0.9),
+], ids=["lattice-q1", "lattice-q2", "disconnected", "isolated-area", "delaunay-q1"])
 
 
 class TestAlphaJointDistribution:
@@ -788,7 +790,8 @@ class TestKernelJointDistribution:
     the other blocks. A tau2 target without its Jacobian term, update_mu at
     prior variance 1, a sweep with E x 1.3, or log|Q| x 0.5 each read a KS
     statistic of 0.149 or more in every case here; the kernel as it is read
-    at most 0.090 over seeds 0-9, and 0.051 at this seed."""
+    at most 0.090 over seeds 0-9, and 0.051 at this seed (0.052 on the
+    irregular map)."""
 
     KS_BOUND = 0.1
 
@@ -1048,6 +1051,20 @@ class TestRunChains:
             expected = evaluate_w(g, dis, alpha[i]).w
             np.testing.assert_array_equal(w[i], expected)
 
+    def test_q2_w_trace_is_evaluate_w_of_alpha(self):
+        # the trace is rebuilt from alpha; its sums are the counts each chain
+        # kept of its own w as it ran
+        g, data, dis = self._map_inputs("lattice", 2)
+        cfg = ChainConfig(n_chains=2, burn_in=150, keep=40, seed=4)
+        samples = run_chains(data, g, dis, cfg)
+        w, alpha = samples.pooled("w"), samples.pooled("alpha")
+        assert len({row.tobytes() for row in w}) > 1
+        for i in range(w.shape[0]):
+            assert w[i].tobytes() == evaluate_w(g, dis, alpha[i]).w.tobytes()
+        np.testing.assert_array_equal(samples.w_counts,
+                                      samples.w.sum(axis=1, dtype=np.int64))
+        assert not samples.w.flags.writeable
+
     def test_w_counts_give_the_trace_mean(self):
         # three chains of 25 draws: w_mean is the float mean of the pooled
         # trace, bit for bit
@@ -1280,8 +1297,8 @@ class TestBandPlanBeforeFork:
 
 
 class TestRetainedPhi:
-    """Retained phi and w live in one temporary file; the output stage reads
-    phi back a block of areas at a time."""
+    """Retained phi lives in one temporary file; the output stage reads it
+    back a block of areas at a time."""
 
     def _inputs(self):
         return TestRunChains()._tiny_inputs(seed=5)
@@ -1410,6 +1427,25 @@ class TestRetainedPhi:
         with pytest.raises(OSError):
             os.write(samples.phi_draws.fd, b"1")
         assert not samples.w.flags.writeable
+
+    @pytest.mark.parametrize("n_chains, keep, thin", [(2, 30, 3), (3, 25, 2)])
+    def test_file_holds_phi_alone(self, monkeypatch, n_chains, keep, thin):
+        # 8 bytes per area per retained draw are reserved, and the chains
+        # write nothing past them
+        g, data, dis = self._inputs()
+        reserved = []
+        fallocate = os.posix_fallocate
+
+        def recording(fd, offset, length):
+            reserved.append((offset, length))
+            return fallocate(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", recording)
+        samples = run_chains(data, g, dis, ChainConfig(
+            n_chains=n_chains, burn_in=20, keep=keep, thin=thin, seed=1))
+        nbytes = n_chains * (keep // thin) * 8 * g.n
+        assert reserved == [(0, nbytes)]
+        assert os.fstat(samples.phi_draws.fd).st_size == nbytes
 
     def test_file_is_removed_after_a_run(self, tmp_path, monkeypatch):
         g, data, dis = self._inputs()

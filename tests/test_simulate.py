@@ -406,6 +406,12 @@ class TestRunStudy:
         gen_dissimilarity(cfg, np.random.default_rng(0))
         run_study(cfg, self._chain_cfg())
 
+    def test_cells_compare_by_identity(self):
+        # array fields have no single truth value, so == must not compare them
+        cfg, same_args = small_config(), small_config()
+        assert cfg == cfg
+        assert not cfg == same_args and cfg != same_args
+
     def test_config_validation(self):
         g = lattice_graph(3, 3)
         centre = np.zeros(9, dtype=int)
