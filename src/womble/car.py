@@ -259,6 +259,7 @@ def full_conditional_phi(k: int, phi: np.ndarray, mu: float, tau2: float,
     graph = adj.graph
     if not 0 <= k < graph.n:
         raise ValidationError("area index out of range")
-    nbrs, bids = graph.incidence
-    s = float(np.sum(adj.w[bids[k]] * phi[nbrs[k]]))
+    starts, nbrs, bids = graph.incidence
+    at = slice(starts[k], starts[k + 1])
+    s = float(np.sum(adj.w[bids[at]] * phi[nbrs[at]]))
     return conditional_moments(s, precision_diagonal(adj, rho)[k], mu, tau2, rho)

@@ -126,14 +126,8 @@ def _permuted_moran(v, graph: AreaGraph, n_perm: int, seed: int,
 
     groups = min(threads, len(heights))
     cuts = [len(heights) * g // groups for g in range(groups + 1)]
-    if groups == 1:
-        return score(0, len(heights))
-    with ThreadPoolExecutor(groups - 1) as pool:
-        rest = [pool.submit(score, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
-        chunks = score(cuts[0], cuts[1])
-        for f in rest:
-            chunks += f.result()
-    return chunks
+    with ThreadPoolExecutor(groups) as pool:
+        return [c for group in pool.map(score, cuts[:-1], cuts[1:]) for c in group]
 
 
 def pearson_residuals(y: np.ndarray, E: np.ndarray,

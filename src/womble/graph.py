@@ -70,16 +70,28 @@ class AreaGraph:
 
     @cached_property
     def incidence(self):
-        """Per-area arrays of (neighbour index, border index), in border order."""
+        """The flat incidence table ``(starts, nbrs, bids)`` of read-only int64
+        arrays: area k's neighbours, and the borders to them, in border order,
+        are ``nbrs[starts[k]:starts[k + 1]]`` and ``bids[...]`` alike."""
         ends = self.borders.ravel()
         # a stable sort of the interleaved endpoints keeps each area's
         # entries in border order
         order = np.argsort(ends, kind="stable")
         nbrs = self.borders[:, ::-1].ravel()[order]
         bids = np.repeat(np.arange(self.n_borders, dtype=np.int64), 2)[order]
-        stops = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
-        spans = list(zip([0] + stops[:-1], stops))
-        return [nbrs[a:b] for a, b in spans], [bids[a:b] for a, b in spans]
+        starts = np.searchsorted(ends[order], np.arange(self.n + 1))
+        for a in (starts, nbrs, bids):
+            a.setflags(write=False)
+        return starts, nbrs, bids
+
+    def gather(self, areas: np.ndarray):
+        """``(at, owner)``: the incidence table positions of an int array of
+        areas, area by area, and the index in `areas` of each one's area."""
+        starts = self.incidence[0]
+        counts = starts[areas + 1] - starts[areas]
+        owner = np.repeat(np.arange(areas.size), counts)
+        shift = starts[areas] - np.cumsum(counts) + counts
+        return np.arange(owner.size) + shift[owner], owner
 
     @cached_property
     def coloring(self) -> list:
@@ -89,14 +101,17 @@ class AreaGraph:
         outside the class, so per-area Metropolis updates of a whole class may
         be applied simultaneously.
         """
-        nbrs, _ = self.incidence
-        colors = np.full(self.n, -1, dtype=np.int64)
+        starts, nbrs, _ = self.incidence
+        # plain lists: slicing them area by area is faster than slicing arrays
+        starts, nbrs = starts.tolist(), nbrs.tolist()
+        colors = [-1] * self.n
         for k in range(self.n):
-            used = set(colors[nbrs[k]].tolist())
+            used = set(map(colors.__getitem__, nbrs[starts[k]:starts[k + 1]]))
             c = 0
             while c in used:
                 c += 1
             colors[k] = c
+        colors = np.array(colors, dtype=np.int64)
         return [np.where(colors == c)[0] for c in range(int(colors.max()) + 1)]
 
     def __repr__(self):
@@ -139,10 +154,8 @@ def reverse_cuthill_mckee(graph: AreaGraph) -> np.ndarray:
     area of degree 0, a component of its own, costs no round.
     """
     n = graph.n
-    nbrs, _ = graph.incidence
-    flat = np.concatenate(nbrs)
-    degree = np.bincount(graph.borders.ravel(), minlength=n).astype(np.int32)
-    starts = np.cumsum(degree, dtype=np.int64) - degree
+    starts, nbrs, _ = graph.incidence
+    degree = np.diff(starts).astype(np.int32)
     by_degree = np.argsort(degree)
     rank = np.empty(n, dtype=np.int64)
     rank[by_degree] = np.arange(n)
@@ -154,10 +167,8 @@ def reverse_cuthill_mckee(graph: AreaGraph) -> np.ndarray:
     levels = [level]
     while level.size:
         # every neighbour of the level, parent by parent
-        counts = degree[level]
-        ends = np.cumsum(counts)
-        parent = np.repeat(np.arange(level.size), counts)
-        reached = flat[np.arange(ends[-1]) + np.repeat(starts[level] - ends + counts, counts)]
+        at, parent = graph.gather(level)
+        reached = nbrs[at]
         fresh = ~visited[reached]
         reached, parent = reached[fresh], parent[fresh]
         _, first = np.unique(reached, return_index=True)

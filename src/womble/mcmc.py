@@ -12,7 +12,8 @@ Update scheme, one iteration:
 
 * phi: per-area random-walk Metropolis, swept in graph-coloring blocks (a
   block's members share no border, so their full conditionals depend only on
-  areas outside the block; each area keeps its own accept/reject decision).
+  areas outside the block; each area keeps its own accept/reject decision),
+  each block's incidence entries gathered once per chain (AreaGraph.gather).
 * mu: exact Gibbs draw. W* has zero row sums, so 1'Q1 = (1-rho) n and
   1'Q phi = (1-rho) sum(phi), making the conditional trivially cheap.
 * tau2: random-walk Metropolis on ln(tau2) with Jacobian correction,
@@ -265,18 +266,16 @@ class _LogDets:
 
 
 class _Sweep:
-    """One chain's phi-sweep inputs: per colour its edge incidence (members,
-    rows, nbr, bidx), the y and E gathers of `data`, and per assignment the
-    border weights and Q's diagonal."""
+    """One chain's phi-sweep inputs: per colour its members and their entries
+    of the incidence table (rows: the member of each; nbr, bidx), the y and E
+    gathers of `data`, and per assignment the border weights and Q's diagonal."""
 
     def __init__(self, graph: AreaGraph, data: Optional[ObservedData]):
-        nbrs, bids = graph.incidence
-        self.tables = [(members,
-                        np.repeat(np.arange(members.shape[0]),
-                                  [len(nbrs[k]) for k in members]),
-                        np.concatenate([nbrs[k] for k in members]),
-                        np.concatenate([bids[k] for k in members]))
-                       for members in graph.coloring]
+        _, nbrs, bids = graph.incidence
+        self.tables = []
+        for members in graph.coloring:
+            at, rows = graph.gather(members)
+            self.tables.append((members, rows, nbrs[at], bids[at]))
         self.observe(data)
         self.adj = self.rho = None
 

@@ -274,11 +274,15 @@ def gen_dissimilarity(config: SimConfig, rng: np.random.Generator) -> np.ndarray
 
 def gen_counts(R_true: np.ndarray, E: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-    """Independent Poisson counts with mean E_k R_k."""
+    """Independent Poisson counts with mean E_k R_k (at most about 9.2e18)."""
     E = np.asarray(E, dtype=float)
     if (E <= 0).any():
         raise ValidationError("expected counts must be positive")
-    return rng.poisson(E * np.asarray(R_true, dtype=float))
+    try:
+        return rng.poisson(E * np.asarray(R_true, dtype=float))
+    except ValueError as exc:
+        raise NumericError(f"cannot draw Poisson counts with mean E x R ({exc}): "
+                           "lower --k1, --field-sd or --expected/--expected-csv") from None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ matrices are assembled densely, log-densities go through scipy's
 multivariate normal, and conditionals come from partitioning the joint.
 """
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import multivariate_normal
 
@@ -62,6 +66,76 @@ def delaunay_graph(n, seed):
     tri = Delaunay(np.random.default_rng(seed).random((n, 2))).simplices
     edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
     return AreaGraph(n, np.unique(edges, axis=0))
+
+
+def voronoi_map(n, seed):
+    """A seeded Voronoi map of n areas on the unit square: a map of
+    irregular convex polygons, as a real map's are.
+
+    A frame of 40 points on a circle of radius 1.5 around the square
+    surrounds the n uniform points, so every one of their cells is bounded.
+    Returns (graph, polygons, points, ridges): the borders are the Voronoi
+    ridges between two of the n cells, each area's polygon is its cell's
+    vertices ordered by angle (the cells are convex) as one closed ring, and
+    ridges[b] is border b's shared segment, the (2, 2) coordinates of its two
+    vertices."""
+    from scipy.spatial import Voronoi
+
+    from womble.graph import AreaGraph
+    points = np.random.default_rng(seed).random((n, 2))
+    turn = 2.0 * np.pi * np.arange(40) / 40
+    frame = 0.5 + 1.5 * np.column_stack([np.cos(turn), np.sin(turn)])
+    vor = Voronoi(np.concatenate([points, frame]))
+    inner = np.all(vor.ridge_points < n, axis=1)
+    pairs = vor.ridge_points[inner]
+    order = np.lexsort((pairs.max(axis=1), pairs.min(axis=1)))
+    graph = AreaGraph(n, pairs)
+    ridges = vor.vertices[np.asarray(vor.ridge_vertices)[inner][order]]
+    polygons = []
+    for k in range(n):
+        corners = vor.vertices[vor.regions[vor.point_region[k]]]
+        d = corners - points[k]
+        ring = corners[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist()
+        polygons.append([ring + ring[:1]])
+    return graph, polygons, points, ridges
+
+
+def write_voronoi_inputs(directory, n, seed):
+    """Write the `womble` input files of voronoi_map(n, seed) to `directory`:
+    areas.csv (y, E and one metric `step`), adjacency.csv (a pair list),
+    matrix.csv (the same borders as a 0/1 matrix) and areas.geojson.
+
+    Areas right of x = 0.5 have log-risk 0.4 and `step` about 3, those left
+    of it log-risk 0 and `step` about 0, so the borders across x = 0.5 are
+    the true boundaries. Returns voronoi_map's tuple."""
+    graph, polygons, points, ridges = voronoi_map(n, seed)
+    rng = np.random.default_rng([seed, 1])
+    right = points[:, 0] > 0.5
+    E = rng.uniform(500.0, 1500.0, n)
+    y = rng.poisson(E * np.exp(np.where(right, 0.4, 0.0)))
+    step = np.where(right, 3.0, 0.0) + rng.normal(0.0, 0.1, n)
+    ids = [f"v{k}" for k in range(n)]
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "areas.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["area_id", "y", "E", "step"])
+        w.writerows(zip(ids, y.tolist(), E.tolist(), step.tolist()))
+    with open(out / "adjacency.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["area_id_1", "area_id_2"])
+        w.writerows((ids[k], ids[j]) for k, j in graph.borders.tolist())
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[graph.borders[:, 0], graph.borders[:, 1]] = 1
+    mat += mat.T
+    (out / "matrix.csv").write_text("".join(",".join(map(str, row)) + "\n"
+                                            for row in mat.tolist()))
+    (out / "areas.geojson").write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"area_id": a},
+                      "geometry": {"type": "Polygon", "coordinates": p}}
+                     for a, p in zip(ids, polygons)]}))
+    return graph, polygons, points, ridges
 
 
 def lattice_loop(nrows, ncols):

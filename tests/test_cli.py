@@ -15,7 +15,8 @@ from womble import NumericError, io
 from womble.simulate import lattice_graph
 from womble.cli import main
 from conftest import assert_holds_no_setup, fresh_env
-from oracles import unit_squares
+from oracles import unit_squares, write_voronoi_inputs
+from womble.boundary import VERTEX_DECIMALS
 
 
 def write_dataset(tmp: Path, nrows=4, ncols=4, metric=True, seed=0,
@@ -983,6 +984,26 @@ class TestRejectedCommandsWriteNothing:
         assert err.startswith("NUMERIC:") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers, replicates", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("flags", [["--k1", "50"], ["--expected", "1e20"]])
+    def test_simulate_counts_beyond_poisson_limit(self, tmp_path, capfd, flags,
+                                                  workers, replicates):
+        # a Poisson mean E x R above numpy's limit is found in the first
+        # replicate, after --out exists and before the cell writes a file;
+        # at two workers the error crosses the pool
+        out = tmp_path / "a" / "sim"
+        rc = main(["simulate", "--nrows", "8", "--ncols", "8",
+                   "--replicates", str(replicates), "--chains", "1",
+                   "--burnin", "5", "--keep", "5", "--workers", str(workers),
+                   "--out", str(out)] + flags)
+        assert rc == 4
+        err = capfd.readouterr().err
+        assert err.startswith("NUMERIC: cannot draw Poisson counts")
+        for flag in ("--k1", "--field-sd", "--expected/--expected-csv"):
+            assert flag in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
     def test_fit_zero_prior_bound(self, tmp_path, capsys, no_sampling):
         # one area of 16 differs: at --max-boundary-fraction 0.5 the metric's
         # quantile, and with it the prior bound, is zero
@@ -1054,6 +1075,66 @@ class TestRejectedCommandsWriteNothing:
         assert rc == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (fit_dir / "moran.csv").exists()
+
+
+def assert_same_tree(a: Path, b: Path):
+    """The two directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestIrregularMap:
+    """A seeded 60-area Voronoi map (tests/oracles.py) through the CLI:
+    irregular polygons and degrees, as a real map has, where the lattice
+    tests have only unit squares and degrees up to 4."""
+
+    def test_fit_blv_diagnose_end_to_end(self, tmp_path, capsys):
+        graph, _, _, ridges = write_voronoi_inputs(tmp_path / "inputs", 60, seed=3)
+        inputs = {k: str(tmp_path / "inputs" / f) for k, f in [
+            ("areas", "areas.csv"), ("pairs", "adjacency.csv"),
+            ("matrix", "matrix.csv"), ("geojson", "areas.geojson")]}
+        stdout = {}
+
+        def run(name, argv):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            stdout[name] = capsys.readouterr().out
+
+        for w in ("1", "2"):
+            for adjacency in ("pairs", "matrix"):
+                run(f"fit-{adjacency}{w}",
+                    ["fit", "--areas", inputs["areas"], "--adjacency", inputs[adjacency],
+                     "--geojson", inputs["geojson"], "--workers", w] + FIT_FLAGS)
+            run(f"blv{w}", ["blv", "--areas", inputs["areas"], "--adjacency",
+                            inputs["pairs"], "--c2", "10", "--workers", w] + FIT_FLAGS)
+            run(f"diag{w}", ["diagnose", "--fit-dir", str(tmp_path / f"fit-pairs{w}"),
+                             "--adjacency", inputs["pairs"], "--n-perm", "199",
+                             "--seed", "1"])
+        fits = ["fit-pairs1", "fit-pairs2", "fit-matrix1", "fit-matrix2"]
+        for name in fits[1:]:
+            assert_same_tree(tmp_path / fits[0], tmp_path / name)
+            assert stdout[name] == stdout[fits[0]]
+        for a, b in [("blv1", "blv2"), ("diag1", "diag2")]:
+            assert_same_tree(tmp_path / a, tmp_path / b)
+            assert stdout[a] == stdout[b]
+
+        # each boundary border's overlay is exactly its one shared ridge
+        with open(tmp_path / "fit-pairs1" / "boundary.csv", newline="") as fh:
+            flagged = [r["is_boundary"] == "1" for r in csv.DictReader(fh)]
+        overlay = json.loads((tmp_path / "fit-pairs1" / "boundary_overlay.geojson").read_text())
+        lines = {}
+        for feat in overlay["features"]:
+            ends = (feat["properties"]["area_id_1"], feat["properties"]["area_id_2"])
+            lines.setdefault(ends, []).append(feat["geometry"]["coordinates"])
+        expected = {}
+        for b in np.flatnonzero(flagged):
+            k, j = graph.borders[b]
+            segment = np.round(ridges[b], VERTEX_DECIMALS).tolist()
+            expected[(f"v{k}", f"v{j}")] = sorted(segment)
+        assert expected
+        assert {ends: [sorted(c) for c in found] for ends, found in lines.items()} == {
+            ends: [segment] for ends, segment in expected.items()}
 
 
 class TestReaders:

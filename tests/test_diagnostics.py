@@ -195,9 +195,9 @@ class TestChunkedPermutations:
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     @pytest.mark.parametrize("n_perm", [1, 2, 10])
     def test_one_thread_per_group_of_chunks(self, monkeypatch, n_perm, threads):
-        # each group of chunks derives its stream once; the caller scores the
-        # first group and starts at most one thread for each other group, so
-        # never more threads than chunks, and none are left running
+        # each group of chunks derives its stream once, on a thread of one
+        # pool of one thread per group, so never more threads than chunks,
+        # and none are left running
         g = lattice_graph(16, 16)
         set_chunk_rows(monkeypatch, g, 3)
         seen = []
@@ -219,9 +219,9 @@ class TestChunkedPermutations:
         before = threading.active_count()
         chunks = diagnostics._permuted_moran(vals, g, n_perm, 7, threads)
         groups = min(threads, len(chunks))
-        assert pools == ([groups - 1] if groups > 1 else [])
+        assert pools == [groups]
         assert len(seen) == groups and len(set(seen)) <= groups
-        assert threading.get_ident() in seen
+        assert threading.get_ident() not in seen
         assert threading.active_count() == before
         _, _, ref_perm = all_at_once_permutations(vals, g, n_perm, 7)
         assert np.concatenate(chunks).tobytes() == ref_perm.tobytes()

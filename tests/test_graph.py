@@ -38,6 +38,19 @@ def scipy_rcm(graph):
     return rcm(pattern + pattern.T, symmetric_mode=True)
 
 
+def loop_incidence(g):
+    """Per-area lists of (neighbours, borders), in border order, by a loop
+    over the borders."""
+    nbrs = [[] for _ in range(g.n)]
+    bids = [[] for _ in range(g.n)]
+    for b, (k, j) in enumerate(g.borders.tolist()):
+        nbrs[k].append(j)
+        bids[k].append(b)
+        nbrs[j].append(k)
+        bids[j].append(b)
+    return nbrs, bids
+
+
 class TestReverseCuthillMcKee:
     """The band plan's ordering is scipy's reverse_cuthill_mckee permutation
     exactly, so every banded factor, and every output, is the same."""
@@ -181,30 +194,43 @@ class TestBuildGraph:
         mat = np.zeros((3, 3), dtype=int)
         g = matrix_graph(tmp_path, mat)
         assert g.n == 3 and g.n_borders == 0 and g.n_components == 3
-        assert [a.tolist() for a in g.incidence[0]] == [[], [], []]
+        assert [a.tolist() for a in g.incidence] == [[0, 0, 0, 0], [], []]
         mat[0, 1] = mat[1, 0] = 1
         g = matrix_graph(tmp_path, mat)
         assert g.n == 3 and g.n_borders == 1 and g.n_components == 2
-        assert [a.tolist() for a in g.incidence[0]] == [[1], [0], []]
+        assert [a.tolist() for a in g.incidence] == [[0, 1, 2, 2], [1, 0], [0, 0]]
 
     @pytest.mark.parametrize("pairs", [
         [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
         [(4, 0), (2, 4), (1, 3), (0, 2)],
         [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (0, 1)],
+        # areas 0, 3, 6 and 7 are isolated
+        pytest.param(AreaGraph(8, np.array([(5, 1), (2, 4), (1, 2), (4, 5)])), id="isolated"),
+        pytest.param(AreaGraph(4, np.zeros((0, 2), dtype=np.int64)), id="borderless"),
+        pytest.param(delaunay_graph(300, seed=2), id="delaunay"),
     ])
     def test_incidence_matches_loop_reference(self, pairs):
-        g = build_graph(pairs)
-        nbrs = [[] for _ in range(g.n)]
-        bids = [[] for _ in range(g.n)]
-        for b, (k, j) in enumerate(g.borders):
-            nbrs[k].append(j)
-            bids[k].append(b)
-            nbrs[j].append(k)
-            bids[j].append(b)
-        got_nbrs, got_bids = g.incidence
-        assert [a.tolist() for a in got_nbrs] == nbrs
-        assert [a.tolist() for a in got_bids] == bids
-        assert all(a.dtype == np.int64 for a in got_nbrs + got_bids)
+        g = pairs if isinstance(pairs, AreaGraph) else build_graph(pairs)
+        nbrs, bids = loop_incidence(g)
+        starts, got_nbrs, got_bids = g.incidence
+        assert starts.tolist() == np.cumsum([0] + [len(a) for a in nbrs]).tolist()
+        assert [got_nbrs[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])] == nbrs
+        assert [got_bids[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])] == bids
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in g.incidence)
+
+    @pytest.mark.parametrize("areas", [
+        [], [0], [3], [0, 3, 6, 7], [7, 1, 0, 5], [2, 2, 6, 4],
+        list(range(8)), list(range(7, -1, -1))])
+    def test_gather_matches_loop_reference(self, areas):
+        # areas 0, 3, 6 and 7 have degree 0
+        g = AreaGraph(8, np.array([(5, 1), (2, 4), (1, 2), (4, 5), (1, 4)]))
+        starts, nbrs, bids = g.incidence
+        at, owner = g.gather(np.array(areas, dtype=np.int64))
+        ref_at = [p for k in areas for p in range(starts[k], starts[k + 1])]
+        ref_owner = [i for i, k in enumerate(areas) for _ in range(starts[k], starts[k + 1])]
+        assert at.tolist() == ref_at and owner.tolist() == ref_owner
+        assert at.dtype == owner.dtype == np.int64
+        assert nbrs[at].tolist() == [j for k in areas for j in loop_incidence(g)[0][k]]
 
     def test_coloring_is_proper(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])

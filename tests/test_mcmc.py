@@ -114,14 +114,15 @@ class RefState:
 
 
 def ref_sweep_classes(graph):
-    nbrs, bids = graph.incidence
+    starts, nbrs, bids = graph.incidence
     classes = []
     for members in graph.coloring:
         rows, nbr, bidx = [], [], []
         for local, k in enumerate(members):
-            rows.extend([local] * len(nbrs[k]))
-            nbr.extend(nbrs[k].tolist())
-            bidx.extend(bids[k].tolist())
+            at = slice(starts[k], starts[k + 1])
+            rows.extend([local] * (starts[k + 1] - starts[k]))
+            nbr.extend(nbrs[at].tolist())
+            bidx.extend(bids[at].tolist())
         classes.append((members, np.array(rows, dtype=np.int64),
                         np.array(nbr, dtype=np.int64), np.array(bidx, dtype=np.int64)))
     return classes
